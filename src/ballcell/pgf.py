@@ -11,6 +11,13 @@ symbolic).  This module builds those functions bottom-up, extracts exact
 distributions and moments from them, and carries the fast mean/variance
 recurrences that skip the rational functions entirely.
 
+Both tables, numeric and symbolic, run the same merge-and-cancel step over
+factored denominators.  Each level is a numerator over {factor: power}, and
+the only factors the recurrence introduces are b - a*x from the reduced stay
+probability a/b (plus the monomial n when n is symbolic).  These factors are
+irreducible, so dividing out each one that divides the numerator exactly
+leaves a reduced quotient, and no polynomial gcd is ever computed.
+
 The degenerate state n = 1 with r >= 2 never terminates; the recurrence then
 yields the zero function, which is kept, flagged, and refused by the moment
 operations.
@@ -25,7 +32,7 @@ from math import comb, factorial
 
 from .errors import BudgetExceededError, DivergentDurationError
 from .game import transition_prob_symbolic, transition_row
-from .polys import Poly, Poly2, poly2_div_exact
+from .polys import Poly, Poly2, poly2_div_exact, poly_div_exact
 from .ratfuncs import RatFunc, RatFunc2
 from .scalars import decimal_sqrt
 
@@ -107,32 +114,94 @@ def _check_state(n: int, r: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# PGF tables, grown bottom-up and cached per context.  Tables are replaced
-# wholesale (never mutated in place) so completed entries are always safe to
-# read from other threads.
+# PGF tables, grown bottom-up and cached per context.  Levels keep their
+# denominators factored, (numerator, {factor: power}), as the module docstring
+# describes.  Factors are primitive with a positive head term, so associate
+# factors meet as equal keys and the merge never needs a gcd.  Tables are
+# replaced wholesale (never mutated in place) so completed entries are always
+# safe to read from other threads.
 
-_NUMERIC: dict[int, list[RatFunc]] = {}
-# Symbolic levels keep the denominator factored: (numerator, {factor: power}).
+# Per cell count, each level together with its reduced RatFunc.
+_NUMERIC: dict[int, list[tuple[Poly, dict[Poly, int], RatFunc]]] = {}
 _SYM_LEVELS: list[tuple[Poly2, dict[Poly2, int]]] = []
 
 
-def _numeric_funcs(n: int, rmax: int) -> list[RatFunc]:
-    table = _NUMERIC.get(n)
-    if table is None:
-        table = [RatFunc.from_fraction(Q1)]
-    if len(table) <= rmax:
-        table = list(table)
-        x = RatFunc.x()
-        for r in range(len(table), rmax + 1):
-            probs = transition_row(n, r).probs
-            acc = RatFunc.from_fraction(Q0)
-            for t in range(1, r + 1):
-                if probs[t]:
-                    acc = acc + probs[t] * table[r - t]
-            f = x * acc / (1 - probs[0] * x)
-            table.append(f)
-        _NUMERIC[n] = table
-    return table
+def _merge_terms(terms: list, x, stay) -> tuple:
+    """Numerator and factored denominator of x/(1 - p_0 x) * sum(terms).
+
+    Each term is (numerator, {factor: power}); the sum runs over the common
+    denominator, which takes the largest power of each factor.  `stay`
+    writes 1/(1 - p_0 x) as scale/factor, or is None when p_0 = 0.
+    """
+    den: dict = {}
+    for _, own in terms:
+        for f, m in own.items():
+            if m > den.get(f, 0):
+                den[f] = m
+    total = 0
+    for num, own in terms:
+        for f, m in den.items():
+            extra = m - own.get(f, 0)
+            if extra:
+                num = num * f**extra
+        total = num + total
+    num = x * total
+    if stay is not None:
+        scale, factor = stay
+        num = num * scale
+        den[factor] = den.get(factor, 0) + 1
+    return num, den
+
+
+def _cancel_factors(num, den: dict, div_exact) -> tuple:
+    """Divide out every denominator factor that exactly divides the numerator.
+
+    Each factor is irreducible (the monomial n, or a polynomial linear and
+    primitive in x), so repeated exact division is a complete reduction: what
+    survives is provably coprime to the numerator.  A zero numerator returns
+    at once over the empty denominator, since every division would succeed.
+    """
+    if num.is_zero():
+        return num, {}
+    out = {}
+    for f, mult in den.items():
+        while mult > 0:
+            try:
+                num = div_exact(num, f)
+            except ValueError:
+                break
+            mult -= 1
+        if mult:
+            out[f] = mult
+    return num, out
+
+
+def _expand(den: dict, one):
+    """Multiply out a factored denominator; `one` is the ring's unit."""
+    out = one
+    for f, m in den.items():
+        out = out * f**m
+    return out
+
+
+def _numeric_levels(n: int, rmax: int) -> list[tuple[Poly, dict[Poly, int], RatFunc]]:
+    levels = _NUMERIC.get(n)
+    if levels is not None and len(levels) > rmax:
+        return levels
+    one = Poly.const(1)
+    levels = list(levels or [(one, {}, RatFunc.from_coprime(one, one))])
+    x = Poly.var()
+    for r in range(len(levels), rmax + 1):
+        probs = transition_row(n, r).probs
+        terms = [(p * levels[r - t][0], levels[r - t][1]) for t, p in enumerate(probs) if t and p]
+        stay = None
+        if probs[0]:
+            a, b = probs[0].numerator, probs[0].denominator
+            stay = (b, Poly({0: b, 1: -a}))
+        num, den = _cancel_factors(*_merge_terms(terms, x, stay), poly_div_exact)
+        levels.append((num, den, RatFunc.from_coprime(num, _expand(den, one))))
+    _NUMERIC[n] = levels
+    return levels
 
 
 def _monomial_degree(den: Poly2) -> int:
@@ -143,34 +212,12 @@ def _monomial_degree(den: Poly2) -> int:
     return terms[0][0][0]
 
 
-def _cancel_factors(num: Poly2, den: dict[Poly2, int]) -> tuple[Poly2, dict[Poly2, int]]:
-    """Divide out every denominator factor that exactly divides the numerator.
-
-    Each factor is irreducible (the monomial n, or a polynomial linear and
-    primitive in x), so repeated exact division is a complete reduction: what
-    survives is provably coprime to the numerator.
-    """
-    out: dict[Poly2, int] = {}
-    for f, mult in den.items():
-        while mult > 0:
-            try:
-                num = poly2_div_exact(num, f)
-            except ValueError:
-                break
-            mult -= 1
-        if mult:
-            out[f] = mult
-    return num, out
-
-
 def _sym_levels(rmax: int) -> list[tuple[Poly2, dict[Poly2, int]]]:
     """Grow the symbolic PGF table.
 
-    Working over factored denominators sidesteps general bivariate gcds: the
-    recurrence only ever introduces the factor n^e - A*x from the reduced
-    stay probability A/n^e (A coprime to n, so the factor is primitive and
-    linear in x) plus powers of n itself, and reducing against those is
-    plain exact division.
+    The reduced stay probability is A/n^e with A coprime to n, so its factor
+    n^e - A*x is primitive and linear in x; the capture probabilities add
+    powers of the factor n.
     """
     global _SYM_LEVELS
     levels = _SYM_LEVELS
@@ -191,46 +238,25 @@ def _sym_levels(rmax: int) -> list[tuple[Poly2, dict[Poly2, int]]]:
                 if e_t:
                     own[var_n] = own.get(var_n, 0) + e_t
                 terms.append((p.num * levels[r - t][0], own))
-            common: dict[Poly2, int] = {}
-            for _, own in terms:
-                for f, m in own.items():
-                    if m > common.get(f, 0):
-                        common[f] = m
-            total = Poly2.zero()
-            for anum, own in terms:
-                for f, m in common.items():
-                    extra = m - own.get(f, 0)
-                    if extra:
-                        anum = anum * f**extra
-                total = total + anum
-            stay = transition_prob_symbolic(r, 0)
-            num = var_x * total
-            den = dict(common)
-            if not stay.is_zero():
-                e0 = _monomial_degree(stay.den)
-                num = num * var_n**e0
-                factor = var_n**e0 - stay.num * var_x
-                den[factor] = den.get(factor, 0) + 1
-            num, den = _cancel_factors(num, den)
-            levels.append((num, den))
+            stay = None
+            p0 = transition_prob_symbolic(r, 0)
+            if not p0.is_zero():
+                scale = var_n ** _monomial_degree(p0.den)
+                stay = (scale, scale - p0.num * var_x)
+            levels.append(_cancel_factors(*_merge_terms(terms, var_x, stay), poly2_div_exact))
         _SYM_LEVELS = levels
     return levels
 
 
 def _symbolic_funcs(rmax: int) -> list[RatFunc2]:
-    out = []
-    for num, den in _sym_levels(rmax)[: rmax + 1]:
-        den_poly = Poly2.const(1)
-        for f, m in den.items():
-            den_poly = den_poly * f**m
-        out.append(RatFunc2.from_coprime(num, den_poly))
-    return out
+    one = Poly2.const(1)
+    return [RatFunc2.from_coprime(num, _expand(den, one)) for num, den in _sym_levels(rmax)[: rmax + 1]]
 
 
 def pgf_numeric(r: int, n: int) -> DurationPGF:
     """Duration PGF for r balls in n cells, exact and reduced."""
     _check_state(n, r)
-    func = _numeric_funcs(n, r)[r]
+    func = _numeric_levels(n, r)[r][2]
     return DurationPGF(r, n, func, terminating=not func.is_zero())
 
 

@@ -240,6 +240,14 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return a.monic()
 
 
+def poly_div_exact(p: Poly, d: Poly) -> Poly:
+    """Exact division in Q[x]; raises if d does not divide p."""
+    q, rem = divmod(p, d)
+    if not rem.is_zero():
+        raise ValueError("inexact polynomial division")
+    return q
+
+
 # ---------------------------------------------------------------------------
 # Bivariate layer
 

@@ -11,6 +11,7 @@ import pytest
 
 from ballcell import reference
 from ballcell.errors import BudgetExceededError, DivergentDurationError
+from ballcell.game import transition_row
 from ballcell.pgf import (
     diagonal_sequence,
     duration_distribution,
@@ -48,10 +49,33 @@ def test_trivial_states():
         assert pgf_numeric(1, n).func == RatFunc(X)
 
 
+def _reference_numeric_funcs(n, rmax):
+    """The PGF recurrence in plain RatFunc arithmetic, gcd-reduced at every
+    step; the oracle for the factored numeric table."""
+    table = [RatFunc.from_fraction(Fraction(1))]
+    x = RatFunc.x()
+    for r in range(1, rmax + 1):
+        probs = transition_row(n, r).probs
+        acc = RatFunc.from_fraction(Fraction(0))
+        for t in range(1, r + 1):
+            if probs[t]:
+                acc = acc + probs[t] * table[r - t]
+        table.append(x * acc / (1 - probs[0] * x))
+    return table
+
+
+def test_numeric_table_matches_gcd_reduced_reference():
+    for n in range(1, 11):
+        for r, ref in enumerate(_reference_numeric_funcs(n, 10)):
+            got = pgf_numeric(r, n).func
+            assert (got.num, got.den) == (ref.num, ref.den), (n, r)
+
+
 def test_one_cell_never_terminates():
-    p = pgf_numeric(2, 1)
-    assert not p.terminating
-    assert p.func.is_zero()
+    for r in range(2, 9):
+        p = pgf_numeric(r, 1)
+        assert not p.terminating
+        assert p.func.is_zero()
     with pytest.raises(DivergentDurationError):
         exact_distribution(2, 1)
     with pytest.raises(DivergentDurationError):
@@ -90,6 +114,8 @@ def test_series_matches_matrix_oracle():
     for n in range(2, 6):
         for r in range(2, 6):
             assert pgf_numeric(r, n).func.series(25) == duration_distribution(r, n, 25)
+    for r in (20, 25):
+        assert pgf_numeric(r, r).func.series(30) == duration_distribution(r, r, 30)
 
 
 def test_symbolic_specializes_to_numeric():
