@@ -10,7 +10,6 @@ independent of how trials are scheduled.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -163,30 +162,16 @@ class SimBatch:
     variance: Decimal
 
 
-def _run_range(r: int, n: int, seed: int, lo: int, hi: int) -> list[int]:
-    return [simulate_game(r, n, trial_seed(seed, i)) for i in range(lo, hi)]
-
-
-def simulate_batch(r: int, n: int, trials: int, seed: int, parallelism: int = 1) -> SimBatch:
+def simulate_batch(r: int, n: int, trials: int, seed: int) -> SimBatch:
     """Aggregate `trials` games, each on its own derived stream seed.
 
     The duration multiset is a pure function of (r, n, trials, seed): trial i
-    always runs on trial_seed(seed, i), and results are assembled in trial
-    order whatever the parallelism degree.
+    always runs on trial_seed(seed, i), and results are kept in trial order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     _check_sim_state(r, n)
-    if parallelism == 1:
-        durations = _run_range(r, n, seed, 0, trials)
-    else:
-        step = -(-trials // parallelism)
-        spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            parts = pool.map(lambda span: _run_range(r, n, seed, *span), spans)
-            durations = [d for part in parts for d in part]
+    durations = [simulate_game(r, n, trial_seed(seed, i)) for i in range(trials)]
     mean = Fraction(sum(durations), trials)
     variance = Fraction(sum(d * d for d in durations), trials) - mean * mean
     return SimBatch(

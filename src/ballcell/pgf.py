@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import BudgetExceededError, DivergentDurationError
-from .game import transition_prob_symbolic, transition_row
+from .game import _check_state, transition_prob_symbolic, transition_row
 from .polys import Poly, Poly2, poly2_div_exact, poly_div_exact
 from .ratfuncs import RatFunc, RatFunc2
 from .scalars import decimal_sqrt
@@ -106,11 +106,13 @@ class SymbolicMomentReport:
     variance: RatFunc2 | None
 
 
-def _check_state(n: int, r: int) -> None:
-    if n < 1:
-        raise ValueError(f"cells must be >= 1, got {n}")
+def _check_symbolic(r: int, max_balls: int) -> None:
     if r < 0:
         raise ValueError(f"balls must be >= 0, got {r}")
+    if r > max_balls:
+        raise BudgetExceededError(
+            f"symbolic table stops at r = {max_balls}; raise max_balls to go further"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +266,7 @@ def symbolic_den_factors(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> l
     """Denominator of pgf_symbolic(r) as its exact factor list (with
     multiplicity), ordered by degree.  Their product is the reduced
     denominator by construction."""
-    if r < 0:
-        raise ValueError(f"balls must be >= 0, got {r}")
-    if r > max_balls:
-        raise BudgetExceededError(
-            f"symbolic table stops at r = {max_balls}; raise max_balls to go further"
-        )
+    _check_symbolic(r, max_balls)
     _, den = _sym_levels(r)[r]
     factors = []
     for f, m in den.items():
@@ -284,12 +281,7 @@ def pgf_symbolic(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> DurationP
     Substituting any integer n >= 2 reproduces pgf_numeric(r, n).  Guarded by
     `max_balls` because bivariate coefficients grow quickly with r.
     """
-    if r < 0:
-        raise ValueError(f"balls must be >= 0, got {r}")
-    if r > max_balls:
-        raise BudgetExceededError(
-            f"symbolic table stops at r = {max_balls}; raise max_balls to go further"
-        )
+    _check_symbolic(r, max_balls)
     func = _symbolic_funcs(r)[r]
     return DurationPGF(r, None, func, terminating=True)
 

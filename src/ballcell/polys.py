@@ -4,7 +4,9 @@ Coefficients are ``fractions.Fraction`` everywhere; there is no floating point
 in this module.  ``Poly`` maps exponent -> coefficient for a single variable
 (the letter is chosen at render time, so the same class serves polynomials in
 x and polynomials in n).  ``Poly2`` maps (deg_n, deg_x) -> coefficient for the
-bivariate ring Q[n, x].
+bivariate ring Q[n, x].  Both share one sparse core, ``_Sparse``, which holds
+construction, equality, the ring operations and the content; each class adds
+only the queries that depend on its monomial keys.
 
 Degrees in this package stay small (at most a few hundred) while coefficients
 grow large, so the representation favors simplicity: dict arithmetic on top of
@@ -16,6 +18,8 @@ threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping
 
 Q0 = Fraction(0)
@@ -30,34 +34,155 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
-class Poly:
-    """Univariate polynomial, sparse map exponent -> nonzero Fraction."""
+class _Sparse:
+    """Sparse map monomial key -> nonzero Fraction, the core of Poly and Poly2.
+
+    A subclass names the key of the constant monomial (``_UNIT``), validates
+    keys given from outside (``_check_key``) and multiplies two keys
+    (``_key_mul``).  Only input from outside goes through ``__init__``'s
+    checks: every operation here drops the zero coefficients it produces, so
+    its result adopts its dict as is.
+    """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        c: dict[int, Fraction] = {}
+    def __init__(self, coeffs: Mapping | None = None):
+        c = {}
         if coeffs:
-            for e, v in coeffs.items():
+            for key, v in coeffs.items():
                 v = _as_fraction(v)
                 if v:
-                    if e < 0:
-                        raise ValueError(f"negative exponent {e}")
-                    c[int(e)] = v
+                    c[self._check_key(key)] = v
         self._c = c
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
+    def _adopt(cls, c: dict):
+        p = object.__new__(cls)
+        p._c = c
+        return p
 
     @classmethod
-    def const(cls, v) -> "Poly":
-        return cls({0: _as_fraction(v)})
+    def zero(cls):
+        return cls._adopt({})
+
+    @classmethod
+    def const(cls, v):
+        v = _as_fraction(v)
+        return cls._adopt({cls._UNIT: v} if v else {})
+
+    def items(self):
+        return self._c.items()
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(sorted(self._c.items()))!r})"
+
+    def __neg__(self):
+        return self._adopt({k: -v for k, v in self._c.items()})
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        c = dict(self._c)
+        for k, v in other._c.items():
+            s = c.get(k, Q0) + v
+            if s:
+                c[k] = s
+            else:
+                c.pop(k, None)
+        return self._adopt(c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self.zero()
+            return self._adopt({k: v * other for k, v in self._c.items()})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        key_mul = self._key_mul
+        c = {}
+        for k1, v1 in self._c.items():
+            for k2, v2 in other._c.items():
+                k = key_mul(k1, k2)
+                s = c.get(k, Q0) + v1 * v2
+                if s:
+                    c[k] = s
+                else:
+                    c.pop(k, None)
+        return self._adopt(c)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self.const(1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def content(self) -> Fraction:
+        """Positive rational c such that self/c has coprime integer coefficients.
+
+        Zero polynomial has content 0.
+        """
+        if self.is_zero():
+            return Q0
+        den = lcm(*(v.denominator for v in self._c.values()))
+        num = gcd(*(v.numerator * den // v.denominator for v in self._c.values()))
+        return Fraction(abs(num), den)
+
+
+class Poly(_Sparse):
+    """Univariate polynomial, sparse map exponent -> nonzero Fraction."""
+
+    __slots__ = ()
+    _UNIT = 0
+    _key_mul = staticmethod(add)
+
+    @staticmethod
+    def _check_key(e) -> int:
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        return int(e)
 
     @classmethod
     def var(cls) -> "Poly":
         """The monomial of degree 1."""
-        return cls({1: Q1})
+        return cls._adopt({1: Q1})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, Fraction]]) -> "Poly":
@@ -65,12 +190,6 @@ class Poly:
         for e, v in pairs:
             c[e] = c.get(e, Q0) + _as_fraction(v)
         return cls(c)
-
-    def items(self):
-        return self._c.items()
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -88,83 +207,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return self.degree() <= 0
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __repr__(self) -> str:
-        terms = sorted(self._c.items())
-        return f"Poly({dict(terms)!r})"
-
-    def __neg__(self) -> "Poly":
-        return Poly({e: -v for e, v in self._c.items()})
-
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, Q0) + v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        return Poly(c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            return Poly({e: v * other for e, v in self._c.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                s = c.get(e, Q0) + v1 * v2
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        return Poly(c)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Long division over the rationals: self = q*other + r, deg r < deg other."""
@@ -187,7 +229,7 @@ class Poly:
                     r[e2] = s
                 else:
                     r.pop(e2, None)
-        return Poly(q), Poly(r)
+        return Poly._adopt(q), Poly._adopt(r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -200,7 +242,7 @@ class Poly:
         return Poly({e + k: v for e, v in self._c.items()})
 
     def derivative(self) -> "Poly":
-        return Poly({e - 1: v * e for e, v in self._c.items() if e > 0})
+        return Poly._adopt({e - 1: v * e for e, v in self._c.items() if e > 0})
 
     def eval(self, x0: Fraction) -> Fraction:
         x0 = _as_fraction(x0)
@@ -213,20 +255,7 @@ class Poly:
         if self.is_zero():
             return self
         lc = self.leading_coeff()
-        return Poly({e: v / lc for e, v in self._c.items()})
-
-    def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients.
-
-        Zero polynomial has content 0.
-        """
-        if self.is_zero():
-            return Q0
-        from math import gcd, lcm
-
-        den = lcm(*(v.denominator for v in self._c.values()))
-        num = gcd(*(v.numerator * den // v.denominator for v in self._c.values()))
-        return Fraction(abs(num), den)
+        return Poly._adopt({e: v / lc for e, v in self._c.items()})
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -252,52 +281,38 @@ def poly_div_exact(p: Poly, d: Poly) -> Poly:
 # Bivariate layer
 
 
-class Poly2:
+class Poly2(_Sparse):
     """Polynomial in Q[n, x], sparse map (deg_n, deg_x) -> nonzero Fraction."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _UNIT = (0, 0)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], Fraction] | None = None):
-        c: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for key, v in coeffs.items():
-                v = _as_fraction(v)
-                if v:
-                    dn, dx = key
-                    if dn < 0 or dx < 0:
-                        raise ValueError(f"negative exponent in {key}")
-                    c[(int(dn), int(dx))] = v
-        self._c = c
+    @staticmethod
+    def _check_key(key) -> tuple[int, int]:
+        dn, dx = key
+        if dn < 0 or dx < 0:
+            raise ValueError(f"negative exponent in {key}")
+        return (int(dn), int(dx))
 
-    @classmethod
-    def zero(cls) -> "Poly2":
-        return cls()
-
-    @classmethod
-    def const(cls, v) -> "Poly2":
-        return cls({(0, 0): _as_fraction(v)})
+    @staticmethod
+    def _key_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
 
     @classmethod
     def var_n(cls) -> "Poly2":
-        return cls({(1, 0): Q1})
+        return cls._adopt({(1, 0): Q1})
 
     @classmethod
     def var_x(cls) -> "Poly2":
-        return cls({(0, 1): Q1})
+        return cls._adopt({(0, 1): Q1})
 
     @classmethod
     def from_poly_in_n(cls, p: Poly) -> "Poly2":
-        return cls({(e, 0): v for e, v in p.items()})
+        return cls._adopt({(e, 0): v for e, v in p.items()})
 
     @classmethod
     def from_poly_in_x(cls, p: Poly) -> "Poly2":
-        return cls({(0, e): v for e, v in p.items()})
-
-    def items(self):
-        return self._c.items()
-
-    def is_zero(self) -> bool:
-        return not self._c
+        return cls._adopt({(0, e): v for e, v in p.items()})
 
     def is_constant(self) -> bool:
         return all(k == (0, 0) for k in self._c)
@@ -316,109 +331,30 @@ class Poly2:
     def coeff(self, dn: int, dx: int) -> Fraction:
         return self._c.get((dn, dx), Q0)
 
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __repr__(self) -> str:
-        terms = sorted(self._c.items())
-        return f"Poly2({dict(terms)!r})"
-
-    def __neg__(self) -> "Poly2":
-        return Poly2({k: -v for k, v in self._c.items()})
-
-    def __add__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        c = dict(self._c)
-        for k, v in other._c.items():
-            s = c.get(k, Q0) + v
-            if s:
-                c[k] = s
-            else:
-                c.pop(k, None)
-        return Poly2(c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly2":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            return Poly2({k: v * other for k, v in self._c.items()})
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        c: dict[tuple[int, int], Fraction] = {}
-        for (n1, x1), v1 in self._c.items():
-            for (n2, x2), v2 in other._c.items():
-                k = (n1 + n2, x1 + x2)
-                s = c.get(k, Q0) + v1 * v2
-                if s:
-                    c[k] = s
-                else:
-                    c.pop(k, None)
-        return Poly2(c)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly2":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly2.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def derivative_x(self) -> "Poly2":
-        return Poly2({(dn, dx - 1): v * dx for (dn, dx), v in self._c.items() if dx > 0})
+        return Poly2._adopt({(dn, dx - 1): v * dx for (dn, dx), v in self._c.items() if dx > 0})
+
+    def _subs(self, axis: int, v0) -> Poly:
+        """Substitute a rational for the variable at `axis` of the key (0 for
+        n, 1 for x), leaving a polynomial in the other one."""
+        v0 = _as_fraction(v0)
+        out: dict[int, Fraction] = {}
+        for key, v in self._c.items():
+            e = key[1 - axis]
+            s = out.get(e, Q0) + v * v0 ** key[axis]
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return Poly._adopt(out)
 
     def subs_n(self, n0: Fraction) -> Poly:
         """Substitute a rational for n, leaving a polynomial in x."""
-        n0 = _as_fraction(n0)
-        out: dict[int, Fraction] = {}
-        for (dn, dx), v in self._c.items():
-            s = out.get(dx, Q0) + v * n0**dn
-            if s:
-                out[dx] = s
-            else:
-                out.pop(dx, None)
-        return Poly(out)
+        return self._subs(0, n0)
 
     def subs_x(self, x0: Fraction) -> Poly:
         """Substitute a rational for x, leaving a polynomial in n."""
-        x0 = _as_fraction(x0)
-        out: dict[int, Fraction] = {}
-        for (dn, dx), v in self._c.items():
-            s = out.get(dn, Q0) + v * x0**dx
-            if s:
-                out[dn] = s
-            else:
-                out.pop(dn, None)
-        return Poly(out)
+        return self._subs(1, x0)
 
     def eval(self, n0: Fraction, x0: Fraction) -> Fraction:
         n0, x0 = _as_fraction(n0), _as_fraction(x0)
@@ -434,7 +370,7 @@ class Poly2:
         out: dict[int, dict[int, Fraction]] = {}
         for (dn, dx), v in self._c.items():
             out.setdefault(dx, {})[dn] = v
-        return {dx: Poly(c) for dx, c in out.items()}
+        return {dx: Poly._adopt(c) for dx, c in out.items()}
 
     @classmethod
     def from_x_coeffs(cls, coeffs: Mapping[int, Poly]) -> "Poly2":
@@ -457,15 +393,7 @@ class Poly2:
         dn, dx = max(self._c, key=lambda k: (k[0], -k[1]))
         return self._c[(dn, dx)]
 
-    def content_rational(self) -> Fraction:
-        """Positive rational making the coefficients coprime integers (0 if zero)."""
-        if self.is_zero():
-            return Q0
-        from math import gcd, lcm
-
-        den = lcm(*(v.denominator for v in self._c.values()))
-        num = gcd(*(v.numerator * den // v.denominator for v in self._c.values()))
-        return Fraction(abs(num), den)
+    content_rational = _Sparse.content
 
 
 def _content_in_x(p: Poly2) -> Poly:
@@ -573,7 +501,7 @@ def poly2_gcd(p: Poly2, q: Poly2) -> Poly2:
 def _normalize_gcd(g: Poly2) -> Poly2:
     if g.is_zero():
         return g
-    c = g.content_rational()
+    c = g.content()
     g = g * (1 / c)
     if g.head_coeff() < 0:
         g = -g

@@ -12,9 +12,13 @@ times:
   ascending).
 
 Canonical form makes equality a structural comparison: two quotients are equal
-iff their reduced forms match field by field.  The module also carries the
-Maclaurin expansion, the text/LaTeX renderers, and the JSON wire format used
-by the CLI ("p/q" strings, never floats).
+iff their reduced forms match field by field.  Both classes share one quotient
+core, ``_Quotient``, which holds construction, the scale-and-sign step and
+every operator; each class supplies its ring, its coercion, its cancel step
+(a gcd and exact division) and its sign anchor.  Operations that keep a
+coprime pair coprime (negation, powers, scaling by a constant) skip the gcd.
+The module also carries the Maclaurin expansion, the text/LaTeX renderers, and
+the JSON wire format used by the CLI ("p/q" strings, never floats).
 """
 
 from __future__ import annotations
@@ -58,73 +62,69 @@ def _integer_scale(polys: list[Poly] | list[Poly2]) -> Fraction:
     return Fraction(big, content)
 
 
-class RatFunc:
-    """Quotient of univariate polynomials in x, always in canonical form."""
+class _Quotient:
+    """Canonical quotient num/den over a polynomial ring, the core of RatFunc
+    and RatFunc2.
+
+    A subclass supplies ``_ring`` (its polynomial class), ``_coerce`` (ring
+    element from a polynomial or scalar), ``_cancel`` (the pair divided by
+    its gcd) and ``_anchor`` (the coefficient of the denominator whose sign
+    is fixed positive).
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = _coerce_poly(num)
-        den = _coerce_poly(den)
+        self._settle(num, den, cancel=True)
+
+    @classmethod
+    def from_coprime(cls, num, den):
+        """Build from a numerator and denominator known to be coprime.
+
+        Skips the gcd step (the expensive part for large operands) and applies
+        only the scale and sign normalization.  The caller carries the proof
+        obligation; feeding a reducible pair breaks canonical equality.
+        """
+        f = object.__new__(cls)
+        f._settle(num, den, cancel=False)
+        return f
+
+    @classmethod
+    def from_fraction(cls, q: Fraction):
+        return cls.from_coprime(q, 1)
+
+    def _settle(self, num, den, cancel: bool) -> None:
+        """Set the canonical fields of num/den, dividing by the gcd first
+        when `cancel` is set."""
+        num = self._coerce(num)
+        den = self._coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num, self.den = Poly.zero(), Poly.const(1)
+            self.num, self.den = num, self._ring.const(1)
             return
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = num // g
-            den = den // g
+        if cancel:
+            num, den = self._cancel(num, den)
         s = _integer_scale([num, den])
         num = num * s
         den = den * s
-        # Head term of the denominator (lowest x power) is the sign anchor.
-        if den.coeff(den.min_exponent()) < 0:
+        if self._anchor(den) < 0:
             num, den = -num, -den
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RatFunc":
-        return cls(Poly.const(q))
-
-    @classmethod
-    def from_coprime(cls, num, den) -> "RatFunc":
-        """Build from a numerator and denominator known to be coprime.
-
-        Skips the gcd step; only rescales to integer coefficients and fixes
-        the sign anchor.  Callers own the coprimality argument.
-        """
-        num = _coerce_poly(num)
-        den = _coerce_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            return cls(Poly.zero())
-        s = _integer_scale([num, den])
-        num = num * s
-        den = den * s
-        if den.coeff(den.min_exponent()) < 0:
-            num, den = -num, -den
-        f = object.__new__(cls)
-        f.num = num
-        f.den = den
-        return f
-
-    @classmethod
-    def x(cls) -> "RatFunc":
-        return cls(Poly.var())
+    def _lift(self, other):
+        """`other` as a quotient of this class, or None if it is not one."""
+        if isinstance(other, (int, Fraction)):
+            return self.from_fraction(Fraction(other))
+        return other if isinstance(other, type(self)) else None
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den == Poly.const(1)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_fraction(Fraction(other))
-        if not isinstance(other, RatFunc):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -132,55 +132,76 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"RatFunc({self.num!r}, {self.den!r})"
+        return f"{type(self).__name__}({self.num!r}, {self.den!r})"
 
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+    def __neg__(self):
+        return self.from_coprime(-self.num, self.den)
 
-    def __add__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_fraction(Fraction(other))
-        if not isinstance(other, RatFunc):
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_fraction(Fraction(other))
-        if not isinstance(other, RatFunc):
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "RatFunc":
+    def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other) -> "RatFunc":
+    def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num * Fraction(other), self.den)
-        if not isinstance(other, RatFunc):
+            return self.from_coprime(self.num * Fraction(other), self.den)
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return type(self)(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_fraction(Fraction(other))
-        if not isinstance(other, RatFunc):
+    def __truediv__(self, other):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return type(self)(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other) -> "RatFunc":
-        return RatFunc.from_fraction(Fraction(other)) / self
+    def __rtruediv__(self, other):
+        return self.from_fraction(Fraction(other)) / self
 
-    def __pow__(self, k: int) -> "RatFunc":
+    def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a rational function")
-        return RatFunc(self.num**k, self.den**k)
+        return self.from_coprime(self.num**k, self.den**k)
+
+
+class RatFunc(_Quotient):
+    """Quotient of univariate polynomials in x, always in canonical form."""
+
+    __slots__ = ()
+    _ring = Poly
+    _coerce = staticmethod(_coerce_poly)
+
+    @staticmethod
+    def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+        g = poly_gcd(num, den)
+        if g.is_constant():
+            return num, den
+        return num // g, den // g
+
+    @staticmethod
+    def _anchor(den: Poly) -> Fraction:
+        # The head term of a polynomial in x is its lowest power.
+        return den.coeff(den.min_exponent())
+
+    @classmethod
+    def x(cls) -> "RatFunc":
+        return cls(Poly.var())
 
     def eval(self, x0: Fraction) -> Fraction:
         """Exact value at x0; raises ZeroDivisionError at a pole."""
@@ -217,56 +238,23 @@ class RatFunc:
         return coeffs
 
 
-class RatFunc2:
+class RatFunc2(_Quotient):
     """Quotient of polynomials in Q[n, x], always in canonical form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
+    _ring = Poly2
+    _coerce = staticmethod(_coerce_poly2)
 
-    def __init__(self, num, den=1):
-        num = _coerce_poly2(num)
-        den = _coerce_poly2(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly2.zero(), Poly2.const(1)
-            return
+    @staticmethod
+    def _cancel(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
         g = poly2_gcd(num, den)
-        if not g.is_constant():
-            num = poly2_div_exact(num, g)
-            den = poly2_div_exact(den, g)
-        s = _integer_scale([num, den])
-        num = num * s
-        den = den * s
-        if den.head_coeff() < 0:
-            num, den = -num, -den
-        self.num = num
-        self.den = den
+        if g.is_constant():
+            return num, den
+        return poly2_div_exact(num, g), poly2_div_exact(den, g)
 
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RatFunc2":
-        return cls(Poly2.const(q))
-
-    @classmethod
-    def from_coprime(cls, num: Poly2, den: Poly2) -> "RatFunc2":
-        """Build from a numerator and denominator known to be coprime.
-
-        Skips the gcd step (the expensive part for large operands) and applies
-        only the scale and sign normalization.  The caller carries the proof
-        obligation; feeding a reducible pair breaks canonical equality.
-        """
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            return cls(Poly2.zero())
-        s = _integer_scale([num, den])
-        num = num * s
-        den = den * s
-        if den.head_coeff() < 0:
-            num, den = -num, -den
-        f = object.__new__(cls)
-        f.num = num
-        f.den = den
-        return f
+    @staticmethod
+    def _anchor(den: Poly2) -> Fraction:
+        return den.head_coeff()
 
     @classmethod
     def n(cls) -> "RatFunc2":
@@ -275,70 +263,6 @@ class RatFunc2:
     @classmethod
     def x(cls) -> "RatFunc2":
         return cls(Poly2.var_x())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc2.from_fraction(Fraction(other))
-        if not isinstance(other, RatFunc2):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RatFunc2({self.num!r}, {self.den!r})"
-
-    def __neg__(self) -> "RatFunc2":
-        return RatFunc2(-self.num, self.den)
-
-    def __add__(self, other) -> "RatFunc2":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc2.from_fraction(Fraction(other))
-        if not isinstance(other, RatFunc2):
-            return NotImplemented
-        return RatFunc2(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatFunc2":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc2.from_fraction(Fraction(other))
-        if not isinstance(other, RatFunc2):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatFunc2":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RatFunc2":
-        if isinstance(other, (int, Fraction)):
-            return RatFunc2(self.num * Fraction(other), self.den)
-        if not isinstance(other, RatFunc2):
-            return NotImplemented
-        return RatFunc2(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc2":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc2.from_fraction(Fraction(other))
-        if not isinstance(other, RatFunc2):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc2(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc2":
-        return RatFunc2.from_fraction(Fraction(other)) / self
-
-    def __pow__(self, k: int) -> "RatFunc2":
-        if k < 0:
-            raise ValueError("negative power of a rational function")
-        return RatFunc2(self.num**k, self.den**k)
 
     def subs_n(self, n0: Fraction) -> RatFunc:
         """Substitute a rational for n; the result is a reduced function of x."""
@@ -380,8 +304,6 @@ class RatFunc2:
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-_SUPERSCRIPTS = None  # plain ASCII output only
 
 
 def _term_sort_key(key: tuple[int, int]):

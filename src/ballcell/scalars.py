@@ -57,11 +57,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a p/q rational: {text!r}") from exc
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as "p/q", or bare "p" when the denominator is 1."""
-    return str(q)
-
-
 def to_decimal(q: Fraction, digits: int | None = None) -> Decimal:
     """Convert exactly-held rational to a Decimal with `digits` significant digits.
 

@@ -132,13 +132,6 @@ def test_batch_summaries_recompute():
     assert batch.durations[7] == simulate_game(3, 3, trial_seed(11, 7))
 
 
-def test_batch_parallelism_is_transparent():
-    serial = simulate_batch(3, 4, 300, 5, parallelism=1)
-    threaded = simulate_batch(3, 4, 300, 5, parallelism=7)
-    assert serial.durations == threaded.durations
-    assert serial.histogram == threaded.histogram
-
-
 def test_batch_validation():
     with pytest.raises(ValueError):
         simulate_batch(2, 2, 0, 1)

@@ -66,14 +66,23 @@ def test_equality_against_scalars():
 
 def test_ring_identities_random():
     rng = random.Random(1101)
-    for _ in range(60):
-        a = rand_poly(rng, rng.randint(0, 5))
-        b = rand_poly(rng, rng.randint(0, 5))
-        c = rand_poly(rng, rng.randint(0, 5))
-        assert (a + b) * c == a * c + b * c
-        assert a + b == b + a
-        assert a - a == Poly.zero()
-        assert a * b == b * a
+    draws = [
+        (Poly, lambda: rand_poly(rng, rng.randint(0, 5))),
+        (Poly2, lambda: rand_poly2(rng, rng.randint(0, 3))),
+    ]
+    for cls, draw in draws:
+        for _ in range(60):
+            a, b, c = draw(), draw(), draw()
+            assert (a + b) * c == a * c + b * c
+            assert a + b == b + a
+            assert a - a == cls.zero()
+            assert a * b == b * a
+            assert (a * 0).is_zero()
+            # arithmetic results skip the constructor's checks, so none may
+            # keep a zero coefficient
+            for result in (a + b, a - b, a * b, a * c - b * c, -a, a - a, a * Fraction(-3, 7)):
+                assert isinstance(result, cls)
+                assert all(v != 0 for _, v in result.items())
 
 
 def test_division_invariant_random():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from ballcell.pgf import pgf_symbolic
 from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import (
     RatFunc,
@@ -152,17 +153,30 @@ def test_series_solves_the_quotient():
 
 def test_from_coprime_matches_checking_constructor():
     rng = random.Random(2204)
-    for _ in range(40):
-        f = rand_ratfunc(rng)
-        if f.is_zero():
-            continue
-        # f.num, f.den are coprime by construction; a rational rescaling of
-        # the pair must normalize back to the same fields
-        s = Fraction(rng.randint(1, 7), rng.randint(1, 7))
-        g = RatFunc.from_coprime(f.num * s, f.den * s)
-        assert g.num == f.num and g.den == f.den
-        h = RatFunc.from_coprime(-f.num, -f.den)
-        assert h == f
+    # (f, top power checked).  The gcd-reducing constructor needs minutes for
+    # the higher powers of the larger symbolic PGFs (206 s at r = 4, k = 3),
+    # so those keep r + k <= 6.
+    cases = [(rand_ratfunc(rng), 3) for _ in range(40)]
+    cases += [(pgf_symbolic(r).func, min(3, 6 - r)) for r in range(1, 6)]
+    for f, top in cases:
+        cls = type(f)
+        if not f.is_zero():
+            # f.num, f.den are coprime by construction; a rational rescaling of
+            # the pair must normalize back to the same fields
+            s = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+            g = cls.from_coprime(f.num * s, f.den * s)
+            assert g.num == f.num and g.den == f.den
+            h = cls.from_coprime(-f.num, -f.den)
+            assert h == f
+        # negation, powers and scalar multiples skip the gcd; they must land
+        # on the fields the gcd-reducing constructor gives for the same pair
+        pairs = [(-f, (-f.num, f.den))]
+        pairs += [(f**k, (f.num**k, f.den**k)) for k in range(top + 1)]
+        pairs += [(f * s, (f.num * s, f.den)) for s in (0, Fraction(-3, 7), 5)]
+        for got, (num, den) in pairs:
+            want = cls(num, den)
+            assert type(got) is cls
+            assert got.num == want.num and got.den == want.den
     assert RatFunc.from_coprime(Poly.zero(), 1 - X) == 0
     with pytest.raises(ZeroDivisionError):
         RatFunc.from_coprime(X, Poly.zero())
