@@ -78,6 +78,18 @@ def _scaled_json(entries) -> list | None:
     ]
 
 
+def _moments_json(rep) -> dict:
+    """Wire form of a numeric MomentReport."""
+    return {
+        "order": rep.order,
+        "mean": str(rep.mean),
+        "variance": _q(rep.variance),
+        "raw": [str(v) for v in rep.raw],
+        "central": [str(v) for v in rep.central],
+        "scaled": _scaled_json(rep.scaled),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Command handlers.  Each returns the result payload; `run` wraps it in the
 # envelope (or prints the plain rendering for pgf text/latex output).
@@ -147,16 +159,7 @@ def _cmd_moments(args) -> dict:
             else [_rf(v) for v in rep.scaled_squared],
         }
     rep = moments(args.balls, args.cells, args.order)
-    return {
-        "balls": args.balls,
-        "cells": args.cells,
-        "order": rep.order,
-        "mean": str(rep.mean),
-        "variance": _q(rep.variance),
-        "raw": [str(v) for v in rep.raw],
-        "central": [str(v) for v in rep.central],
-        "scaled": _scaled_json(rep.scaled),
-    }
+    return {"balls": args.balls, "cells": args.cells, **_moments_json(rep)}
 
 
 def _cmd_approx(args) -> dict:
@@ -240,15 +243,7 @@ def _cmd_geo(args) -> dict:
         "variance": str(variance),
     }
     if args.order is not None:
-        rep = alpha_moments(alpha, args.r, args.order)
-        result["moments"] = {
-            "order": rep.order,
-            "mean": str(rep.mean),
-            "variance": _q(rep.variance),
-            "raw": [str(v) for v in rep.raw],
-            "central": [str(v) for v in rep.central],
-            "scaled": _scaled_json(rep.scaled),
-        }
+        result["moments"] = _moments_json(alpha_moments(alpha, args.r, args.order))
     return result
 
 

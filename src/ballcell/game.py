@@ -99,9 +99,9 @@ def transition_prob_symbolic(r: int, t: int) -> RatFunc2:
 
     The inclusion-exclusion sum runs to j = r (C(r,j) kills higher terms) and
     C(n,j) j! becomes the falling factorial polynomial, so the result is a
-    polynomial in n over n^r.  Evaluating at any integer n >= 1 reproduces
-    transition_prob(n, r, t): for n < j the falling factorial vanishes, which
-    is exactly the C(n,j) = 0 cutoff of the numeric path.
+    polynomial in n over a power of n.  Evaluating at any integer n >= 1
+    reproduces transition_prob(n, r, t): for n < j the falling factorial
+    vanishes, which is exactly the C(n,j) = 0 cutoff of the numeric path.
     """
     _check_captured(r, t)
     num = Poly.zero()
@@ -111,7 +111,10 @@ def transition_prob_symbolic(r: int, t: int) -> RatFunc2:
             c = -c
         term = _falling(j) * (Poly({1: Fraction(1), 0: Fraction(-j)}) ** (r - j)) * c
         num = num + term
-    return RatFunc2(Poly2.from_poly_in_n(num), Poly2.var_n() ** r)
+    # n^r has no factor but n, so dividing out the lowest power of n in num
+    # reduces num/n^r without a gcd; a zero row is 0/1 either way.
+    low = num.min_exponent() if num else 0
+    return RatFunc2.from_coprime(Poly2.from_poly_in_n(num.shift(-low)), Poly2.var_n() ** (r - low))
 
 
 def brute_force_row(n: int, r: int, budget: int | None = None) -> TransitionRow:

@@ -11,12 +11,14 @@ symbolic).  This module builds those functions bottom-up, extracts exact
 distributions and moments from them, and carries the fast mean/variance
 recurrences that skip the rational functions entirely.
 
-Both tables, numeric and symbolic, run the same merge-and-cancel step over
-factored denominators.  Each level is a numerator over {factor: power}, and
-the only factors the recurrence introduces are b - a*x from the reduced stay
-probability a/b (plus the monomial n when n is symbolic).  These factors are
-irreducible, so dividing out each one that divides the numerator exactly
-leaves a reduced quotient, and no polynomial gcd is ever computed.
+One table, keyed by cell count (None for symbolic n), holds every level,
+and one loop grows it for numeric and symbolic n alike; a small row adapter
+supplies what depends on the ring.  Each level is a numerator over
+{factor: power}, and the only factors the recurrence introduces are b - a*x
+from the reduced stay probability a/b (plus the monomial n when n is
+symbolic).  These factors are irreducible, so dividing out each one that
+divides the numerator exactly leaves a reduced quotient, and no polynomial
+gcd is ever computed.
 
 The degenerate state n = 1 with r >= 2 never terminates; the recurrence then
 yields the zero function, which is kept, flagged, and refused by the moment
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 from .errors import BudgetExceededError, DivergentDurationError
@@ -116,16 +119,15 @@ def _check_symbolic(r: int, max_balls: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# PGF tables, grown bottom-up and cached per context.  Levels keep their
-# denominators factored, (numerator, {factor: power}), as the module docstring
+# The PGF table, grown bottom-up and cached per context.  Keyed by cell count,
+# None standing for symbolic n; each level is (numerator, {factor: power},
+# reduced function), with the denominator factored as the module docstring
 # describes.  Factors are primitive with a positive head term, so associate
-# factors meet as equal keys and the merge never needs a gcd.  Tables are
-# replaced wholesale (never mutated in place) so completed entries are always
+# factors meet as equal keys and the merge never needs a gcd.  Entries are
+# replaced wholesale (never mutated in place) so completed levels are always
 # safe to read from other threads.
 
-# Per cell count, each level together with its reduced RatFunc.
-_NUMERIC: dict[int, list[tuple[Poly, dict[Poly, int], RatFunc]]] = {}
-_SYM_LEVELS: list[tuple[Poly2, dict[Poly2, int]]] = []
+_LEVELS: dict[int | None, list[tuple]] = {}
 
 
 def _merge_terms(terms: list, x, stay) -> tuple:
@@ -186,79 +188,62 @@ def _expand(den: dict, one):
     return out
 
 
-def _numeric_levels(n: int, rmax: int) -> list[tuple[Poly, dict[Poly, int], RatFunc]]:
-    levels = _NUMERIC.get(n)
+# Row adapter: all that depends on whether n is a number or a symbol.
+
+
+def _ring(n: int | None) -> tuple:
+    """Unit, x, exact division and quotient class of the table for n."""
+    if n is None:
+        return Poly2.const(1), Poly2.var_x(), poly2_div_exact, RatFunc2
+    return Poly.const(1), Poly.var(), poly_div_exact, RatFunc
+
+
+def _row(n: int | None, r: int) -> tuple:
+    """The capture law of r balls in the table's ring.
+
+    Returns p_0 reduced as (a, b), and p_t for t = 1..r as (scale,
+    {factor: power}) with p_t = scale / prod(factor^power): (p, {}) for
+    numeric n, and (A, {n: e}) for p_t = A/n^e when n is symbolic.
+    """
+    if n is not None:
+        probs = transition_row(n, r).probs
+        return (probs[0].numerator, probs[0].denominator), [(p, {}) for p in probs[1:]]
+    # transition_prob_symbolic returns each p_t reduced over a power of n
+    var_n = Poly2.var_n()
+    p0, *rest = [transition_prob_symbolic(r, t) for t in range(r + 1)]
+    return (p0.num, p0.den), [(p.num, {var_n: p.den.degree_n()}) for p in rest]
+
+
+def _levels(n: int | None, rmax: int) -> list[tuple]:
+    """Levels 0..rmax (at least) of the table for n, grown as needed.
+
+    The stay factor b - a*x of the reduced p_0 = a/b is primitive and linear
+    in x; the capture probabilities add only their own factors (powers of n).
+    """
+    levels = _LEVELS.get(n)
     if levels is not None and len(levels) > rmax:
         return levels
-    one = Poly.const(1)
-    levels = list(levels or [(one, {}, RatFunc.from_coprime(one, one))])
-    x = Poly.var()
+    one, x, div_exact, quotient = _ring(n)
+    levels = list(levels or [(one, {}, quotient.from_coprime(one, one))])
     for r in range(len(levels), rmax + 1):
-        probs = transition_row(n, r).probs
-        terms = [(p * levels[r - t][0], levels[r - t][1]) for t, p in enumerate(probs) if t and p]
-        stay = None
-        if probs[0]:
-            a, b = probs[0].numerator, probs[0].denominator
-            stay = (b, Poly({0: b, 1: -a}))
-        num, den = _cancel_factors(*_merge_terms(terms, x, stay), poly_div_exact)
-        levels.append((num, den, RatFunc.from_coprime(num, _expand(den, one))))
-    _NUMERIC[n] = levels
+        (a, b), row = _row(n, r)
+        terms = []
+        for t, (scale, own) in enumerate(row, 1):
+            if scale:
+                num, den = levels[r - t][:2]
+                own = {f: den.get(f, 0) + m for f, m in own.items()}
+                terms.append((scale * num, {**den, **own}))
+        stay = (b, b - a * x) if a else None
+        num, den = _cancel_factors(*_merge_terms(terms, x, stay), div_exact)
+        levels.append((num, den, quotient.from_coprime(num, _expand(den, one))))
+    _LEVELS[n] = levels
     return levels
-
-
-def _monomial_degree(den: Poly2) -> int:
-    """Degree e of a denominator known to be the monomial n^e."""
-    terms = list(den.items())
-    if len(terms) != 1 or terms[0][0][1] != 0 or terms[0][1] != 1:
-        raise AssertionError(f"transition denominator not a power of n: {den!r}")
-    return terms[0][0][0]
-
-
-def _sym_levels(rmax: int) -> list[tuple[Poly2, dict[Poly2, int]]]:
-    """Grow the symbolic PGF table.
-
-    The reduced stay probability is A/n^e with A coprime to n, so its factor
-    n^e - A*x is primitive and linear in x; the capture probabilities add
-    powers of the factor n.
-    """
-    global _SYM_LEVELS
-    levels = _SYM_LEVELS
-    if not levels:
-        levels = [(Poly2.const(1), {})]
-    if len(levels) <= rmax:
-        levels = list(levels)
-        var_n = Poly2.var_n()
-        var_x = Poly2.var_x()
-        for r in range(len(levels), rmax + 1):
-            terms = []
-            for t in range(1, r + 1):
-                p = transition_prob_symbolic(r, t)
-                if p.is_zero():
-                    continue
-                own = dict(levels[r - t][1])
-                e_t = _monomial_degree(p.den)
-                if e_t:
-                    own[var_n] = own.get(var_n, 0) + e_t
-                terms.append((p.num * levels[r - t][0], own))
-            stay = None
-            p0 = transition_prob_symbolic(r, 0)
-            if not p0.is_zero():
-                scale = var_n ** _monomial_degree(p0.den)
-                stay = (scale, scale - p0.num * var_x)
-            levels.append(_cancel_factors(*_merge_terms(terms, var_x, stay), poly2_div_exact))
-        _SYM_LEVELS = levels
-    return levels
-
-
-def _symbolic_funcs(rmax: int) -> list[RatFunc2]:
-    one = Poly2.const(1)
-    return [RatFunc2.from_coprime(num, _expand(den, one)) for num, den in _sym_levels(rmax)[: rmax + 1]]
 
 
 def pgf_numeric(r: int, n: int) -> DurationPGF:
     """Duration PGF for r balls in n cells, exact and reduced."""
     _check_state(n, r)
-    func = _numeric_levels(n, r)[r][2]
+    func = _levels(n, r)[r][2]
     return DurationPGF(r, n, func, terminating=not func.is_zero())
 
 
@@ -267,7 +252,7 @@ def symbolic_den_factors(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> l
     multiplicity), ordered by degree.  Their product is the reduced
     denominator by construction."""
     _check_symbolic(r, max_balls)
-    _, den = _sym_levels(r)[r]
+    den = _levels(None, r)[r][1]
     factors = []
     for f, m in den.items():
         factors.extend([f] * m)
@@ -282,7 +267,7 @@ def pgf_symbolic(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> DurationP
     `max_balls` because bivariate coefficients grow quickly with r.
     """
     _check_symbolic(r, max_balls)
-    func = _symbolic_funcs(r)[r]
+    func = _levels(None, r)[r][2]
     return DurationPGF(r, None, func, terminating=True)
 
 
@@ -290,23 +275,19 @@ def pgf_symbolic(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> DurationP
 # Independent distribution oracle
 
 
-def duration_distribution(r: int, n: int, kmax: int) -> list[Fraction]:
-    """Pr[duration = k] for k = 0..kmax by powering the transition matrix.
+def _duration_law(r: int, n: int):
+    """Pr[duration = k] for k = 0, 1, 2, ... without end.
 
     Walks the ball-count Markov chain directly (states r down to 0, one
     capture row per state) and differences the absorption probabilities.
-    Deliberately shares nothing with pgf_numeric; it is the oracle the PGF
-    path is tested against.
     """
-    _check_state(n, r)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
     rows = [transition_row(n, i).probs for i in range(r + 1)]
     state = [Q0] * (r + 1)
     state[r] = Q1
-    out = [state[0]]
-    absorbed = state[0]
-    for _ in range(kmax):
+    absorbed = Q0
+    while True:
+        yield state[0] - absorbed
+        absorbed = state[0]
         nxt = [Q0] * (r + 1)
         for i in range(r + 1):
             w = state[i]
@@ -316,25 +297,34 @@ def duration_distribution(r: int, n: int, kmax: int) -> list[Fraction]:
                     if row[t]:
                         nxt[i - t] += w * row[t]
         state = nxt
-        out.append(state[0] - absorbed)
-        absorbed = state[0]
-    return out
+
+
+def duration_distribution(r: int, n: int, kmax: int) -> list[Fraction]:
+    """Pr[duration = k] for k = 0..kmax by powering the transition matrix.
+
+    Deliberately shares nothing with pgf_numeric; it is the oracle the PGF
+    path is tested against.
+    """
+    _check_state(n, r)
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    return list(islice(_duration_law(r, n), kmax + 1))
 
 
 def exact_distribution(r: int, n: int, min_coverage: Fraction = Fraction(10**9 - 1, 10**9)) -> list[Fraction]:
-    """Distribution extended until its mass reaches min_coverage.
+    """Distribution to the first horizon 32 * 2^i at which its mass reaches
+    min_coverage; each doubling resumes the chain where the last one stopped.
 
     Refuses the non-terminating state, where no horizon can cover the mass.
     """
     _check_state(n, r)
     if n == 1 and r >= 2:
         raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
-    kmax = 32
-    while True:
-        probs = duration_distribution(r, n, kmax)
-        if sum(probs) >= min_coverage:
-            return probs
-        kmax *= 2
+    law = _duration_law(r, n)
+    probs = list(islice(law, 33))
+    while sum(probs) < min_coverage:
+        probs += islice(law, len(probs) - 1)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +450,7 @@ def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILI
             scaled_list = []
             for i in range(3, order + 1):
                 mi = central[i - 2]
-                scaled_list.append(mi * mi / m2**i)
+                scaled_list.append(mi**2 / m2**i)
             scaled = tuple(scaled_list)
     return SymbolicMomentReport(order, tuple(raw), tuple(central), scaled, mean, variance)
 

@@ -17,8 +17,10 @@ core, ``_Quotient``, which holds construction, the scale-and-sign step and
 every operator; each class supplies its ring, its coercion, its cancel step
 (a gcd and exact division) and its sign anchor.  Operations that keep a
 coprime pair coprime (negation, powers, scaling by a constant) skip the gcd.
-The module also carries the Maclaurin expansion, the text/LaTeX renderers, and
-the JSON wire format used by the CLI ("p/q" strings, never floats).
+Both classes also share one Maclaurin recurrence, ``series``, which reads
+the x-coefficients through each class's ``_x_coeffs``.  The module carries the
+text/LaTeX renderers and the JSON wire format used by the CLI ("p/q" strings,
+never floats).
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ class _Quotient:
 
     A subclass supplies ``_ring`` (its polynomial class), ``_coerce`` (ring
     element from a polynomial or scalar), ``_cancel`` (the pair divided by
-    its gcd) and ``_anchor`` (the coefficient of the denominator whose sign
-    is fixed positive).
+    its gcd), ``_anchor`` (the coefficient of the denominator whose sign
+    is fixed positive) and ``_x_coeffs`` (a polynomial as {power of x:
+    coefficient}, the coefficients lifted to what ``series`` returns).
     """
 
     __slots__ = ("num", "den")
@@ -180,6 +183,30 @@ class _Quotient:
         return self.from_coprime(self.num**k, self.den**k)
 
 
+def _series(self, kmax: int) -> list:
+    """First kmax+1 Maclaurin coefficients in x, exact.
+
+    A coefficient is a Fraction for RatFunc and a reduced rational function
+    of n alone for RatFunc2.  Needs a denominator whose x-constant term is
+    nonzero.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    num = self._x_coeffs(self.num)
+    den = self._x_coeffs(self.den)
+    d0 = den.pop(0, None)
+    if d0 is None:
+        raise ZeroDivisionError("denominator vanishes at x = 0; no Maclaurin expansion")
+    out: list = []
+    for k in range(kmax + 1):
+        acc = num.get(k, Q0)
+        for j, dj in den.items():
+            if j <= k:
+                acc = acc - dj * out[k - j]
+        out.append(acc / d0)
+    return out
+
+
 class RatFunc(_Quotient):
     """Quotient of univariate polynomials in x, always in canonical form."""
 
@@ -199,6 +226,10 @@ class RatFunc(_Quotient):
         # The head term of a polynomial in x is its lowest power.
         return den.coeff(den.min_exponent())
 
+    @staticmethod
+    def _x_coeffs(p: Poly) -> dict[int, Fraction]:
+        return dict(p.items())
+
     @classmethod
     def x(cls) -> "RatFunc":
         return cls(Poly.var())
@@ -216,26 +247,7 @@ class RatFunc(_Quotient):
         n, d = self.num, self.den
         return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
 
-    def series(self, kmax: int) -> list[Fraction]:
-        """First kmax+1 Maclaurin coefficients, exact.
-
-        Requires a nonzero constant term in the denominator.
-        """
-        if kmax < 0:
-            raise ValueError("kmax must be nonnegative")
-        d0 = self.den.coeff(0)
-        if d0 == 0:
-            raise ZeroDivisionError("denominator vanishes at 0; no Maclaurin expansion")
-        coeffs: list[Fraction] = []
-        dmax = self.den.degree()
-        for k in range(kmax + 1):
-            acc = self.num.coeff(k)
-            for i in range(1, min(k, dmax) + 1):
-                di = self.den.coeff(i)
-                if di:
-                    acc -= di * coeffs[k - i]
-            coeffs.append(acc / d0)
-        return coeffs
+    series = _series
 
 
 class RatFunc2(_Quotient):
@@ -255,6 +267,11 @@ class RatFunc2(_Quotient):
     @staticmethod
     def _anchor(den: Poly2) -> Fraction:
         return den.head_coeff()
+
+    @staticmethod
+    def _x_coeffs(p: Poly2) -> dict[int, "RatFunc2"]:
+        lift = RatFunc2.from_coprime
+        return {dx: lift(Poly2.from_poly_in_n(c), 1) for dx, c in p.as_x_coeffs().items()}
 
     @classmethod
     def n(cls) -> "RatFunc2":
@@ -278,28 +295,7 @@ class RatFunc2(_Quotient):
             raise ZeroDivisionError(f"pole at (n, x) = ({n0}, {x0})")
         return self.num.eval(n0, x0) / d
 
-    def series(self, kmax: int) -> list["RatFunc2"]:
-        """First kmax+1 coefficients of the expansion in powers of x.
-
-        Each coefficient is a reduced rational function of n alone.  Needs a
-        denominator whose x-constant term is nonzero.
-        """
-        if kmax < 0:
-            raise ValueError("kmax must be nonnegative")
-        num_x = self.num.as_x_coeffs()
-        den_x = {
-            dx: RatFunc2(Poly2.from_poly_in_n(p)) for dx, p in self.den.as_x_coeffs().items()
-        }
-        if 0 not in den_x:
-            raise ZeroDivisionError("denominator vanishes at x = 0; no expansion")
-        out: list[RatFunc2] = []
-        for k in range(kmax + 1):
-            acc = RatFunc2(Poly2.from_poly_in_n(num_x[k])) if k in num_x else RatFunc2(Poly2.zero())
-            for j, bj in den_x.items():
-                if 1 <= j <= k:
-                    acc = acc - bj * out[k - j]
-            out.append(acc / den_x[0])
-        return out
+    series = _series
 
 
 # ---------------------------------------------------------------------------

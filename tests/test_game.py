@@ -132,6 +132,17 @@ def test_symbolic_matches_numeric_at_integers():
                 assert p.eval(Fraction(n), Fraction(0)) == transition_prob(n, r, t)
 
 
+def test_symbolic_rows_match_gcd_reducing_constructor():
+    # Each row is built reduced by dividing out powers of n; the gcd-reducing
+    # constructor on the same value over n^r must give the same fields.
+    for r in range(0, 13):
+        for t in range(r + 1):
+            p = transition_prob_symbolic(r, t)
+            low = r - p.den.degree_n()
+            ref = RatFunc2(p.num * N**low, N**r)
+            assert (p.num, p.den) == (ref.num, ref.den), (r, t)
+
+
 def test_symbolic_captured_range_checked():
     with pytest.raises(ValueError):
         transition_prob_symbolic(2, 3)

@@ -121,8 +121,15 @@ def test_series_matches_matrix_oracle():
 def test_symbolic_specializes_to_numeric():
     for r in range(0, 9):
         sym = pgf_symbolic(r).func
+        coeffs = sym.series(6)
         for n in range(2, 7):
-            assert sym.subs_n(Fraction(n)) == pgf_numeric(r, n).func
+            f = pgf_numeric(r, n).func
+            assert sym.subs_n(Fraction(n)) == f
+            assert [c.eval(n, 0) for c in coeffs] == f.series(6)
+
+
+def test_symbolic_levels_are_cached():
+    assert pgf_symbolic(6).func is pgf_symbolic(6).func
 
 
 def test_symbolic_denominator_factors_multiply_back():
@@ -157,6 +164,8 @@ def test_exact_distribution_coverage():
     assert len(probs) == 33
     assert sum(probs) >= Fraction(10**9 - 1, 10**9)
     assert probs == duration_distribution(2, 2, 32)
+    # horizons 32 and 64 fall short here, so the chain resumes twice
+    assert exact_distribution(6, 2) == duration_distribution(6, 2, 128)
 
 
 def test_two_ball_moments_by_hand():
