@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb
 
 from .errors import BudgetExceededError
 from .polys import Poly, Poly2
@@ -53,21 +53,32 @@ def _check_captured(r: int, t: int) -> None:
         raise ValueError(f"captured count {t} outside 0..{r}")
 
 
+def _inverse_binomial(terms: list) -> list:
+    """a_t = sum_{j>=t} (-1)^(j-t) C(j,t) terms[j], for t = 0..len(terms)-1.
+
+    These are the coefficients of sum_j terms[j] (y - 1)^j, so a Taylor shift
+    by -1 (repeated c[j] -= c[j+1] sweeps) gives them with subtractions only.
+    Works in place on any ring with subtraction.
+    """
+    m = len(terms) - 1
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            terms[j] = terms[j] - terms[j + 1]
+    return terms
+
+
 @lru_cache(maxsize=4096)
 def _row_numerators(n: int, r: int) -> tuple[int, ...]:
     """Integer numerators of the capture distribution over the common
-    denominator n^r."""
-    m = min(n, r)
-    # term[j] = C(n,j) C(r,j) j! (n-j)^(r-j); 0**0 == 1 natively.
-    terms = [comb(n, j) * comb(r, j) * factorial(j) * (n - j) ** (r - j) for j in range(m + 1)]
-    out = []
-    for t in range(r + 1):
-        acc = 0
-        for j in range(t, m + 1):
-            s = terms[j] * comb(j, t)
-            acc = acc - s if (j - t) & 1 else acc + s
-        out.append(acc)
-    return tuple(out)
+    denominator n^r, for t = 0..min(n, r); every later entry is zero."""
+    # term[j] = C(n,j) C(r,j) j! (n-j)^(r-j); 0**0 == 1 natively.  The
+    # first three factors are built up from j - 1: (n-j+1)(r-j+1)/j times it.
+    terms = [n**r]
+    c = 1
+    for j in range(1, min(n, r) + 1):
+        c = c * (n - j + 1) * (r - j + 1) // j
+        terms.append(c * (n - j) ** (r - j))
+    return tuple(_inverse_binomial(terms))
 
 
 def transition_row(n: int, r: int) -> TransitionRow:
@@ -75,22 +86,33 @@ def transition_row(n: int, r: int) -> TransitionRow:
     _check_state(n, r)
     den = n**r
     nums = _row_numerators(n, r)
-    return TransitionRow(n, r, tuple(Fraction(a, den) for a in nums))
+    zeros = (Fraction(0),) * (r + 1 - len(nums))
+    return TransitionRow(n, r, tuple(Fraction(a, den) for a in nums) + zeros)
 
 
 def transition_prob(n: int, r: int, t: int) -> Fraction:
     """Probability that exactly t balls are captured."""
     _check_state(n, r)
     _check_captured(r, t)
-    return Fraction(_row_numerators(n, r)[t], n**r)
+    nums = _row_numerators(n, r)
+    return Fraction(nums[t], n**r) if t < len(nums) else Fraction(0)
 
 
-def _falling(j: int) -> Poly:
-    """n(n-1)...(n-j+1) as a polynomial in n; equals C(n,j) j!."""
-    p = Poly.const(1)
-    for i in range(j):
-        p = p * Poly({1: Fraction(1), 0: Fraction(-i)})
-    return p
+@lru_cache(maxsize=64)
+def _symbolic_row_numerators(r: int) -> tuple[Poly, ...]:
+    """Numerators over n^r of the capture law of r balls, as polynomials in n.
+
+    The j-terms C(n,j) j! C(r,j) (n-j)^(r-j) are built once per r, the
+    falling factorial C(n,j) j! = n(n-1)...(n-j+1) one factor at a time, and
+    the row is their inverse binomial transform, as for numeric n.
+    """
+    terms = []
+    falling = Poly.const(1)
+    for j in range(r + 1):
+        shift = Poly({1: Fraction(1), 0: Fraction(-j)})
+        terms.append(falling * shift ** (r - j) * comb(r, j))
+        falling = falling * shift
+    return tuple(_inverse_binomial(terms))
 
 
 @lru_cache(maxsize=1024)
@@ -104,13 +126,7 @@ def transition_prob_symbolic(r: int, t: int) -> RatFunc2:
     vanishes, which is exactly the C(n,j) = 0 cutoff of the numeric path.
     """
     _check_captured(r, t)
-    num = Poly.zero()
-    for j in range(t, r + 1):
-        c = comb(j, t) * comb(r, j)
-        if (j - t) & 1:
-            c = -c
-        term = _falling(j) * (Poly({1: Fraction(1), 0: Fraction(-j)}) ** (r - j)) * c
-        num = num + term
+    num = _symbolic_row_numerators(r)[t]
     # n^r has no factor but n, so dividing out the lowest power of n in num
     # reduces num/n^r without a gcd; a zero row is 0/1 either way.
     low = num.min_exponent() if num else 0

@@ -9,7 +9,9 @@ with F_0 = 1, where the capture probabilities come from `game` and each F is a
 rational function of x (numeric cell count) or of n and x (cell count left
 symbolic).  This module builds those functions bottom-up, extracts exact
 distributions and moments from them, and carries the fast mean/variance
-recurrences that skip the rational functions entirely.
+recurrences that skip the rational functions entirely: they run on integer
+numerators over a known product of denominators, and a query builds its one
+reduced Fraction at the end.
 
 One table, keyed by cell count (None for symbolic n), holds every level,
 and one loop grows it for numeric and symbolic n alike; a small row adapter
@@ -34,7 +36,7 @@ from itertools import islice
 from math import comb, factorial
 
 from .errors import BudgetExceededError, DivergentDurationError
-from .game import _check_state, transition_prob_symbolic, transition_row
+from .game import _check_state, _row_numerators, transition_prob_symbolic, transition_row
 from .polys import Poly, Poly2, poly2_div_exact, poly_div_exact
 from .ratfuncs import RatFunc, RatFunc2
 from .scalars import decimal_sqrt
@@ -456,54 +458,79 @@ def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILI
 
 
 # ---------------------------------------------------------------------------
-# Fast mean/variance recurrences (no rational functions in x)
+# Fast mean/variance recurrences (no rational functions in x, no gcds)
+#
+# Differentiating the PGF recurrence at x = 1 gives, with p_t = a_t / n^k,
+#
+#     M(k)(1 - p_0) = 1 + sum_{t>=1} p_t M(k-t)                M(k) = E[X]
+#     S(k)(1 - p_0) = 2(M(k) - 1) + sum_{t>=1} p_t S(k-t)      S(k) = E[X(X-1)]
+#
+# Over the known denominators D_k = n^k - a_0(k) and Q_k = D_1 ... D_k, the
+# numerators P_k = M(k) Q_k and R_k = S(k) Q_k^2 are integers:
+#
+#     P_k = n^k Q_{k-1} + sum_t a_t P_{k-t} W_t
+#     R_k = 2 n^k (P_k - Q_k) Q_{k-1} + sum_t a_t R_{k-t} D_k W_t^2
+#
+# where W_t = Q_{k-1} / Q_{k-t} = D_{k-1} ... D_{k-t+1}, and t runs to
+# min(n, k) because rows put no mass on more captures than cells.  Nothing is
+# reduced until a query builds its one Fraction.
 
-_MEAN_TABLES: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
+_MEAN_TABLES: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
 
 
-def _mean_tables(n: int, rmax: int) -> tuple[list[Fraction], list[Fraction]]:
-    """M(k) = E[X] and S(k) = E[X(X-1)] for k = 0..rmax, from differentiating
-    the PGF recurrence at x = 1:
+def _weighted(row: tuple[int, ...], ds: list[int]):
+    """(t, a_t, W_t) for each nonzero a_t with t >= 1, where `row` holds the
+    a_t of step k and `ds` ends at D_{k-1}; W_t takes one more D per t."""
+    w = 1
+    for t in range(1, len(row)):
+        if t > 1:
+            w *= ds[1 - t]
+        if row[t]:
+            yield t, row[t], w
 
-        M(k)(1 - p_0) = 1 + sum_{t>=1} p_t M(k-t)
-        S(k)(1 - p_0) = 2(M(k) - 1) + sum_{t>=1} p_t S(k-t)
-    """
+
+def _mean_tables(n: int, rmax: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Integer lists P, R, Q, D for k = 0..rmax (at least), as defined above,
+    so that M(k) = P_k/Q_k and S(k) = R_k/Q_k^2."""
     cached = _MEAN_TABLES.get(n)
     if cached is not None and len(cached[0]) > rmax:
         return cached
-    means, seconds = ([Q0], [Q0]) if cached is None else (list(cached[0]), list(cached[1]))
-    for k in range(len(means), rmax + 1):
-        probs = transition_row(n, k).probs
-        stay = probs[0]
-        if stay == 1:
-            raise DivergentDurationError(
-                "divergent duration: one cell can never isolate a ball"
-            )
-        m_acc = Q1
-        s_acc = Q0
-        for t in range(1, k + 1):
-            if probs[t]:
-                m_acc += probs[t] * means[k - t]
-                s_acc += probs[t] * seconds[k - t]
-        m = m_acc / (1 - stay)
-        means.append(m)
-        seconds.append((2 * (m - 1) + s_acc) / (1 - stay))
-    _MEAN_TABLES[n] = (means, seconds)
-    return means, seconds
+    ps, rs, qs, ds = ([0], [0], [1], [1]) if cached is None else map(list, cached)
+    for k in range(len(ps), rmax + 1):
+        row = _row_numerators(n, k)
+        nk = n**k
+        d = nk - row[0]
+        if d == 0:
+            raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
+        q_prev = qs[k - 1]
+        q = q_prev * d
+        p_acc = nk * q_prev
+        r_acc = 0
+        for t, a, w in _weighted(row, ds):
+            aw = a * w
+            p_acc += aw * ps[k - t]
+            r_acc += aw * w * rs[k - t]
+        ps.append(p_acc)
+        rs.append(2 * nk * (p_acc - q) * q_prev + d * r_acc)
+        qs.append(q)
+        ds.append(d)
+    _MEAN_TABLES[n] = (ps, rs, qs, ds)
+    return ps, rs, qs, ds
 
 
 def expected_duration(r: int, n: int) -> Fraction:
     """Mean duration, exact; fast enough for r in the thousands."""
     _check_state(n, r)
-    return _mean_tables(n, r)[0][r]
+    ps, _, qs, _ = _mean_tables(n, r)
+    return Fraction(ps[r], qs[r])
 
 
 def duration_variance(r: int, n: int) -> Fraction:
-    """Variance of the duration, exact."""
+    """Variance of the duration, exact: S + M - M^2 over Q_r^2."""
     _check_state(n, r)
-    means, seconds = _mean_tables(n, r)
-    m = means[r]
-    return seconds[r] + m - m * m
+    ps, rs, qs, _ = _mean_tables(n, r)
+    p, q = ps[r], qs[r]
+    return Fraction(rs[r] + p * q - p * p, q * q)
 
 
 def diagonal_sequence(rmax: int) -> list[tuple[int, Fraction, Fraction]]:

@@ -1,18 +1,22 @@
 """Harmonic-sum approximation, its exact error, and the error-limit estimator."""
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import ceil, log10
 
 import pytest
 
 from ballcell.approx import (
+    _digits,
     approx_mean,
     approx_report,
     approx_variance,
     error_limit,
     error_term,
 )
+from ballcell.game import transition_row
 from ballcell.pgf import duration_variance, expected_duration
+from ballcell.scalars import default_precision, to_decimal
 
 # E_3(10), frozen output of the exact pipeline.
 E3_AT_10 = Fraction(-141488086213, 8824570191360)
@@ -108,3 +112,74 @@ def test_stabilized_flag_is_conservative():
     est3 = error_limit(3, rmax=200, digits=3)
     assert est3.stabilized is True
     assert str(est3.estimate).startswith("0.0421")
+
+
+def _reference_partial_sum(n: int, r: int, p: int) -> Fraction:
+    """sum_{j=1}^r (1/j^p)(n/(n-1))^(p(j-1)), term by term in Fractions."""
+    q = Fraction(n, n - 1) ** p
+    total, power = Fraction(0), Fraction(1)
+    for j in range(1, r + 1):
+        total += power / j**p
+        power *= q
+    return total
+
+
+def test_partial_sums_match_term_by_term_loop():
+    for n in range(2, 12):
+        for r in list(range(0, 41)) + [100, 257]:
+            mean = _reference_partial_sum(n, r, 1)
+            assert approx_mean(n, r) == mean, (n, r)
+            assert approx_variance(n, r) == _reference_partial_sum(n, r, 2) - mean, (n, r)
+
+
+def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4):
+    """error_limit with the mean recurrence held as reduced Fractions until
+    one passes `digit_budget` digits, then in Decimal from the Fraction rows."""
+    if digits is None:
+        digits = default_precision()
+    half = rmax // 2
+    wp = digits + max(0, ceil(rmax * log10(n / (n - 1)))) + 10
+    a_half = _reference_partial_sum(n, half, 1)
+    a_full = _reference_partial_sum(n, rmax, 1)
+    window = [Fraction(0)]
+    exact = True
+    with localcontext() as ctx:
+        ctx.prec = wp
+        for k in range(1, rmax + 1):
+            probs = transition_row(n, k).probs
+            stay = probs[0]
+            if exact:
+                acc = Fraction(1)
+                for t in range(1, min(n, k) + 1):
+                    if probs[t]:
+                        acc += probs[t] * window[-t]
+                m = acc / (1 - stay)
+                if max(_digits(m.numerator), _digits(m.denominator)) > digit_budget:
+                    window = [to_decimal(v, wp) for v in window]
+                    m = to_decimal(m, wp)
+                    exact = False
+            else:
+                acc = Decimal(1)
+                for t in range(1, min(n, k) + 1):
+                    if probs[t]:
+                        acc += to_decimal(probs[t], wp) * window[-t]
+                m = acc / to_decimal(1 - stay, wp)
+            window = (window + [m])[-n:]
+            if k == half:
+                e_half = to_decimal(m - a_half, wp) if exact else m - to_decimal(a_half, wp)
+        e_full = to_decimal(m - a_full, wp) if exact else m - to_decimal(a_full, wp)
+        gap_wide = abs(e_full - e_half)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(+e_full), str(+gap_wide), +gap_wide < Decimal(1).scaleb(-(digits + 2))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(3, 60, 30, 200), (7, 150, 40, 500), (6, 300, 80, 10**4), (9, 50), (3, 1000)],
+)
+def test_limit_matches_fraction_reference(args):
+    # The digit-budget switch falls at different steps here, and never at
+    # (9, 50); either way the integer recurrence must give the same digits.
+    est = error_limit(*args)
+    assert (str(est.estimate), str(est.gap), est.stabilized) == _reference_error_limit(*args)

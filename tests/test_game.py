@@ -1,6 +1,7 @@
 """One-round capture law against hand counts, enumeration, and the symbolic path."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -11,7 +12,7 @@ from ballcell.game import (
     transition_prob_symbolic,
     transition_row,
 )
-from ballcell.polys import Poly2
+from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import RatFunc2
 
 N = Poly2.var_n()
@@ -141,6 +142,48 @@ def test_symbolic_rows_match_gcd_reducing_constructor():
             low = r - p.den.degree_n()
             ref = RatFunc2(p.num * N**low, N**r)
             assert (p.num, p.den) == (ref.num, ref.den), (r, t)
+
+
+def _inclusion_exclusion(top: int, t: int, term) -> object:
+    """sum_{j=t}^{top} (-1)^(j-t) C(j,t) term(j), summed directly."""
+    total = 0
+    for j in range(t, top + 1):
+        s = term(j) * comb(j, t)
+        total = total - s if (j - t) & 1 else total + s
+    return total
+
+
+def test_rows_match_direct_inclusion_exclusion_sum():
+    # The rows come from a Taylor shift of the j-terms; the module docstring's
+    # sum, evaluated term by term, must give the same numerators.
+    for n in range(1, 30):
+        for r in range(0, 40):
+            row = transition_row(n, r).probs
+            assert len(row) == r + 1
+            for t in range(r + 1):
+                want = _inclusion_exclusion(
+                    min(n, r), t, lambda j: comb(n, j) * comb(r, j) * factorial(j) * (n - j) ** (r - j)
+                )
+                assert row[t] == Fraction(want, n**r), (n, r, t)
+    assert transition_prob(3, 10, 7) == 0
+
+
+def test_symbolic_rows_match_direct_inclusion_exclusion_sum():
+    def shift(j):
+        return Poly({1: Fraction(1), 0: Fraction(-j)})
+
+    def falling_poly(j):
+        out = Poly.const(1)
+        for i in range(j):
+            out = out * shift(i)
+        return out
+
+    for r in range(0, 13):
+        for t in range(r + 1):
+            num = _inclusion_exclusion(r, t, lambda j: falling_poly(j) * shift(j) ** (r - j) * comb(r, j))
+            want = RatFunc2(Poly2.from_poly_in_n(num), N**r) if num else RatFunc2(Poly2.zero(), N**0)
+            got = transition_prob_symbolic(r, t)
+            assert (got.num, got.den) == (want.num, want.den), (r, t)
 
 
 def test_symbolic_captured_range_checked():

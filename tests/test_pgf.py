@@ -248,6 +248,48 @@ def test_mean_recurrence_rejects_one_cell():
         expected_duration(2, 1)
 
 
+def _reference_mean_tables(n: int, rmax: int) -> tuple[list[Fraction], list[Fraction]]:
+    """M(k) = E[X] and S(k) = E[X(X-1)] for k = 0..rmax, term by term in
+    reduced Fractions:
+
+        M(k)(1 - p_0) = 1 + sum_{t>=1} p_t M(k-t)
+        S(k)(1 - p_0) = 2(M(k) - 1) + sum_{t>=1} p_t S(k-t)
+    """
+    means, seconds = [Fraction(0)], [Fraction(0)]
+    for k in range(1, rmax + 1):
+        probs = transition_row(n, k).probs
+        stay = probs[0]
+        if stay == 1:
+            raise DivergentDurationError("divergent duration")
+        m_acc, s_acc = Fraction(1), Fraction(0)
+        for t in range(1, k + 1):
+            if probs[t]:
+                m_acc += probs[t] * means[k - t]
+                s_acc += probs[t] * seconds[k - t]
+        m = m_acc / (1 - stay)
+        means.append(m)
+        seconds.append((2 * (m - 1) + s_acc) / (1 - stay))
+    return means, seconds
+
+
+def test_mean_tables_match_fraction_reference():
+    # The integer tables hold unreduced numerators over a product of known
+    # denominators; every query must equal the reduced term-by-term values.
+    for n, top in [(n, 60) for n in range(2, 13)] + [(2, 400)]:
+        means, seconds = _reference_mean_tables(n, top)
+        for r in range(top + 1):
+            assert expected_duration(r, n) == means[r], (n, r)
+            assert duration_variance(r, n) == seconds[r] + means[r] - means[r] ** 2, (n, r)
+    assert _reference_mean_tables(1, 1) == ([0, 1], [0, 0])
+    assert (expected_duration(1, 1), duration_variance(1, 1)) == (1, 0)
+    assert expected_duration(0, 1) == 0
+    for r in range(2, 61):
+        with pytest.raises(DivergentDurationError):
+            expected_duration(r, 1)
+        with pytest.raises(DivergentDurationError):
+            duration_variance(r, 1)
+
+
 def test_symbolic_moments_specialize():
     rep = moments_symbolic(3, 2)
     for n in range(2, 7):
