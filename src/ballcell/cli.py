@@ -520,6 +520,8 @@ def _parameters(args) -> dict:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; argparse exits 2 on usage
+    errors.  `timing_ms` covers the command only, not parsing or printing."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

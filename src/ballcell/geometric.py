@@ -194,6 +194,6 @@ def alpha_limits(alpha: Fraction) -> LimitingMoments:
 
 def alpha_moments(alpha: Fraction, r: int, order: int) -> MomentReport:
     """Moments of the power-law chain by building its PGF and running the
-    same derivative chain the game moments use.  Independent of the closed
+    same moment chain the game moments use.  Independent of the closed
     forms above on purpose; tests compare the two routes."""
     return moments_of(chain_pgf(r, StepSequence.power(alpha)), order)

@@ -22,6 +22,10 @@ symbolic).  These factors are irreducible, so dividing out each one that
 divides the numerator exactly leaves a reduced quotient, and no polynomial
 gcd is ever computed.
 
+Moments come from one chain for numeric and symbolic n, run in the
+coefficient ring (integers, or polynomials in n) over powers of d1 = den(1);
+each result is then reduced once over the known factors of its denominator.
+
 The degenerate state n = 1 with r >= 2 never terminates; the recurrence then
 yields the zero function, which is kept, flagged, and refused by the moment
 operations.
@@ -29,16 +33,18 @@ operations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
-from math import comb, factorial
+from itertools import accumulate, islice
+from math import comb, prod
+from operator import mul
 
 from .errors import BudgetExceededError, DivergentDurationError
 from .game import _check_state, _row_numerators, transition_prob_symbolic, transition_row
 from .polys import Poly, Poly2, poly2_div_exact, poly_div_exact
-from .ratfuncs import RatFunc, RatFunc2
+from .ratfuncs import RatFunc, RatFunc2, _ring_terms, _series_numerators
 from .scalars import decimal_sqrt
 
 DEFAULT_SYMBOLIC_CEILING = 40
@@ -333,96 +339,63 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = Fraction(10**9 -
 # Moments
 
 
-def _stirling2(i: int, k: int) -> int:
+def _surjections(i: int, k: int) -> int:
+    """k! S(i, k): maps of i labelled items onto k labelled cells."""
     total = 0
     for j in range(k + 1):
         s = comb(k, j) * (k - j) ** i
         total = total - s if j & 1 else total + s
-    return total // factorial(k)
+    return total
 
 
-def _factorial_moments_numeric(f: RatFunc, order: int) -> list[Fraction]:
-    """E[X(X-1)...(X-k+1)] for k = 1..order via the derivative chain.
-
-    With F = N_0/D, the numerators N_{k+1} = N_k' D - (k+1) N_k D' satisfy
-    F^(k) = N_k / D^(k+1), so no gcd reduction is ever needed mid-chain.
-    """
-    num, den = f.num, f.den
-    dden = den.derivative()
-    d1 = den.eval(Q1)
-    out = []
-    nk = num
-    for k in range(1, order + 1):
-        nk = nk.derivative() * den - k * nk * dden
-        out.append(nk.eval(Q1) / d1 ** (k + 1))
-    return out
-
-
-def _factorial_moments_symbolic(f: RatFunc2, order: int) -> list[RatFunc2]:
-    num, den = f.num, f.den
-    dden = den.derivative_x()
-    d1 = Poly2.from_poly_in_n(den.subs_x(Q1))
-    out = []
-    nk = num
-    for k in range(1, order + 1):
-        nk = nk.derivative_x() * den - k * nk * dden
-        out.append(RatFunc2(Poly2.from_poly_in_n(nk.subs_x(Q1)), d1 ** (k + 1)))
-    return out
+def _moment_numerators(func: RatFunc | RatFunc2, order: int) -> tuple:
+    """d1 = den(1) with the raw numerators R_1..R_order and central ones
+    C_2..C_order in the coefficient ring: E[X^i] = R_i / d1^(i+1) and
+    m_i = C_i / d1^(2i).  The series of F(1 + h) over powers of d1 gives
+    E[(X)_k] = k! c_k / d1^(k+1); nothing is divided on the way."""
+    num, den = (_shift_to_one(_ring_terms(p), order) for p in (func.num, func.den))
+    d1, cs = den[0], [c for c, _ in _series_numerators(num, den, order)]
+    pw = list(accumulate([d1] * order, mul, initial=d1**0))
+    raw = [sum(_surjections(i, k) * cs[k] * pw[i - k] for k in range(1, i + 1)) for i in range(1, order + 1)]
+    # m_i d1^(2i) = (-R_1)^i + sum_{j>=1} C(i, j) R_j d1^(j-1) (-R_1)^(i-j)
+    lead = list(accumulate([-raw[0]] * order, mul, initial=d1**0))
+    central = [
+        lead[i] + sum(comb(i, j) * raw[j - 1] * pw[j - 1] * lead[i - j] for j in range(1, i + 1))
+        for i in range(2, order + 1)
+    ]
+    return d1, raw, central
 
 
-def _raw_from_factorial(fact: list) -> list:
-    """E[X^i] = sum_k S(i,k) E[(X)_k] with Stirling numbers of the second kind."""
-    out = []
-    for i in range(1, len(fact) + 1):
-        acc = 0
-        for k in range(1, i + 1):
-            acc = acc + _stirling2(i, k) * fact[k - 1]
-        out.append(acc)
-    return out
-
-
-def _central_from_raw(raw: list, order: int) -> list:
-    mean = raw[0]
-    out = []
-    for i in range(2, order + 1):
-        acc = (-mean) ** i
-        for j in range(1, i + 1):
-            acc = acc + comb(i, j) * raw[j - 1] * (-mean) ** (i - j)
-        out.append(acc)
-    return out
+def _shift_to_one(coeffs: dict, top: int) -> dict:
+    """{j: [h^j] p(1 + h)} for j <= top, p given as {power of x: coefficient}."""
+    top = min(top, max(coeffs, default=-1))
+    return {j: sum(comb(e, j) * a for e, a in coeffs.items() if e >= j) for j in range(top + 1)}
 
 
 def moments_of(func: RatFunc, order: int) -> MomentReport:
     """Moment report for any PGF given as a rational function with f(1) = 1.
 
     Used for the game duration and for the down-or-stay chains; the caller
-    is responsible for only passing genuine PGFs.
+    is responsible for only passing genuine PGFs.  Scaled moments come from
+    the central numerators: m_i^2 / m_2^i = C_i^2 / C_2^i.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    fact = _factorial_moments_numeric(func, order)
-    raw = _raw_from_factorial(fact)
-    mean = raw[0]
-    central = _central_from_raw(raw, order)
+    d1, raw_nums, central_nums = _moment_numerators(func, order)
+    raw = [Fraction(v, d1 ** (i + 1)) for i, v in enumerate(raw_nums, 1)]
+    central = [Fraction(v, d1 ** (2 * i)) for i, v in enumerate(central_nums, 2)]
     variance = central[0] if order >= 2 else None
-    scaled: tuple[ScaledMoment, ...] | None = ()
-    if order >= 3:
-        m2 = central[0]
-        if m2 == 0:
-            scaled = None
-        else:
-            entries = []
-            for i in range(3, order + 1):
-                mi = central[i - 2]
-                squared = mi * mi / m2**i
-                sign = 0 if mi == 0 else (1 if mi > 0 else -1)
-                root = decimal_sqrt(squared)
-                # copy_negate keeps all digits; context arithmetic would round
-                value = root.copy_negate() if sign < 0 else root if sign else Decimal(0)
-                exact = mi / m2 ** (i // 2) if i % 2 == 0 else None
-                entries.append(ScaledMoment(i, squared, sign, value, exact))
-            scaled = tuple(entries)
-    return MomentReport(order, tuple(raw), tuple(central), scaled, mean, variance)
+    c2 = central_nums[0] if order >= 2 else 1
+    scaled: tuple[ScaledMoment, ...] | None = None if order >= 3 and c2 == 0 else ()
+    for i, ci in enumerate(central_nums[1:] if c2 else [], 3):
+        squared = Fraction(ci * ci, c2**i)
+        sign = (ci > 0) - (ci < 0)
+        root = decimal_sqrt(squared)
+        # copy_negate keeps all digits; context arithmetic would round
+        value = root.copy_negate() if sign < 0 else root if sign else Decimal(0)
+        exact = Fraction(ci, c2 ** (i // 2)) if i % 2 == 0 else None
+        scaled += (ScaledMoment(i, squared, sign, value, exact),)
+    return MomentReport(order, tuple(raw), tuple(central), scaled, raw[0], variance)
 
 
 def moments(r: int, n: int, order: int) -> MomentReport:
@@ -434,27 +407,33 @@ def moments(r: int, n: int, order: int) -> MomentReport:
 
 
 def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> SymbolicMomentReport:
-    """Moments as reduced rational functions of the cell count."""
+    """Moments as reduced rational functions of the cell count: the numeric
+    chain over Polys in n, each moment reduced once by ``RatFunc2._x_free``
+    against the denominator factors at x = 1 (times d1's constant).
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    p = pgf_symbolic(r, max_balls)
-    fact = _factorial_moments_symbolic(p.func, order)
-    raw = _raw_from_factorial(fact)
-    mean = raw[0]
-    central = _central_from_raw(raw, order)
+    d1, raw_nums, central_nums = _moment_numerators(pgf_symbolic(r, max_balls).func, order)
+    at_one = Counter(f.subs_x(Q1) for f in symbolic_den_factors(r, max_balls))
+    at_one[Poly.const(d1.leading_coeff() / prod(f.leading_coeff() ** m for f, m in at_one.items()))] += 1
+
+    def over_d1(v: Poly, power: int) -> RatFunc2:
+        return RatFunc2._x_free(v, {f: m * power for f, m in at_one.items()})
+
+    raw = [over_d1(v, i + 1) for i, v in enumerate(raw_nums, 1)]
+    central = [over_d1(v, 2 * i) for i, v in enumerate(central_nums, 2)]
     variance = central[0] if order >= 2 else None
-    scaled: tuple[RatFunc2, ...] | None = ()
-    if order >= 3:
-        m2 = central[0]
-        if m2.is_zero():
-            scaled = None
-        else:
-            scaled_list = []
-            for i in range(3, order + 1):
-                mi = central[i - 2]
-                scaled_list.append(mi**2 / m2**i)
-            scaled = tuple(scaled_list)
-    return SymbolicMomentReport(order, tuple(raw), tuple(central), scaled, mean, variance)
+    scaled: tuple[RatFunc2, ...] | None = None if order >= 3 and variance.is_zero() else ()
+    if scaled is not None and order >= 3:
+        # m_i = a_i/b_i reduced: m_i^2/m_2^i = (a_i^2/a_2^i)(b_2^i/b_i^2), and a
+        # common factor can only sit in a_i, a_2 or in b_2, b_i, so the two
+        # quotients reduce apart and their product stays reduced.
+        a2, b2 = variance.num.subs_x(Q1), variance.den.subs_x(Q1)
+        for i, mi in enumerate(central[1:], 3):
+            ai, bi = mi.num.subs_x(Q1), mi.den.subs_x(Q1)
+            top, bottom = RatFunc2._x_free(ai * ai, {a2: i}), RatFunc2._x_free(b2**i, {bi: 2})
+            scaled += (RatFunc2.from_coprime(top.num * bottom.num, top.den * bottom.den),)
+    return SymbolicMomentReport(order, tuple(raw), tuple(central), scaled, raw[0], variance)
 
 
 # ---------------------------------------------------------------------------

@@ -261,8 +261,11 @@ class Poly(_Sparse):
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor over the rationals.
 
-    gcd(0, q) is the monic normalization of q; gcd(0, 0) is 0.
+    gcd(0, q) is the monic normalization of q; gcd(0, 0) is 0.  A monomial
+    c*x^e and a nonzero q have gcd x^min(e, valuation of q), read off directly.
     """
+    if (len(p._c) == 1 and q._c) or (len(q._c) == 1 and p._c):
+        return Poly._adopt({min(*p._c, *q._c): Q1})
     a, b = p, q
     while not b.is_zero():
         a, b = b, a % b
@@ -310,10 +313,6 @@ class Poly2(_Sparse):
     def from_poly_in_n(cls, p: Poly) -> "Poly2":
         return cls._adopt({(e, 0): v for e, v in p.items()})
 
-    @classmethod
-    def from_poly_in_x(cls, p: Poly) -> "Poly2":
-        return cls._adopt({(0, e): v for e, v in p.items()})
-
     def is_constant(self) -> bool:
         return all(k == (0, 0) for k in self._c)
 
@@ -330,9 +329,6 @@ class Poly2(_Sparse):
 
     def coeff(self, dn: int, dx: int) -> Fraction:
         return self._c.get((dn, dx), Q0)
-
-    def derivative_x(self) -> "Poly2":
-        return Poly2._adopt({(dn, dx - 1): v * dx for (dn, dx), v in self._c.items() if dx > 0})
 
     def _subs(self, axis: int, v0) -> Poly:
         """Substitute a rational for the variable at `axis` of the key (0 for

@@ -14,42 +14,26 @@ times:
 Canonical form makes equality a structural comparison: two quotients are equal
 iff their reduced forms match field by field.  Both classes share one quotient
 core, ``_Quotient``, which holds construction, the scale-and-sign step and
-every operator; each class supplies its ring, its coercion, its cancel step
-(a gcd and exact division) and its sign anchor.  Operations that keep a
-coprime pair coprime (negation, powers, scaling by a constant) skip the gcd.
-Both classes also share one Maclaurin recurrence, ``series``, which reads
-the x-coefficients through each class's ``_x_coeffs``.  The module carries the
-text/LaTeX renderers and the JSON wire format used by the CLI ("p/q" strings,
-never floats).
+every operator; each class supplies its ring, its cancel step (a gcd and
+exact division) and its sign anchor.  Operations that keep a coprime pair
+coprime (negation, powers, scaling by a constant) skip the gcd.  Both classes
+also share one Maclaurin recurrence, ``series``, run on numerators over powers
+of den(0) in the coefficient ring (RatFunc divides out their common integer
+content each step); each coefficient is reduced once over its known
+denominator factors by the class's ``_x_free``.  The module
+carries the text/LaTeX renderers and the JSON wire format used by the CLI
+("p/q" strings, never floats).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .polys import Poly, Poly2, poly2_div_exact, poly2_gcd, poly_gcd
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
-
-
-def _coerce_poly(v) -> Poly:
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Poly.const(v)
-    raise TypeError(f"expected polynomial, got {type(v).__name__}")
-
-
-def _coerce_poly2(v) -> Poly2:
-    if isinstance(v, Poly2):
-        return v
-    if isinstance(v, Poly):
-        raise TypeError("ambiguous variable: convert Poly to Poly2 explicitly")
-    if isinstance(v, (int, Fraction)):
-        return Poly2.const(v)
-    raise TypeError(f"expected bivariate polynomial, got {type(v).__name__}")
 
 
 def _integer_scale(polys: list[Poly] | list[Poly2]) -> Fraction:
@@ -68,14 +52,15 @@ class _Quotient:
     """Canonical quotient num/den over a polynomial ring, the core of RatFunc
     and RatFunc2.
 
-    A subclass supplies ``_ring`` (its polynomial class), ``_coerce`` (ring
-    element from a polynomial or scalar), ``_cancel`` (the pair divided by
-    its gcd), ``_anchor`` (the coefficient of the denominator whose sign
-    is fixed positive) and ``_x_coeffs`` (a polynomial as {power of x:
-    coefficient}, the coefficients lifted to what ``series`` returns).
+    A subclass supplies ``_ring`` (its polynomial class), ``_cancel`` (the
+    pair divided by its gcd), ``_anchor`` (the coefficient of the
+    denominator whose sign is fixed positive) and ``_x_free`` (a ring
+    element over {factor: power} as the reduced x-free value ``series``
+    returns); ``_content``, a gcd over its coefficient ring, is optional.
     """
 
     __slots__ = ("num", "den")
+    _content = None
 
     def __init__(self, num, den=1):
         self._settle(num, den, cancel=True)
@@ -96,6 +81,15 @@ class _Quotient:
     def from_fraction(cls, q: Fraction):
         return cls.from_coprime(q, 1)
 
+    def _coerce(self, v):
+        """`v` in the ring: a polynomial of the ring's own class or a scalar
+        (a Poly is no Poly2: its variable would be ambiguous)."""
+        if isinstance(v, self._ring):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return self._ring.const(v)
+        raise TypeError(f"expected {self._ring.__name__} or a scalar, got {type(v).__name__}")
+
     def _settle(self, num, den, cancel: bool) -> None:
         """Set the canonical fields of num/den, dividing by the gcd first
         when `cancel` is set."""
@@ -109,8 +103,8 @@ class _Quotient:
         if cancel:
             num, den = self._cancel(num, den)
         s = _integer_scale([num, den])
-        num = num * s
-        den = den * s
+        if s != 1:
+            num, den = num * s, den * s
         if self._anchor(den) < 0:
             num, den = -num, -den
         self.num = num
@@ -183,28 +177,43 @@ class _Quotient:
         return self.from_coprime(self.num**k, self.den**k)
 
 
-def _series(self, kmax: int) -> list:
-    """First kmax+1 Maclaurin coefficients in x, exact.
+def _ring_terms(p: Poly | Poly2) -> dict:
+    """{power of x: coefficient} of a canonical polynomial, as ints for a
+    Poly in x and as Polys in n for a Poly2."""
+    return p.as_x_coeffs() if isinstance(p, Poly2) else {e: v.numerator for e, v in p.items()}
 
-    A coefficient is a Fraction for RatFunc and a reduced rational function
-    of n alone for RatFunc2.  Needs a denominator whose x-constant term is
-    nonzero.
+
+def _series_numerators(num: dict, den: dict, kmax: int, content=None) -> list:
+    """Coefficients 0..kmax of num/den, maps {power of x: ring element} with
+    d0 = den[0] nonzero, as (numerator, denominator as {factor: power}).  The
+    window of the last deg(den) numerators shares one scale, multiplied by d0
+    per step, so coefficient k is over d0^(k+1); a `content` (ring gcd) also
+    divides window and scale by their common part, keeping numerators small.
+    """
+    d0 = den.get(0)
+    if not d0:
+        raise ZeroDivisionError("denominator vanishes at x = 0; no Maclaurin expansion")
+    tail = sorted((j, dj) for j, dj in den.items() if j)
+    scale, window, out = d0**0, [], []
+    for k in range(kmax + 1):
+        acc = num.get(k, 0) * scale - sum(dj * window[j - 1] for j, dj in tail if j <= k)
+        scale, window = scale * d0, [acc] + [w * d0 for w in window[: max(den) - 1]]
+        if content is not None:
+            g = content(scale, *window)
+            scale, window = scale // g, [w // g for w in window]
+        out.append((window[0], {d0: k + 1} if content is None else {scale: 1}))
+    return out
+
+
+def _series(self, kmax: int) -> list:
+    """First kmax+1 Maclaurin coefficients in x, exact: Fractions for RatFunc,
+    reduced rational functions of n alone for RatFunc2.  Needs d0 = den(0)
+    nonzero; each coefficient is reduced once, by the class's ``_x_free``.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    num = self._x_coeffs(self.num)
-    den = self._x_coeffs(self.den)
-    d0 = den.pop(0, None)
-    if d0 is None:
-        raise ZeroDivisionError("denominator vanishes at x = 0; no Maclaurin expansion")
-    out: list = []
-    for k in range(kmax + 1):
-        acc = num.get(k, Q0)
-        for j, dj in den.items():
-            if j <= k:
-                acc = acc - dj * out[k - j]
-        out.append(acc / d0)
-    return out
+    terms = _series_numerators(_ring_terms(self.num), _ring_terms(self.den), kmax, self._content)
+    return [self._x_free(c, den) for c, den in terms]
 
 
 class RatFunc(_Quotient):
@@ -212,7 +221,6 @@ class RatFunc(_Quotient):
 
     __slots__ = ()
     _ring = Poly
-    _coerce = staticmethod(_coerce_poly)
 
     @staticmethod
     def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -226,9 +234,11 @@ class RatFunc(_Quotient):
         # The head term of a polynomial in x is its lowest power.
         return den.coeff(den.min_exponent())
 
+    _content = staticmethod(gcd)
+
     @staticmethod
-    def _x_coeffs(p: Poly) -> dict[int, Fraction]:
-        return dict(p.items())
+    def _x_free(num: int, den: dict[int, int]) -> Fraction:
+        return Fraction(num, prod(f**m for f, m in den.items()))
 
     @classmethod
     def x(cls) -> "RatFunc":
@@ -255,7 +265,6 @@ class RatFunc2(_Quotient):
 
     __slots__ = ()
     _ring = Poly2
-    _coerce = staticmethod(_coerce_poly2)
 
     @staticmethod
     def _cancel(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
@@ -269,9 +278,20 @@ class RatFunc2(_Quotient):
         return den.head_coeff()
 
     @staticmethod
-    def _x_coeffs(p: Poly2) -> dict[int, "RatFunc2"]:
-        lift = RatFunc2.from_coprime
-        return {dx: lift(Poly2.from_poly_in_n(c), 1) for dx, c in p.as_x_coeffs().items()}
+    def _x_free(num: Poly, den: dict[Poly, int]) -> "RatFunc2":
+        """num / prod(f^m) for Polys in n, reduced by one univariate gcd per
+        copy of a factor; once a copy is coprime, so are the rest."""
+        out = Poly.const(1)
+        for f, m in den.items():
+            while m:
+                g = poly_gcd(num, f)
+                if g.degree() < 1:
+                    break
+                num = num // g
+                out = out * (f // g)
+                m -= 1
+            out = out * f**m
+        return RatFunc2.from_coprime(Poly2.from_poly_in_n(num), Poly2.from_poly_in_n(out))
 
     @classmethod
     def n(cls) -> "RatFunc2":

@@ -5,7 +5,9 @@ recurrence, the transition-matrix powering in duration_distribution, and the
 differentiated mean/variance recurrences.
 """
 
+import time
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -25,7 +27,7 @@ from ballcell.pgf import (
     pgf_symbolic,
     symbolic_den_factors,
 )
-from ballcell.polys import Poly
+from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
 
 X = Poly.var()
@@ -297,6 +299,105 @@ def test_symbolic_moments_specialize():
         assert rep.variance.subs_n(Fraction(n)) == RatFunc.from_fraction(duration_variance(3, n))
     with pytest.raises(ValueError):
         moments_symbolic(3, 0)
+
+
+def _reference_symbolic_moments(r: int, order: int):
+    """Raw, central and scaled-squared moments by RatFunc2 field arithmetic,
+    gcd-reduced at every step: the derivative chain N_k = N_{k-1}' D -
+    k N_{k-1} D' gives E[(X)_k] = N_k(1) / D(1)^(k+1), Stirling numbers give
+    the raw moments, the binomial expansion around the mean the central
+    ones, and m_i^2 / m_2^i the scaled squares."""
+    def d_dx(p):
+        return Poly2({(dn, dx - 1): v * dx for (dn, dx), v in p.items() if dx})
+
+    f = pgf_symbolic(r).func
+    num, den = f.num, f.den
+    dden = d_dx(den)
+    d1 = Poly2.from_poly_in_n(den.subs_x(Fraction(1)))
+    fact = []
+    nk = num
+    for k in range(1, order + 1):
+        nk = d_dx(nk) * den - k * nk * dden
+        fact.append(RatFunc2(Poly2.from_poly_in_n(nk.subs_x(Fraction(1))), d1 ** (k + 1)))
+
+    def stirling2(i, k):
+        return sum((-1) ** j * comb(k, j) * (k - j) ** i for j in range(k + 1)) // factorial(k)
+
+    raw = [sum((stirling2(i, k) * fact[k - 1] for k in range(1, i + 1)), RatFunc2(0)) for i in range(1, order + 1)]
+    mean = raw[0]
+    central = []
+    for i in range(2, order + 1):
+        acc = (-mean) ** i
+        for j in range(1, i + 1):
+            acc = acc + comb(i, j) * raw[j - 1] * (-mean) ** (i - j)
+        central.append(acc)
+    scaled = None if order >= 3 and central[0].is_zero() else tuple(
+        central[i - 2] ** 2 / central[0] ** i for i in range(3, order + 1)
+    )
+    return tuple(raw), tuple(central), scaled
+
+
+def _fields(funcs):
+    return None if funcs is None else [(f.num, f.den) for f in funcs]
+
+
+def test_symbolic_moments_match_field_arithmetic_reference():
+    for r, order in [(r, 4) for r in range(0, 5)] + [(5, 3)]:
+        rep = moments_symbolic(r, order)
+        raw, central, scaled = _reference_symbolic_moments(r, order)
+        assert _fields(rep.raw) == _fields(raw), r
+        assert _fields(rep.central) == _fields(central), r
+        assert _fields(rep.scaled_squared) == _fields(scaled), r
+        assert rep.mean is rep.raw[0] and rep.variance is rep.central[0]
+
+
+def test_symbolic_moments_specialize_to_numeric_moments():
+    for r in range(1, 6):
+        rep = moments_symbolic(r, 4)
+        for n in range(2, 8):
+            want = moments(r, n, 4)
+
+            def at(f):
+                return f.eval(Fraction(n), Fraction(0))
+
+            assert [at(f) for f in rep.raw] == list(want.raw), (r, n)
+            assert [at(f) for f in rep.central] == list(want.central), (r, n)
+            if want.scaled is None:
+                assert rep.scaled_squared is None
+            else:
+                assert [at(f) for f in rep.scaled_squared] == [m.squared for m in want.scaled], (r, n)
+    assert moments_symbolic(1, 4).scaled_squared is None
+
+
+@pytest.mark.parametrize(
+    "label, seconds, call",
+    [
+        ("moments_symbolic(5, 4)", 20, lambda: moments_symbolic(5, 4)),
+        ("pgf_symbolic(13).func.series(4)", 5, lambda: pgf_symbolic(13).func.series(4)),
+    ],
+)
+def test_symbolic_series_and_moments_budget(label, seconds, call):
+    # Wide margins: both run in under a second on a 2-vCPU Xeon VM, where a
+    # return to one bivariate gcd per field operation takes about a minute
+    # for the moments and over ten seconds for the series.
+    pgf_symbolic(13)  # the table itself is not what is timed
+    started = time.perf_counter()
+    call()
+    elapsed = time.perf_counter() - started
+    assert elapsed < seconds, f"{label} took {elapsed:.1f}s, budget {seconds}s"
+
+
+def test_long_numeric_series_budget():
+    # The series numerators share one scale that is divided by its common
+    # part with them at each step: 1.4-1.9 s on a 2-vCPU Xeon VM with
+    # Python 3.11.  Kept over d0^(k+1) instead, they grow to about 13 times
+    # the digits, and the same expansion takes 14-17 s there.
+    f = pgf_numeric(25, 25).func
+    started = time.perf_counter()
+    coeffs = f.series(300)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 8, f"series(300) at (25, 25) took {elapsed:.1f}s, budget 8s"
+    assert coeffs[:31] == duration_distribution(25, 25, 30)
 
 
 def test_diagonal_sequence():

@@ -155,6 +155,33 @@ def test_poly_gcd():
     assert poly_gcd(x + 1, x + 2) == Poly.const(1)
 
 
+def _euclid_gcd(p: Poly, q: Poly) -> Poly:
+    """Plain Euclid, the reference for poly_gcd's monomial short-cut."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def test_poly_gcd_monomial_shortcut_matches_euclid():
+    x = Poly.var()
+    monomials = [Poly.const(1), Poly.const(-3), 5 * x, x**2, Fraction(-2, 7) * x**4]
+    others = [
+        Poly.zero(),  # gcd(c x^e, 0) is x^e
+        Poly.const(4),  # constant: gcd 1
+        x + 1,  # valuation 0
+        x**2 * (x + 1),  # valuation 2, at, above and below e
+        x**3 - 2 * x**5,
+        Fraction(3, 2) * x**6,  # both monomials
+    ]
+    for m in monomials:
+        for q in others:
+            want = _euclid_gcd(m, q)
+            assert poly_gcd(m, q) == want, (m, q)
+            assert poly_gcd(q, m) == _euclid_gcd(q, m) == want, (q, m)
+    assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+
+
 def test_poly_gcd_divides_both_random():
     rng = random.Random(1105)
     for _ in range(30):

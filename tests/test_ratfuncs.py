@@ -246,6 +246,39 @@ def test_ratfunc2_series_consistent_with_substitution():
             assert out[k].eval(n0, Fraction(0)) == uni[k]
 
 
+def _lifted_series(f: RatFunc2, kmax: int) -> list[RatFunc2]:
+    """Maclaurin coefficients by RatFunc2 field arithmetic, each x-coefficient
+    lifted to a quotient and every step gcd-reduced; the reference for the
+    series recurrence over powers of den(0)."""
+    lift = {dx: RatFunc2(Poly2.from_poly_in_n(c)) for dx, c in f.den.as_x_coeffs().items()}
+    num = {dx: RatFunc2(Poly2.from_poly_in_n(c)) for dx, c in f.num.as_x_coeffs().items()}
+    d0 = lift.pop(0)
+    out = []
+    for k in range(kmax + 1):
+        acc = num.get(k, RatFunc2(0))
+        for j, dj in lift.items():
+            if j <= k:
+                acc = acc - dj * out[k - j]
+        out.append(acc / d0)
+    return out
+
+
+def test_ratfunc2_series_with_non_monomial_constant_term():
+    # den(0) = n^2 - 1 is not a monomial in n, so each coefficient is reduced
+    # by real univariate gcds against copies of it
+    cases = [
+        RatFunc2(X2 * (N2 - 1) + N2, N2**2 - 1 - X2 * (N2 + 2)),
+        RatFunc2((N2 + 1) * (1 + X2), (N2**2 - 1) * (N2 + 3) - X2 * (N2 + 1) + X2**2 * N2),
+        RatFunc2(N2 - 1, (N2 - 1) ** 2 - X2),
+    ]
+    for f in cases:
+        out = f.series(6)
+        ref = _lifted_series(f, 6)
+        assert [(c.num, c.den) for c in out] == [(c.num, c.den) for c in ref]
+        for n0 in (Fraction(2), Fraction(3), Fraction(7, 2), Fraction(9, 4), Fraction(11)):
+            assert [c.subs_n(n0) for c in out] == [RatFunc.from_fraction(v) for v in f.subs_n(n0).series(6)]
+
+
 def test_polynomial_text_ordering():
     assert polynomial_text(2 - X) == "2 - x"
     assert polynomial_text(Poly({0: 27, 1: -12, 2: 1})) == "27 - 12x + x^2"
