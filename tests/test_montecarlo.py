@@ -7,6 +7,10 @@ top of it is trusted.
 """
 
 import random
+import subprocess
+import sys
+import time
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -15,8 +19,14 @@ import pytest
 
 from ballcell.errors import BudgetExceededError, DivergentDurationError
 from ballcell.montecarlo import (
+    _GAMMA,
+    _LANES,
+    _MIX1,
+    _MIX2,
+    MASK64,
     MIN_COVERAGE,
     DurationLaw,
+    RoundTrace,
     SimBatch,
     SplitMix64,
     gof_compare,
@@ -219,3 +229,186 @@ def test_light_statistical_gate():
     # 99.9% quantile of chi-square with 8 degrees of freedom is 26.12
     assert float(rep.chi_square) < 26.12
     assert float(rep.tv_distance) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# The per-ball loop the packed engine replaced, kept as its oracle.
+
+
+def _reference_play(r: int, n: int, rng: SplitMix64, record: bool):
+    balls = r
+    rounds = 0
+    traces: list[RoundTrace] = []
+    while balls:
+        rounds += 1
+        counts: dict[int, int] = {}
+        if record:
+            # Cells are labeled 1..n in traces.
+            hits = sorted(rng.below(n) + 1 for _ in range(balls))
+            for c in hits:
+                counts[c] = counts.get(c, 0) + 1
+        else:
+            for _ in range(balls):
+                c = rng.below(n)
+                counts[c] = counts.get(c, 0) + 1
+        captured = sum(1 for v in counts.values() if v == 1)
+        if record:
+            traces.append(RoundTrace(rounds, balls, tuple(hits), captured))
+        balls -= captured
+    return rounds, tuple(traces)
+
+
+def _reference_game(r: int, n: int, seed: int) -> int:
+    return _reference_play(r, n, SplitMix64(seed), record=False)[0]
+
+
+def _reference_verbose(r: int, n: int, seed: int):
+    return _reference_play(r, n, SplitMix64(seed), record=True)
+
+
+def _assert_matches_reference(r: int, n: int, seed: int) -> None:
+    assert simulate_game(r, n, seed) == _reference_game(r, n, seed)
+    assert simulate_game_verbose(r, n, seed) == _reference_verbose(r, n, seed)
+
+
+# r = 0, (1, 1), (1, n), n = 2, powers of two (no word is ever rejected),
+# odd n, and more balls than cells.
+ORACLE_STATES = [(0, 1), (0, 5), (1, 1), (1, 6), (1, 9), (2, 2), (6, 2), (4, 8), (9, 16),
+                 (5, 3), (7, 7), (12, 13), (10, 4), (20, 37)]
+
+
+@pytest.mark.parametrize("r,n", ORACLE_STATES)
+def test_games_match_per_ball_reference(r, n):
+    for seed in (0, 1, 2022, 2**63 + 5, MASK64):
+        _assert_matches_reference(r, n, seed)
+
+
+@pytest.mark.parametrize("r,n", [(0, 3), (1, 1), (2, 2), (8, 9), (8, 16), (13, 25)])
+def test_batch_matches_per_ball_reference_around_chunk_size(r, n):
+    chunk = max(1, _LANES // max(r, 1))
+    for trials in (1, chunk - 1, chunk, chunk + 1):
+        seed = 7919 * trials + r
+        batch = simulate_batch(r, n, trials, seed)
+        assert batch.durations == tuple(_reference_game(r, n, trial_seed(seed, i)) for i in range(trials))
+
+
+def test_round_larger_than_one_draw_is_split():
+    r, n = _LANES + 5, 4099
+    for seed in (3, 44):
+        _assert_matches_reference(r, n, seed)
+    batch = simulate_batch(r, n, 2, 12)
+    assert batch.durations == tuple(_reference_game(r, n, trial_seed(12, i)) for i in range(2))
+
+
+# ---------------------------------------------------------------------------
+# Rejected words, placed on purpose by inverting the output mix.
+
+
+def _unshift(z: int, k: int) -> int:
+    """Inverse of z ^ (z >> k) on 64-bit words."""
+    x = z
+    for _ in range(64 // k + 1):
+        x = z ^ (x >> k)
+    return x
+
+
+def _unmix64(w: int) -> int:
+    z = _unshift(w, 31)
+    z = (z * pow(_MIX2, -1, 1 << 64)) & MASK64
+    z = _unshift(z, 27)
+    z = (z * pow(_MIX1, -1, 1 << 64)) & MASK64
+    return _unshift(z, 30)
+
+
+def _seed_for_word(word: int, index: int = 0) -> int:
+    """Stream seed whose word `index` (0-based) is `word`."""
+    return (_unmix64(word) - (index + 1) * _GAMMA) & MASK64
+
+
+# Stream whose first word is 2^64 - 1, rejected by below(n) for every n
+# that is not a power of two; and a batch seed whose trial 0 runs on it.
+REJECT_STREAM = 0x31628AF67B2131AB
+REJECT_BATCH = 0x1FDB84807C8BC327
+
+
+def test_rejection_seeds_are_built_by_inverting_the_mix():
+    for w in (0, 1, MASK64, 0x0123456789ABCDEF):
+        g = SplitMix64(_seed_for_word(w, 4))
+        assert [g.next_u64() for _ in range(5)][4] == w
+    assert _seed_for_word(MASK64) == REJECT_STREAM
+    assert SplitMix64(REJECT_STREAM).next_u64() == MASK64
+    assert _seed_for_word(REJECT_STREAM) == REJECT_BATCH
+    assert trial_seed(REJECT_BATCH, 0) == REJECT_STREAM
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 10, 4, 8])
+def test_rejected_first_word_matches_reference(n):
+    for r in (1, 2, 4, 9):
+        _assert_matches_reference(r, n, REJECT_STREAM)
+    batch = simulate_batch(4, n, 5, REJECT_BATCH)
+    assert batch.durations == tuple(_reference_game(4, n, trial_seed(REJECT_BATCH, i)) for i in range(5))
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_rejected_word_mid_round_matches_reference(k):
+    r, n = 7, 5
+    # Ball k + 1 of the first round draws the rejected word.
+    seed = (REJECT_STREAM - k * _GAMMA) & MASK64
+    _assert_matches_reference(r, n, seed)
+    # The same stream as trial 2 of a batch, among games that draw no
+    # rejected word in that round.
+    batch_seed = _seed_for_word(seed, 2)
+    assert trial_seed(batch_seed, 2) == seed
+    batch = simulate_batch(r, n, 9, batch_seed)
+    assert batch.durations == tuple(_reference_game(r, n, trial_seed(batch_seed, i)) for i in range(9))
+
+
+@pytest.mark.parametrize("n", [3, 10, 1000003, 9999991])
+def test_words_at_the_rejection_limit_match_reference(n):
+    limit = (1 << 64) - (1 << 64) % n
+    # The smallest rejected word and the largest accepted one, at the first
+    # and the third ball of a round.
+    for word in (limit, limit - 1):
+        for index in (0, 2):
+            _assert_matches_reference(3, n, _seed_for_word(word, index))
+
+
+def test_rejected_word_in_a_split_round_matches_reference():
+    r, n = _LANES + 3, 2 * _LANES + 1
+    # The rejected word falls in the second draw of the first round.
+    _assert_matches_reference(r, n, (REJECT_STREAM - (_LANES + 1) * _GAMMA) & MASK64)
+
+
+# ---------------------------------------------------------------------------
+# Resource guards.
+
+
+def test_simulation_imports_no_numpy_or_scipy():
+    code = (
+        "import sys, ballcell\n"
+        "ballcell.simulate_batch(5, 7, 300, 1)\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_batch_memory_stays_bounded():
+    trials = 10**5
+    tracemalloc.start()
+    try:
+        simulate_batch(10, 10, trials, 99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The durations list and tuple take 8 bytes a trial each; the draws and
+    # counts of one chunk stay well under a megabyte whatever the trial count.
+    assert peak < 16 * trials + 2**20
+
+
+def test_large_round_budget():
+    start = time.perf_counter()
+    batch = simulate_batch(5000, 10000, 3, 31)
+    elapsed = time.perf_counter() - start
+    assert batch.durations == tuple(_reference_game(5000, 10000, trial_seed(31, i)) for i in range(3))
+    assert elapsed < 3
