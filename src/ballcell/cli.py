@@ -29,7 +29,10 @@ from .geometric import (
     chain_mean,
     chain_variance,
 )
-from .montecarlo import DurationLaw, gof_compare, simulate_batch, simulate_game_verbose, trial_seed
+
+# simulate_game_verbose is no longer called here, but perfbench/tracer.py
+# wraps cli.simulate_game_verbose by name, so the attribute stays.
+from .montecarlo import DurationLaw, _simulate_batch, gof_compare, simulate_batch, simulate_game_verbose  # noqa: F401
 from .pgf import (
     duration_distribution,
     duration_variance,
@@ -248,7 +251,7 @@ def _cmd_geo(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    batch = simulate_batch(args.balls, args.cells, args.trials, args.seed)
+    batch, traces = _simulate_batch(args.balls, args.cells, args.trials, args.seed, record=args.verbose)
     result = {
         "balls": batch.balls,
         "cells": batch.cells,
@@ -259,26 +262,17 @@ def _cmd_simulate(args) -> dict:
         "histogram": {str(k): v for k, v in batch.histogram.items()},
     }
     if args.verbose:
-        games = []
-        for i in range(args.trials):
-            duration, rounds = simulate_game_verbose(
-                args.balls, args.cells, trial_seed(args.seed, i)
-            )
-            games.append(
-                {
-                    "trial": i,
-                    "duration": duration,
-                    "rounds": [
-                        {
-                            "round": t.round_index,
-                            "balls": t.balls_before,
-                            "captured": t.captured,
-                        }
-                        for t in rounds
-                    ],
-                }
-            )
-        result["games"] = games
+        result["games"] = [
+            {
+                "trial": i,
+                "duration": duration,
+                "rounds": [
+                    {"round": t.round_index, "balls": t.balls_before, "captured": t.captured}
+                    for t in rounds
+                ],
+            }
+            for i, (duration, rounds) in enumerate(zip(batch.durations, traces))
+        ]
     if args.gof:
         law = DurationLaw.compute(args.balls, args.cells)
         rep = gof_compare(batch, law)

@@ -100,17 +100,19 @@ def transition_prob(n: int, r: int, t: int) -> Fraction:
 
 @lru_cache(maxsize=64)
 def _symbolic_row_numerators(r: int) -> tuple[Poly, ...]:
-    """Numerators over n^r of the capture law of r balls, as polynomials in n.
+    """Numerators over n^r of the capture law of r balls, as polynomials in n
+    with int coefficients.
 
     The j-terms C(n,j) j! C(r,j) (n-j)^(r-j) are built once per r, the
     falling factorial C(n,j) j! = n(n-1)...(n-j+1) one factor at a time, and
     the row is their inverse binomial transform, as for numeric n.
     """
     terms = []
-    falling = Poly.const(1)
+    falling = Poly._adopt({0: 1})
     for j in range(r + 1):
-        shift = Poly({1: Fraction(1), 0: Fraction(-j)})
-        terms.append(falling * shift ** (r - j) * comb(r, j))
+        shift = Poly._adopt({1: 1, 0: -j} if j else {1: 1})
+        term = falling * comb(r, j)
+        terms.append(term * shift ** (r - j) if j < r else term)
         falling = falling * shift
     return tuple(_inverse_binomial(terms))
 

@@ -197,7 +197,7 @@ def _replay_rejected(states: Sequence[int], balls: Sequence[int], n: int, words:
 
 def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     """Durations of the games with r balls on n cells that start at each
-    stream state, and the rounds of the first game if `record`.
+    stream state, and with `record` the rounds of each game.
 
     Every round of all live games is one packed draw: each game's balls take
     the next words of its stream in order, ball j of a game with b balls the
@@ -206,7 +206,7 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     counted on keys game·n + cell over the whole round.
     """
     durations = [0] * len(states)
-    traces: list[RoundTrace] = []
+    traces = [[] for _ in states] if record else []
     spare = (1 << 64) % n
     limit = (1 << 64) - spare
     # The top bytes of a word >= limit are all 0xff, so a round without this
@@ -225,19 +225,22 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
             states = list(map(and_, map(add, states, map(mul, balls, repeat(_GAMMA))), repeat(MASK64)))
         if record:
             cells = list(cells)
-            hits = tuple(sorted(map(add, cells, repeat(1))))  # cells are labeled 1..n in traces
         owners = chain.from_iterable(map(repeat, range(0, len(live) * n, n), balls))
         counts = Counter(map(add, owners, cells))
         captured = Counter(map(floordiv, compress(counts, map(eq, counts.values(), repeat(1))), repeat(n)))
         left = list(map(sub, balls, map(captured.get, range(len(live)), repeat(0))))
         if record:
-            traces.append(RoundTrace(rounds, balls[0], hits, balls[0] - left[0]))
+            start = 0
+            for i, b, rest in zip(live, balls, left):
+                hits = tuple(sorted(map(add, cells[start:start + b], repeat(1))))  # cells are labeled 1..n
+                traces[i].append(RoundTrace(rounds, b, hits, b - rest))
+                start += b
         for i in compress(live, map(not_, left)):
             durations[i] = rounds
         live = list(compress(live, left))
         states = list(compress(states, left))
         balls = list(compress(left, left))
-    return durations, tuple(traces)
+    return durations, [tuple(t) for t in traces]
 
 
 def simulate_game(r: int, n: int, stream_seed: int) -> int:
@@ -259,7 +262,7 @@ def simulate_game_verbose(r: int, n: int, stream_seed: int) -> tuple[int, tuple[
     draw sequence does not depend on whether it is being recorded.
     """
     _check_sim_state(r, n)
-    (duration,), traces = _play(r, n, [stream_seed & MASK64], record=True)
+    (duration,), (traces,) = _play(r, n, [stream_seed & MASK64], record=True)
     return duration, traces
 
 
@@ -287,15 +290,25 @@ def simulate_batch(r: int, n: int, trials: int, seed: int) -> SimBatch:
     The duration multiset is a pure function of (r, n, trials, seed): trial i
     always runs on trial_seed(seed, i), and results are kept in trial order.
     """
+    return _simulate_batch(r, n, trials, seed)[0]
+
+
+def _simulate_batch(r: int, n: int, trials: int, seed: int, record: bool = False):
+    """simulate_batch, and with `record` the rounds of every trial from the
+    same pass, each as simulate_game_verbose(r, n, trial_seed(seed, i))
+    records them."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_sim_state(r, n)
     chunk = max(1, _LANES // max(r, 1))
     durations: list[int] = []
+    traces: list[tuple[RoundTrace, ...]] = []
     for first in range(0, trials, chunk):
         # The chunk's trial seeds are the next words of the batch stream.
         seeds = _draw([(seed + first * _GAMMA) & MASK64], [min(chunk, trials - first)])
-        durations += _play(r, n, seeds)[0]
+        played, recorded = _play(r, n, seeds, record)
+        durations += played
+        traces += recorded
     mean = Fraction(sum(durations), trials)
     variance = Fraction(sum(d * d for d in durations), trials) - mean * mean
     return SimBatch(
@@ -307,7 +320,7 @@ def simulate_batch(r: int, n: int, trials: int, seed: int) -> SimBatch:
         histogram=dict(sorted(Counter(durations).items())),
         mean=to_decimal(mean),
         variance=to_decimal(variance),
-    )
+    ), traces
 
 
 @dataclass(frozen=True)

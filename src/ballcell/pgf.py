@@ -17,10 +17,17 @@ One table, keyed by cell count (None for symbolic n), holds every level,
 and one loop grows it for numeric and symbolic n alike; a small row adapter
 supplies what depends on the ring.  Each level is a numerator over
 {factor: power}, and the only factors the recurrence introduces are b - a*x
-from the reduced stay probability a/b (plus the monomial n when n is
-symbolic).  These factors are irreducible, so dividing out each one that
-divides the numerator exactly leaves a reduced quotient, and no polynomial
-gcd is ever computed.
+from the reduced stay probability a/b, and n, since every capture
+probability enters as an integer over n^r.  The factors b - a*x are
+irreducible, so dividing out each factor that divides the numerator exactly
+leaves a reduced quotient, and no polynomial gcd is ever computed.
+
+The table works over the integers: every polynomial it builds has int
+coefficients, and exact division by a factor is integer long division,
+which by Gauss's lemma fails exactly when the factor does not divide.  Each
+level is handed out as a reduced function with Fraction coefficients, built
+once when the level is appended; every coefficient a caller sees is a
+Fraction.
 
 Moments come from one chain for numeric and symbolic n, run in the
 coefficient ring (integers, or polynomials in n) over powers of d1 = den(1);
@@ -37,13 +44,24 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import mul
 
 from .errors import BudgetExceededError, DivergentDurationError
-from .game import _check_state, _row_numerators, transition_prob_symbolic, transition_row
-from .polys import Poly, Poly2, poly2_div_exact, poly_div_exact
+
+# transition_prob_symbolic and poly2_div_exact are no longer called here, but
+# perfbench/tracer.py wraps pgf.transition_prob_symbolic and
+# pgf.poly2_div_exact by name, so the attributes stay.
+from .game import (  # noqa: F401
+    _check_state,
+    _row_numerators,
+    _symbolic_row_numerators,
+    transition_prob_symbolic,
+    transition_row,
+)
+from .polys import Poly, Poly2, int_div_exact, poly2_div_exact  # noqa: F401
 from .ratfuncs import RatFunc, RatFunc2, _ring_terms, _series_numerators
 from .scalars import decimal_sqrt
 
@@ -130,10 +148,11 @@ def _check_symbolic(r: int, max_balls: int) -> None:
 # The PGF table, grown bottom-up and cached per context.  Keyed by cell count,
 # None standing for symbolic n; each level is (numerator, {factor: power},
 # reduced function), with the denominator factored as the module docstring
-# describes.  Factors are primitive with a positive head term, so associate
-# factors meet as equal keys and the merge never needs a gcd.  Entries are
-# replaced wholesale (never mutated in place) so completed levels are always
-# safe to read from other threads.
+# describes.  Numerator and factors have int coefficients, the function
+# Fraction ones.  Factors are primitive with a positive head term, so
+# associate factors meet as equal keys and the merge never needs a gcd.
+# Entries are replaced wholesale (never mutated in place) so completed levels
+# are always safe to read from other threads.
 
 _LEVELS: dict[int | None, list[tuple]] = {}
 
@@ -150,7 +169,7 @@ def _merge_terms(terms: list, x, stay) -> tuple:
         for f, m in own.items():
             if m > den.get(f, 0):
                 den[f] = m
-    total = 0
+    total = x.zero()
     for num, own in terms:
         for f, m in den.items():
             extra = m - own.get(f, 0)
@@ -168,10 +187,11 @@ def _merge_terms(terms: list, x, stay) -> tuple:
 def _cancel_factors(num, den: dict, div_exact) -> tuple:
     """Divide out every denominator factor that exactly divides the numerator.
 
-    Each factor is irreducible (the monomial n, or a polynomial linear and
-    primitive in x), so repeated exact division is a complete reduction: what
-    survives is provably coprime to the numerator.  A zero numerator returns
-    at once over the empty denominator, since every division would succeed.
+    Each factor is n (the monomial, or for numeric n a constant, a unit) or
+    irreducible, linear and primitive in x, so repeated exact division is a
+    complete reduction: what survives is provably coprime to the numerator.
+    A zero numerator returns at once over the empty denominator, since every
+    division would succeed.
     """
     if num.is_zero():
         return num, {}
@@ -196,54 +216,57 @@ def _expand(den: dict, one):
     return out
 
 
-# Row adapter: all that depends on whether n is a number or a symbol.
+# Ring adapter: all that depends on whether n is a number or a symbol.
 
 
 def _ring(n: int | None) -> tuple:
-    """Unit, x, exact division and quotient class of the table for n."""
+    """Unit, x, the factor n, the capture row of r balls and the quotient
+    class of the table for n."""
     if n is None:
-        return Poly2.const(1), Poly2.var_x(), poly2_div_exact, RatFunc2
-    return Poly.const(1), Poly.var(), poly_div_exact, RatFunc
+        one, x, var_n = (Poly2._adopt({key: 1}) for key in ((0, 0), (0, 1), (1, 0)))
+        return one, x, var_n, _symbolic_row, RatFunc2
+    return Poly._adopt({0: 1}), Poly._adopt({1: 1}), Poly._adopt({0: n}), partial(_numeric_row, n), RatFunc
 
 
-def _row(n: int | None, r: int) -> tuple:
-    """The capture law of r balls in the table's ring.
+def _numeric_row(n: int, r: int) -> list[Poly]:
+    """a, b and A_1..A_r as constants: p_0 = a/b reduced, p_t = A_t/n^r."""
+    a, *caps = _row_numerators(n, r)
+    b = n**r
+    g = gcd(a, b)
+    return [Poly._adopt({0: v} if v else {}) for v in (a // g, b // g, *caps)]
 
-    Returns p_0 reduced as (a, b), and p_t for t = 1..r as (scale,
-    {factor: power}) with p_t = scale / prod(factor^power): (p, {}) for
-    numeric n, and (A, {n: e}) for p_t = A/n^e when n is symbolic.
-    """
-    if n is not None:
-        probs = transition_row(n, r).probs
-        return (probs[0].numerator, probs[0].denominator), [(p, {}) for p in probs[1:]]
-    # transition_prob_symbolic returns each p_t reduced over a power of n
-    var_n = Poly2.var_n()
-    p0, *rest = [transition_prob_symbolic(r, t) for t in range(r + 1)]
-    return (p0.num, p0.den), [(p.num, {var_n: p.den.degree_n()}) for p in rest]
+
+def _symbolic_row(r: int) -> list[Poly2]:
+    """As _numeric_row for symbolic n.  n^r has no factor but n, so dividing
+    the lowest power of n out of A_0 reduces p_0 = A_0/n^r."""
+    a, *caps = _symbolic_row_numerators(r)
+    low = a.min_exponent() if a else r
+    a = Poly2._adopt({(e - low, 0): v for e, v in a.items()})
+    return [a, Poly2._adopt({(r - low, 0): 1}), *map(Poly2.from_poly_in_n, caps)]
 
 
 def _levels(n: int | None, rmax: int) -> list[tuple]:
     """Levels 0..rmax (at least) of the table for n, grown as needed.
 
     The stay factor b - a*x of the reduced p_0 = a/b is primitive and linear
-    in x; the capture probabilities add only their own factors (powers of n).
+    in x; the capture probabilities add only powers of n.
     """
     levels = _LEVELS.get(n)
     if levels is not None and len(levels) > rmax:
         return levels
-    one, x, div_exact, quotient = _ring(n)
-    levels = list(levels or [(one, {}, quotient.from_coprime(one, one))])
+    one, x, var_n, row, quotient = _ring(n)
+    levels = list(levels or [(one, {}, quotient.from_fraction(Q1))])
     for r in range(len(levels), rmax + 1):
-        (a, b), row = _row(n, r)
+        a, b, *caps = row(r)
         terms = []
-        for t, (scale, own) in enumerate(row, 1):
+        for t, scale in enumerate(caps, 1):
             if scale:
                 num, den = levels[r - t][:2]
-                own = {f: den.get(f, 0) + m for f, m in own.items()}
-                terms.append((scale * num, {**den, **own}))
+                terms.append((scale * num, {**den, var_n: den.get(var_n, 0) + r}))
         stay = (b, b - a * x) if a else None
-        num, den = _cancel_factors(*_merge_terms(terms, x, stay), div_exact)
-        levels.append((num, den, quotient.from_coprime(num, _expand(den, one))))
+        num, den = _cancel_factors(*_merge_terms(terms, x, stay), int_div_exact)
+        func = quotient.from_coprime(num.fractions(), _expand(den, one).fractions())
+        levels.append((num, den, func))
     _LEVELS[n] = levels
     return levels
 
@@ -263,7 +286,7 @@ def symbolic_den_factors(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> l
     den = _levels(None, r)[r][1]
     factors = []
     for f, m in den.items():
-        factors.extend([f] * m)
+        factors.extend([f.fractions()] * m)
     factors.sort(key=lambda f: (f.degree_n(), f.degree_x(), sorted(f.items())))
     return factors
 

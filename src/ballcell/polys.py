@@ -1,18 +1,23 @@
 """Sparse exact polynomials in one and two variables.
 
-Coefficients are ``fractions.Fraction`` everywhere; there is no floating point
-in this module.  ``Poly`` maps exponent -> coefficient for a single variable
-(the letter is chosen at render time, so the same class serves polynomials in
-x and polynomials in n).  ``Poly2`` maps (deg_n, deg_x) -> coefficient for the
+Every polynomial built through the public constructors has
+``fractions.Fraction`` coefficients; there is no floating point in this
+module.  ``Poly`` maps exponent -> coefficient for a single variable (the
+letter is chosen at render time, so the same class serves polynomials in x
+and polynomials in n).  ``Poly2`` maps (deg_n, deg_x) -> coefficient for the
 bivariate ring Q[n, x].  Both share one sparse core, ``_Sparse``, which holds
 construction, equality, the ring operations and the content; each class adds
 only the queries that depend on its monomial keys.
 
+The ring operations keep the type of the coefficients they are given, so a
+polynomial adopted with int coefficients stays over the integers.  The PGF
+table works that way: it divides with ``int_div_exact`` (long division over
+Z or Z[n]) and hands its results out through ``fractions``.
+
 Degrees in this package stay small (at most a few hundred) while coefficients
 grow large, so the representation favors simplicity: dict arithmetic on top of
-big-integer Fractions.  Values are never mutated after construction; every
-operation returns a fresh object, which keeps everything safe to share across
-threads.
+big integers.  Values are never mutated after construction; every operation
+returns a fresh object, which keeps everything safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,13 +40,15 @@ def _as_fraction(v) -> Fraction:
 
 
 class _Sparse:
-    """Sparse map monomial key -> nonzero Fraction, the core of Poly and Poly2.
+    """Sparse map monomial key -> nonzero coefficient, the core of Poly and
+    Poly2.
 
     A subclass names the key of the constant monomial (``_UNIT``), validates
     keys given from outside (``_check_key``) and multiplies two keys
     (``_key_mul``).  Only input from outside goes through ``__init__``'s
-    checks: every operation here drops the zero coefficients it produces, so
-    its result adopts its dict as is.
+    checks, which make every coefficient a Fraction: every operation here
+    drops the zero coefficients it produces and keeps the type of the
+    coefficients, so its result adopts its dict as is.
     """
 
     __slots__ = ("_c",)
@@ -102,11 +109,11 @@ class _Sparse:
             return NotImplemented
         c = dict(self._c)
         for k, v in other._c.items():
-            s = c.get(k, Q0) + v
+            s = c[k] + v if k in c else v
             if s:
                 c[k] = s
             else:
-                c.pop(k, None)
+                del c[k]
         return self._adopt(c)
 
     __radd__ = __add__
@@ -133,26 +140,32 @@ class _Sparse:
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():
                 k = key_mul(k1, k2)
-                s = c.get(k, Q0) + v1 * v2
-                if s:
-                    c[k] = s
+                if k in c:
+                    c[k] += v1 * v2
                 else:
-                    c.pop(k, None)
-        return self._adopt(c)
+                    c[k] = v1 * v2
+        return self._adopt({k: v for k, v in c.items() if v})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.const(1)
+        # No unit factor, so int coefficients stay ints; p**0 is const(1).
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return self.const(1) if result is None else result
+
+    def fractions(self):
+        """The same polynomial with every coefficient a Fraction, the form in
+        which an integer table hands its values out."""
+        return self._adopt({k: Fraction(v) for k, v in self._c.items()})
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients.
@@ -270,14 +283,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def poly_div_exact(p: Poly, d: Poly) -> Poly:
-    """Exact division in Q[x]; raises if d does not divide p."""
-    q, rem = divmod(p, d)
-    if not rem.is_zero():
-        raise ValueError("inexact polynomial division")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -502,3 +507,55 @@ def _normalize_gcd(g: Poly2) -> Poly2:
     if g.head_coeff() < 0:
         g = -g
     return g
+
+
+# ---------------------------------------------------------------------------
+# Integer division
+
+
+def _int_quotient(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def int_div_exact(p: Poly | Poly2, d: Poly | Poly2) -> Poly | Poly2:
+    """Exact quotient p/d of two polynomials of one class with int
+    coefficients, by long division in x over Z (Poly) or over Z[n] (Poly2,
+    each step an int long division in n).  The quotient has int coefficients.
+
+    Raises ValueError at the first step that does not divide exactly.  For a
+    primitive d this proves that d does not divide p even over Q: by Gauss's
+    lemma the rational quotient would have integer coefficients, and long
+    division over Q takes the same steps until the first one that is not
+    integral.
+    """
+    if isinstance(p, Poly2):
+        rest, divisor, quotient = p.as_x_coeffs(), d.as_x_coeffs(), int_div_exact
+    else:
+        rest, divisor, quotient = dict(p.items()), dict(d.items()), _int_quotient
+    if not divisor:
+        raise ZeroDivisionError("polynomial division by zero")
+    top = max(divisor)
+    lead = divisor.pop(top)
+    q = {}
+    # Each step only touches powers below its own, so one downward sweep
+    # visits every power that can still be nonzero.
+    for e in range(max(rest, default=-1), top - 1, -1):
+        if e not in rest:
+            continue
+        c = quotient(rest.pop(e), lead)
+        q[e - top] = c
+        for j, v in divisor.items():
+            k = e - top + j
+            s = rest[k] - c * v if k in rest else -(c * v)
+            if s:
+                rest[k] = s
+            else:
+                del rest[k]
+    if rest:
+        raise ValueError("inexact polynomial division")
+    if isinstance(p, Poly2):
+        return Poly2._adopt({(dn, dx): v for dx, c in q.items() for dn, v in c.items()})
+    return Poly._adopt(q)

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from ballcell import __version__, cli
+from ballcell.montecarlo import simulate_game_verbose, trial_seed
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +202,16 @@ def test_simulate_verbose_games(capsys):
     for game in games:
         assert game["duration"] == len(game["rounds"])
         assert sum(rd["captured"] for rd in game["rounds"]) == 3
+    # Each game is the one simulate_game_verbose plays on the trial's seed.
+    for i, game in enumerate(games):
+        duration, rounds = simulate_game_verbose(3, 3, trial_seed(2, i))
+        assert game == {
+            "trial": i,
+            "duration": duration,
+            "rounds": [
+                {"round": t.round_index, "balls": t.balls_before, "captured": t.captured} for t in rounds
+            ],
+        }
 
 
 def test_simulate_gof_section(capsys):

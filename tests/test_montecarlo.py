@@ -26,6 +26,7 @@ from ballcell.montecarlo import (
     MASK64,
     MIN_COVERAGE,
     DurationLaw,
+    _simulate_batch,
     RoundTrace,
     SimBatch,
     SplitMix64,
@@ -371,6 +372,17 @@ def test_words_at_the_rejection_limit_match_reference(n):
     for word in (limit, limit - 1):
         for index in (0, 2):
             _assert_matches_reference(3, n, _seed_for_word(word, index))
+
+
+@pytest.mark.parametrize("r,n", [(0, 3), (1, 1), (4, 5), (8, 9), (13, 25)])
+def test_recorded_batch_matches_per_ball_reference(r, n):
+    # simulate --verbose takes every game's rounds from the batch's own pass.
+    chunk = max(1, _LANES // max(r, 1))
+    for trials, seed in ((5, REJECT_BATCH), (chunk + 1, 99)):
+        batch, traces = _simulate_batch(r, n, trials, seed, record=True)
+        assert batch == simulate_batch(r, n, trials, seed)
+        want = [_reference_verbose(r, n, trial_seed(seed, i)) for i in range(trials)]
+        assert list(zip(batch.durations, traces)) == want
 
 
 def test_rejected_word_in_a_split_round_matches_reference():

@@ -11,10 +11,13 @@ from math import comb, factorial
 
 import pytest
 
-from ballcell import reference
+from ballcell import pgf, reference
 from ballcell.errors import BudgetExceededError, DivergentDurationError
-from ballcell.game import transition_row
+from ballcell.game import transition_prob_symbolic, transition_row
 from ballcell.pgf import (
+    _cancel_factors,
+    _expand,
+    _merge_terms,
     diagonal_sequence,
     duration_distribution,
     duration_variance,
@@ -27,7 +30,7 @@ from ballcell.pgf import (
     pgf_symbolic,
     symbolic_den_factors,
 )
-from ballcell.polys import Poly, Poly2
+from ballcell.polys import Poly, Poly2, poly2_div_exact
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
 
 X = Poly.var()
@@ -151,6 +154,93 @@ def test_symbolic_ceiling():
         pgf_symbolic(9, max_balls=8)
     with pytest.raises(BudgetExceededError):
         symbolic_den_factors(9, max_balls=8)
+
+
+def _poly_div_exact(p, d):
+    q, rem = divmod(p, d)
+    if not rem.is_zero():
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def _fraction_levels(n, rmax):
+    """The table grown on Fraction coefficients, as it was before it ran on
+    ints: rows from the reduced transition probabilities, exact division over
+    Q.  The oracle for pgf._levels; it shares only the merge, cancel and
+    expand steps, which work in any ring."""
+    if n is None:
+        one, x, div_exact, quotient = Poly2.const(1), Poly2.var_x(), poly2_div_exact, RatFunc2
+    else:
+        one, x, div_exact, quotient = Poly.const(1), Poly.var(), _poly_div_exact, RatFunc
+    levels = [(one, {}, quotient.from_coprime(one, one))]
+    for r in range(1, rmax + 1):
+        if n is None:
+            p0, *rest = [transition_prob_symbolic(r, t) for t in range(r + 1)]
+            a, b = p0.num, p0.den
+            row = [(p.num, {Poly2.var_n(): p.den.degree_n()}) for p in rest]
+        else:
+            probs = transition_row(n, r).probs
+            a, b = probs[0].numerator, probs[0].denominator
+            row = [(p, {}) for p in probs[1:]]
+        terms = []
+        for t, (scale, own) in enumerate(row, 1):
+            if scale:
+                num, den = levels[r - t][:2]
+                own = {f: den.get(f, 0) + m for f, m in own.items()}
+                terms.append((scale * num, {**den, **own}))
+        stay = (b, b - a * x) if a else None
+        num, den = _cancel_factors(*_merge_terms(terms, x, stay), div_exact)
+        levels.append((num, den, quotient.from_coprime(num, _expand(den, one))))
+    return levels
+
+
+def _int_levels(n, rmax):
+    pgf._LEVELS.pop(n, None)
+    return pgf._levels(n, rmax)
+
+
+def test_integer_table_matches_fraction_table():
+    pairs = zip(_int_levels(None, 12), _fraction_levels(None, 12), strict=True)
+    for (num, den, func), (ref_num, ref_den, ref_func) in pairs:
+        assert (func.num, func.den) == (ref_func.num, ref_func.den)
+        assert num == ref_num and den == ref_den
+    # A numeric level also keeps the powers of n its rows bring in: every
+    # other factor and the function agree, and the numerator by that power.
+    for n in range(1, 13):
+        var_n = Poly.const(n)
+        pairs = zip(_int_levels(n, 12), _fraction_levels(n, 12), strict=True)
+        for (num, den, func), (ref_num, ref_den, ref_func) in pairs:
+            assert (func.num, func.den) == (ref_func.num, ref_func.den), n
+            k = den.get(var_n, 0)
+            assert num == ref_num * n**k, n
+            assert {f: m for f, m in den.items() if f != var_n} == ref_den, n
+    assert _int_levels(1, 5)[5][0].is_zero() and pgf_numeric(5, 1).func.is_zero()
+
+
+def _coefficients(p):
+    return [v for _, v in p.items()]
+
+
+def test_public_coefficients_are_fractions():
+    for r in range(0, 10):
+        funcs = [pgf_symbolic(r).func] + [pgf_numeric(r, n).func for n in range(1, 7)]
+        polys = [p for f in funcs for p in (f.num, f.den)]
+        polys += symbolic_den_factors(r)
+        polys += [p for t in range(r + 1) for f in [transition_prob_symbolic(r, t)] for p in (f.num, f.den)]
+        assert all(type(v) is Fraction for p in polys for v in _coefficients(p)), r
+    for levels in pgf._LEVELS.values():
+        for _, _, func in levels:
+            assert all(type(v) is Fraction for p in (func.num, func.den) for v in _coefficients(p))
+
+
+def test_cached_table_holds_ints():
+    pgf_symbolic(10)
+    pgf_numeric(10, 6)
+    pgf_numeric(8, 1)
+    assert None in pgf._LEVELS and 6 in pgf._LEVELS
+    for levels in pgf._LEVELS.values():
+        for num, den, _ in levels:
+            assert all(type(v) is int for p in (num, *den) for v in _coefficients(p))
 
 
 def test_duration_distribution_basics():
