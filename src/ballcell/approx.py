@@ -11,10 +11,10 @@ constant.  E_n(r) is a tiny difference of enormous numbers (both terms grow
 like (n/(n-1))^r / r), so everything here is exact rational arithmetic, with
 the limit estimator switching to high-precision decimals only once exact
 numerators pass a digit budget, at a working precision wide enough to absorb
-the cancellation.  The partial sums and the limit's exact phase run on
-integer numerators over known denominators (lcm(1..r) (n-1)^(r-1) for the
-sums, the product Q_k of the mean recurrence in `pgf`), so each result is
-reduced once rather than term by term.
+the cancellation.  The partial sums and the limit's exact phase are Horner
+passes over integer numerators with known denominators: lcm(1..r) (n-1)^(r-1)
+for the sums, the product Q_k of `pgf`'s nested mean recurrence for the limit.
+Each result is reduced once, not term by term.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import ceil, lcm, log10
 # transition_row is no longer called here, but perfbench/tracer.py wraps
 # approx.transition_row by name, so the attribute stays.
 from .game import _row_numerators, transition_row  # noqa: F401
-from .pgf import _weighted, duration_variance, expected_duration
+from .pgf import duration_variance, expected_duration
 from .scalars import default_precision, to_decimal
 
 DEFAULT_LIMIT_ROUNDS = 400
@@ -160,11 +160,10 @@ def error_limit(
     a_half = approx_mean(n, half)
     a_full = approx_mean(n, rmax)
 
-    # Rolling windows of the last n steps of the integer mean recurrence in
-    # pgf (M(k) = P_k/Q_k over D_k = n^k - a_0(k)); capture rows put no mass
-    # on t > n, so the recurrence never reaches further back.  Decimal(a) /
-    # Decimal(b) is correctly rounded, so it equals to_decimal of the reduced
-    # a/b: how a value is held does not change the result.
+    # Rolling windows of the last n steps of pgf's nested integer mean
+    # recurrence (M(k) = P_k/Q_k over D_k = n^k - a_0(k)); rows put no mass on
+    # t > n.  Decimal(a) / Decimal(b) is correctly rounded, so it equals
+    # to_decimal of the reduced a/b: how a value is held does not change it.
     ps, qs, ds = [0], [1], [1]
     q = 1
     exact = True
@@ -176,9 +175,10 @@ def error_limit(
             nk = n**k
             d = nk - row[0]
             if exact:
-                p = nk * q
-                for t, a, w in _weighted(row, ds):
-                    p += a * w * ps[-t]
+                p = 0
+                for t in range(len(row) - 1, 0, -1):
+                    p = p * ds[-t] + row[t] * ps[-t]
+                p += nk * q
                 q *= d
                 # a reduced fraction is never longer than its unreduced form,
                 # so the reduced test (one gcd) is needed only past the budget

@@ -16,7 +16,7 @@ from ballcell.approx import (
 )
 from ballcell.game import transition_row
 from ballcell.pgf import duration_variance, expected_duration
-from ballcell.scalars import default_precision, to_decimal
+from ballcell.scalars import PRECISION_ENV, default_precision, to_decimal
 
 # E_3(10), frozen output of the exact pipeline.
 E3_AT_10 = Fraction(-141488086213, 8824570191360)
@@ -95,6 +95,27 @@ def test_limit_digit_budget_switch_is_lossless():
     exact_path = error_limit(3, rmax=60, digits=12)
     decimal_path = error_limit(3, rmax=60, digits=12, digit_budget=50)
     assert exact_path.estimate == decimal_path.estimate
+
+
+# error_limit(n) at the defaults (400 rounds, 50 digits) as (estimate, gap,
+# stabilized), recorded from the recurrence that summed each weighted term
+# separately.
+LIMIT_GOLDEN = {
+    3: ("0.042136583849529744200633939119875660545665144511524",
+        "1.3513115707035263881561533555778652347838542098706E-25", False),
+    4: ("0.25446153007541651904941872388474526695528921260610",
+        "9.7349530381834701965458986674849360974602142287011E-11", False),
+    5: ("0.53134273350728946058124764097247558209585393713429",
+        "0.0000051652866441127471060888725022675126311066875113773", False),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LIMIT_GOLDEN))
+def test_limit_golden_at_defaults(n, monkeypatch):
+    monkeypatch.delenv(PRECISION_ENV, raising=False)
+    est = error_limit(n)
+    assert (est.cells, est.rmax, est.digits) == (n, 400, 50)
+    assert (str(est.estimate), str(est.gap), est.stabilized) == LIMIT_GOLDEN[n]
 
 
 def test_limit_validation():

@@ -6,6 +6,7 @@ differentiated mean/variance recurrences.
 """
 
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -32,6 +33,7 @@ from ballcell.pgf import (
 )
 from ballcell.polys import Poly, Poly2, poly2_div_exact
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
+from ballcell.scalars import to_decimal
 
 X = Poly.var()
 
@@ -367,7 +369,8 @@ def _reference_mean_tables(n: int, rmax: int) -> tuple[list[Fraction], list[Frac
 def test_mean_tables_match_fraction_reference():
     # The integer tables hold unreduced numerators over a product of known
     # denominators; every query must equal the reduced term-by-term values.
-    for n, top in [(n, 60) for n in range(2, 13)] + [(2, 400)]:
+    # On the diagonal states the nested sums run over every t up to k.
+    for n, top in [(n, 60) for n in range(2, 13)] + [(2, 400), (20, 20), (32, 32), (52, 52)]:
         means, seconds = _reference_mean_tables(n, top)
         for r in range(top + 1):
             assert expected_duration(r, n) == means[r], (n, r)
@@ -380,6 +383,20 @@ def test_mean_tables_match_fraction_reference():
             expected_duration(r, 1)
         with pytest.raises(DivergentDurationError):
             duration_variance(r, 1)
+
+
+def test_fresh_diagonal_mean_table_budget():
+    # A cold (150, 150) table takes 1.5-2.3 s on a 2-vCPU Xeon VM with the
+    # nested recurrence, and 18-25 s when each weight D_{k-1} ... D_{k-t+1}
+    # is built and multiplied into a table entry.  Digits recorded from the
+    # latter.
+    pgf._MEAN_TABLES.pop(150, None)
+    started = time.perf_counter()
+    mean, variance = expected_duration(150, 150), duration_variance(150, 150)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10, f"mean and variance at (150, 150) took {elapsed:.1f}s, budget 10s"
+    assert to_decimal(mean, 30) == Decimal("4.33838798686955435760977883231")
+    assert to_decimal(variance, 30) == Decimal("0.248478514154298415926856736095")
 
 
 def test_symbolic_moments_specialize():
