@@ -14,6 +14,12 @@ polynomial adopted with int coefficients stays over the integers.  The PGF
 table works that way: it divides with ``int_div_exact`` (long division over
 Z or Z[n]) and hands its results out through ``fractions``.
 
+Greatest common divisors and exact division over Q run on the same integer
+core: each operand is split by ``primitive`` into its content and an integer
+part, gcds are a primitive remainder sequence over Z (``poly_gcd``) or over
+Z[n] (``poly2_gcd``), and ``poly2_div_exact`` divides the integer parts with
+``int_div_exact``.  Long division over Q remains only in ``Poly.__divmod__``.
+
 Degrees in this package stay small (at most a few hundred) while coefficients
 grow large, so the representation favors simplicity: dict arithmetic on top of
 big integers.  Values are never mutated after construction; every operation
@@ -178,6 +184,13 @@ class _Sparse:
         num = gcd(*(v.numerator * den // v.denominator for v in self._c.values()))
         return Fraction(abs(num), den)
 
+    def primitive(self):
+        """The content c and self/c, which has coprime int coefficients."""
+        c = self.content()
+        return c, self._adopt(
+            {k: v.numerator * c.denominator // (v.denominator * c.numerator) for k, v in self._c.items()}
+        )
+
 
 class Poly(_Sparse):
     """Univariate polynomial, sparse map exponent -> nonzero Fraction."""
@@ -271,20 +284,6 @@ class Poly(_Sparse):
         return Poly._adopt({e: v / lc for e, v in self._c.items()})
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals.
-
-    gcd(0, q) is the monic normalization of q; gcd(0, 0) is 0.  A monomial
-    c*x^e and a nonzero q have gcd x^min(e, valuation of q), read off directly.
-    """
-    if (len(p._c) == 1 and q._c) or (len(q._c) == 1 and p._c):
-        return Poly._adopt({min(*p._c, *q._c): Q1})
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 # ---------------------------------------------------------------------------
 # Bivariate layer
 
@@ -373,14 +372,6 @@ class Poly2(_Sparse):
             out.setdefault(dx, {})[dn] = v
         return {dx: Poly._adopt(c) for dx, c in out.items()}
 
-    @classmethod
-    def from_x_coeffs(cls, coeffs: Mapping[int, Poly]) -> "Poly2":
-        c: dict[tuple[int, int], Fraction] = {}
-        for dx, p in coeffs.items():
-            for dn, v in p.items():
-                c[(dn, dx)] = v
-        return cls(c)
-
     def head_coeff(self) -> Fraction:
         """Coefficient of the head term in canonical term order.
 
@@ -395,118 +386,6 @@ class Poly2(_Sparse):
         return self._c[(dn, dx)]
 
     content_rational = _Sparse.content
-
-
-def _content_in_x(p: Poly2) -> Poly:
-    """Monic gcd over Q[n] of the x-coefficient polynomials."""
-    cont = Poly.zero()
-    for poly_n in p.as_x_coeffs().values():
-        cont = poly_gcd(cont, poly_n)
-        if cont.is_constant() and not cont.is_zero():
-            break
-    return cont
-
-
-def _primitive_in_x(p: Poly2) -> Poly2:
-    cont = _content_in_x(p)
-    if cont.is_zero() or (cont.is_constant() and cont.coeff(0) == 1):
-        return p
-    return poly2_div_exact(p, Poly2.from_poly_in_n(cont))
-
-
-def poly2_div_exact(p: Poly2, d: Poly2) -> Poly2:
-    """Exact division in Q[n, x]; raises if d does not divide p."""
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return p
-    pc = p.as_x_coeffs()
-    dc = d.as_x_coeffs()
-    ddx = max(dc)
-    lead = dc[ddx]
-    q: dict[int, Poly] = {}
-    while pc:
-        pdx = max(pc)
-        if pdx < ddx:
-            raise ValueError("inexact polynomial division")
-        qc, rem = divmod(pc[pdx], lead)
-        if not rem.is_zero():
-            raise ValueError("inexact polynomial division")
-        q[pdx - ddx] = qc
-        for dx, cf in dc.items():
-            e = pdx - ddx + dx
-            s = pc.get(e, Poly.zero()) - qc * cf
-            if s.is_zero():
-                pc.pop(e, None)
-            else:
-                pc[e] = s
-    return Poly2.from_x_coeffs(q)
-
-
-def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    """Pseudo-remainder of a by b, both nonempty {deg_x: Poly in n} views."""
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        shift = dr - db
-        # r <- lb*r - lr * x^shift * b ; kills the x^dr term without division.
-        new: dict[int, Poly] = {}
-        for e, cf in r.items():
-            new[e] = cf * lb
-        for e, cf in b.items():
-            e2 = e + shift
-            s = new.get(e2, Poly.zero()) - lr * cf
-            if s.is_zero():
-                new.pop(e2, None)
-            else:
-                new[e2] = s
-        new.pop(dr, None)
-        r = new
-    return r
-
-
-def poly2_gcd(p: Poly2, q: Poly2) -> Poly2:
-    """GCD over Q[n, x] via content/primitive-part recursion on x.
-
-    The result is unique up to a rational constant; it is normalized to have
-    coprime integer coefficients and a positive head term (see
-    ``Poly2.head_coeff``).
-    """
-    if p.is_zero():
-        return _normalize_gcd(q)
-    if q.is_zero():
-        return _normalize_gcd(p)
-
-    cont_gcd = poly_gcd(_content_in_x(p), _content_in_x(q))
-    a = _primitive_in_x(p)
-    b = _primitive_in_x(q)
-    if a.degree_x() < b.degree_x():
-        a, b = b, a
-    # Primitive pseudo-remainder sequence in x.
-    while True:
-        bc = b.as_x_coeffs()
-        if max(bc) == 0:
-            # b is a polynomial in n alone; the x-primitive parts are coprime in x.
-            g = Poly2.from_poly_in_n(cont_gcd)
-            return _normalize_gcd(g)
-        r = _pseudo_rem(a.as_x_coeffs(), bc)
-        if not r:
-            g = Poly2.from_poly_in_n(cont_gcd) * _primitive_in_x(b)
-            return _normalize_gcd(g)
-        a, b = b, _primitive_in_x(Poly2.from_x_coeffs(r))
-
-
-def _normalize_gcd(g: Poly2) -> Poly2:
-    if g.is_zero():
-        return g
-    c = g.content()
-    g = g * (1 / c)
-    if g.head_coeff() < 0:
-        g = -g
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -559,3 +438,102 @@ def int_div_exact(p: Poly | Poly2, d: Poly | Poly2) -> Poly | Poly2:
     if isinstance(p, Poly2):
         return Poly2._adopt({(dn, dx): v for dx, c in q.items() for dn, v in c.items()})
     return Poly._adopt(q)
+
+
+# ---------------------------------------------------------------------------
+# Greatest common divisors
+
+
+def _prs_gcd(a: dict, b: dict, content, quotient) -> dict:
+    """gcd of two nonzero polynomials {power: coefficient} over a coefficient
+    ring R, by Brown's primitive remainder sequence: `content(*cs)` is a gcd
+    in R and `quotient(c, g)` an exact division there.  Every pseudo-
+    remainder is divided by its content, which keeps the coefficients small.
+    The result, unique up to a unit of R, is the gcd of the two contents
+    times the last nonzero remainder.
+    """
+    ca, cb = content(*a.values()), content(*b.values())
+    common = content(ca, cb)
+    a = {e: quotient(v, ca) for e, v in a.items()}
+    b = {e: quotient(v, cb) for e, v in b.items()}
+    if max(a) < max(b):
+        a, b = b, a
+    while top := max(b):
+        lead = b[top]
+        r = dict(a)
+        # Each step scales the rest by lead and cancels its own power; as in
+        # int_div_exact, one downward sweep visits every power left.
+        for d in range(max(r), top - 1, -1):
+            if d not in r:
+                continue
+            c = r.pop(d)
+            r = {e: v * lead for e, v in r.items()}
+            for e, v in b.items():
+                k = d - top + e
+                if k != d:
+                    s = r[k] - c * v if k in r else -(c * v)
+                    if s:
+                        r[k] = s
+                    else:
+                        del r[k]
+        if not r:
+            return {e: v * common for e, v in b.items()}
+        g = content(*r.values())
+        a, b = b, {e: quotient(v, g) for e, v in r.items()}
+    # A primitive b constant in x is a unit: the primitive parts are coprime.
+    return {0: common}
+
+
+def _gcd_n(*cs: Poly) -> Poly:
+    """gcd in Z[n] of Polys with int coefficients, the content of a Poly2's
+    remainder sequence: the same sequence one level down, over Z."""
+    g = cs[0]._c
+    for c in cs[1:]:
+        if g == {0: 1}:
+            break
+        g = _prs_gcd(g, c._c, gcd, _int_quotient)
+    return Poly._adopt(g)
+
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic greatest common divisor over the rationals, from the remainder
+    sequence of the primitive integer parts.
+
+    gcd(0, q) is the monic normalization of q; gcd(0, 0) is 0.  A monomial
+    c*x^e and a nonzero q have gcd x^min(e, valuation of q), read off directly.
+    """
+    if not (p and q):
+        return (p + q).fractions().monic()
+    if len(p._c) == 1 or len(q._c) == 1:
+        return Poly._adopt({min(*p._c, *q._c): Q1})
+    g = _prs_gcd(p.primitive()[1]._c, q.primitive()[1]._c, gcd, _int_quotient)
+    lead = g[max(g)]
+    return Poly._adopt({e: Fraction(v, lead) for e, v in g.items()})
+
+
+def poly2_gcd(p: Poly2, q: Poly2) -> Poly2:
+    """Greatest common divisor over Q[n, x], from the remainder sequence in x
+    over Z[n] of the primitive integer parts.
+
+    The result is unique up to a rational constant; it is normalized to have
+    coprime integer coefficients and a positive head term (see
+    ``Poly2.head_coeff``).
+    """
+    if not (p and q):
+        g = (p + q).primitive()[1]
+    else:
+        a, b = p.primitive()[1].as_x_coeffs(), q.primitive()[1].as_x_coeffs()
+        g = _prs_gcd(a, b, _gcd_n, int_div_exact)
+        g = Poly2._adopt({(dn, dx): v for dx, c in g.items() for dn, v in c.items()})
+    g = g.fractions()
+    return -g if g and g.head_coeff() < 0 else g
+
+
+def poly2_div_exact(p: Poly | Poly2, d: Poly | Poly2) -> Poly | Poly2:
+    """Exact quotient p/d over Q of two polynomials of one class: the
+    ``int_div_exact`` of their primitive integer parts times the ratio of
+    their contents.  Raises ValueError if d does not divide p.
+    """
+    cp, p = p.primitive()
+    cd, d = d.primitive()
+    return int_div_exact(p, d).fractions() * (cp / cd)

@@ -15,14 +15,15 @@ Canonical form makes equality a structural comparison: two quotients are equal
 iff their reduced forms match field by field.  Both classes share one quotient
 core, ``_Quotient``, which holds construction, the scale-and-sign step and
 every operator; each class supplies its ring, its cancel step (a gcd and
-exact division) and its sign anchor.  Operations that keep a coprime pair
-coprime (negation, powers, scaling by a constant) skip the gcd.  Both classes
-also share one Maclaurin recurrence, ``series``, run on numerators over powers
-of den(0) in the coefficient ring (RatFunc divides out their common integer
-content each step); each coefficient is reduced once over its known
-denominator factors by the class's ``_x_free``.  The module
-carries the text/LaTeX renderers and the JSON wire format used by the CLI
-("p/q" strings, never floats).
+exact division, both on primitive integer parts; see ``polys``) and its sign
+anchor.  Operations that keep a coprime pair coprime (negation, powers,
+scaling by a constant) skip the gcd.  Both classes also share one Maclaurin
+recurrence, ``series``, run on numerators over powers of den(0) in the
+coefficient ring (RatFunc divides out their common integer content each
+step); each coefficient is reduced once over its known denominator factors
+by the class's ``_x_free``, which for RatFunc2 divides with
+``int_div_exact``.  The module carries the text/LaTeX renderers and the JSON
+wire format used by the CLI ("p/q" strings, never floats).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .polys import Poly, Poly2, poly2_div_exact, poly2_gcd, poly_gcd
+from .polys import Poly, Poly2, int_div_exact, poly2_div_exact, poly2_gcd, poly_gcd
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -53,7 +54,7 @@ class _Quotient:
     and RatFunc2.
 
     A subclass supplies ``_ring`` (its polynomial class), ``_cancel`` (the
-    pair divided by its gcd), ``_anchor`` (the coefficient of the
+    pair divided by its gcd, exactly, on their primitive integer parts), ``_anchor`` (the coefficient of the
     denominator whose sign is fixed positive) and ``_x_free`` (a ring
     element over {factor: power} as the reduced x-free value ``series``
     returns); ``_content``, a gcd over its coefficient ring, is optional.
@@ -227,7 +228,7 @@ class RatFunc(_Quotient):
         g = poly_gcd(num, den)
         if g.is_constant():
             return num, den
-        return num // g, den // g
+        return poly2_div_exact(num, g), poly2_div_exact(den, g)
 
     @staticmethod
     def _anchor(den: Poly) -> Fraction:
@@ -280,18 +281,23 @@ class RatFunc2(_Quotient):
     @staticmethod
     def _x_free(num: Poly, den: dict[Poly, int]) -> "RatFunc2":
         """num / prod(f^m) for Polys in n, reduced by one univariate gcd per
-        copy of a factor; once a copy is coprime, so are the rest."""
-        out = Poly.const(1)
+        copy of a factor (once a copy is coprime, so are the rest), which is
+        divided out of the primitive integer parts."""
+        scale, num = num.primitive()
+        out = Poly._adopt({0: 1})
         for f, m in den.items():
+            c, f = f.primitive()
+            scale /= c**m
             while m:
                 g = poly_gcd(num, f)
                 if g.degree() < 1:
                     break
-                num = num // g
-                out = out * (f // g)
+                g = g.primitive()[1]
+                num, out = int_div_exact(num, g), out * int_div_exact(f, g)
                 m -= 1
             out = out * f**m
-        return RatFunc2.from_coprime(Poly2.from_poly_in_n(num), Poly2.from_poly_in_n(out))
+        num, out = Poly2.from_poly_in_n(num) * scale, Poly2.from_poly_in_n(out).fractions()
+        return RatFunc2.from_coprime(num, out)
 
     @classmethod
     def n(cls) -> "RatFunc2":

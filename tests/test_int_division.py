@@ -3,8 +3,9 @@ where hypothesis is not installed).
 
 ``int_div_exact`` divides polynomials with int coefficients by long
 division over Z or Z[n] and gives up at the first inexact step.  For a
-primitive divisor that must agree with exact division over Q: the same
-quotient when the divisor divides, a ValueError when it does not.
+primitive divisor that must agree with exact division over Q (the long
+division of ``oracles.div_exact_over_q``): the same quotient when the divisor
+divides, a ValueError when it does not.
 """
 
 from fractions import Fraction
@@ -16,7 +17,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ballcell.polys import Poly, Poly2, int_div_exact, poly2_div_exact  # noqa: E402
+from ballcell.polys import Poly, Poly2, int_div_exact  # noqa: E402
+from oracles import div_exact_over_q  # noqa: E402
 
 BIG = 10**1000
 COEFFS = st.one_of(
@@ -38,12 +40,7 @@ def _primitive(cls, c: dict):
 
 def _by_fractions(p, d):
     """p/d over Q, or ValueError when d does not divide p there."""
-    if isinstance(p, Poly2):
-        return poly2_div_exact(p.fractions(), d.fractions())
-    q, rem = divmod(p.fractions(), d.fractions())
-    if not rem.is_zero():
-        raise ValueError("inexact polynomial division")
-    return q
+    return div_exact_over_q(p.fractions(), d.fractions())
 
 
 def _check(p, d):

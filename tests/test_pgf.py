@@ -31,9 +31,10 @@ from ballcell.pgf import (
     pgf_symbolic,
     symbolic_den_factors,
 )
-from ballcell.polys import Poly, Poly2, poly2_div_exact
+from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
 from ballcell.scalars import to_decimal
+from oracles import div_exact_over_q
 
 X = Poly.var()
 
@@ -158,22 +159,15 @@ def test_symbolic_ceiling():
         symbolic_den_factors(9, max_balls=8)
 
 
-def _poly_div_exact(p, d):
-    q, rem = divmod(p, d)
-    if not rem.is_zero():
-        raise ValueError("inexact polynomial division")
-    return q
-
-
 def _fraction_levels(n, rmax):
     """The table grown on Fraction coefficients, as it was before it ran on
     ints: rows from the reduced transition probabilities, exact division over
     Q.  The oracle for pgf._levels; it shares only the merge, cancel and
     expand steps, which work in any ring."""
     if n is None:
-        one, x, div_exact, quotient = Poly2.const(1), Poly2.var_x(), poly2_div_exact, RatFunc2
+        one, x, quotient = Poly2.const(1), Poly2.var_x(), RatFunc2
     else:
-        one, x, div_exact, quotient = Poly.const(1), Poly.var(), _poly_div_exact, RatFunc
+        one, x, quotient = Poly.const(1), Poly.var(), RatFunc
     levels = [(one, {}, quotient.from_coprime(one, one))]
     for r in range(1, rmax + 1):
         if n is None:
@@ -191,7 +185,7 @@ def _fraction_levels(n, rmax):
                 own = {f: den.get(f, 0) + m for f, m in own.items()}
                 terms.append((scale * num, {**den, **own}))
         stay = (b, b - a * x) if a else None
-        num, den = _cancel_factors(*_merge_terms(terms, x, stay), div_exact)
+        num, den = _cancel_factors(*_merge_terms(terms, x, stay), div_exact_over_q)
         levels.append((num, den, quotient.from_coprime(num, _expand(den, one))))
     return levels
 
