@@ -206,8 +206,8 @@ def _read_step_table(path: str) -> list[Fraction]:
 
 def _cmd_geo(args) -> dict:
     if args.table is not None:
-        if args.limits:
-            raise ValueError("--limits applies only to --alpha")
+        if args.limits or args.order is not None:
+            raise ValueError("--limits and --order apply only to --alpha")
         seq = StepSequence.from_table(_read_step_table(args.table))
         if args.r is None:
             raise ValueError("--table needs --r")

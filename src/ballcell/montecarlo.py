@@ -37,7 +37,7 @@ from itertools import chain, compress, repeat
 from operator import add, and_, eq, floordiv, mod, mul, not_, sub
 
 from .errors import BudgetExceededError, DivergentDurationError
-from .pgf import exact_distribution
+from .pgf import MIN_COVERAGE, exact_distribution
 from .scalars import enum_budget, to_decimal
 
 MASK64 = (1 << 64) - 1
@@ -46,8 +46,6 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-MIN_COVERAGE = Fraction(10**9 - 1, 10**9)
 
 # Words per packed draw.  Chosen by measurement: larger draws gain little
 # speed and cost peak memory.

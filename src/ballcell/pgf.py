@@ -67,6 +67,10 @@ from .scalars import decimal_sqrt
 
 DEFAULT_SYMBOLIC_CEILING = 40
 
+# The mass an exact distribution covers by default, and the least that
+# montecarlo.gof_compare accepts.
+MIN_COVERAGE = Fraction(10**9 - 1, 10**9)
+
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
@@ -221,11 +225,14 @@ def _expand(den: dict, one):
 
 def _ring(n: int | None) -> tuple:
     """Unit, x, the factor n, the capture row of r balls and the quotient
-    class of the table for n."""
+    class of the table for n.  Both rings are polynomials in x; they differ
+    in the coefficient ring, Z for a number n and Z[n] for the symbol."""
     if n is None:
-        one, x, var_n = (Poly2._adopt({key: 1}) for key in ((0, 0), (0, 1), (1, 0)))
-        return one, x, var_n, _symbolic_row, RatFunc2
-    return Poly._adopt({0: 1}), Poly._adopt({1: 1}), Poly._adopt({0: n}), partial(_numeric_row, n), RatFunc
+        ring, unit, var_n = Poly2, Poly._adopt({0: 1}), Poly._adopt({1: 1})
+        row, quotient = _symbolic_row, RatFunc2
+    else:
+        ring, unit, var_n, row, quotient = Poly, 1, n, partial(_numeric_row, n), RatFunc
+    return ring._adopt({0: unit}), ring._adopt({1: unit}), ring._adopt({0: var_n}), row, quotient
 
 
 def _numeric_row(n: int, r: int) -> list[Poly]:
@@ -241,8 +248,8 @@ def _symbolic_row(r: int) -> list[Poly2]:
     the lowest power of n out of A_0 reduces p_0 = A_0/n^r."""
     a, *caps = _symbolic_row_numerators(r)
     low = a.min_exponent() if a else r
-    a = Poly2._adopt({(e - low, 0): v for e, v in a.items()})
-    return [a, Poly2._adopt({(r - low, 0): 1}), *map(Poly2.from_poly_in_n, caps)]
+    a = Poly._adopt({e - low: v for e, v in a.items()})
+    return list(map(Poly2.from_poly_in_n, (a, Poly._adopt({r - low: 1}), *caps)))
 
 
 def _levels(n: int | None, rmax: int) -> list[tuple]:
@@ -342,13 +349,17 @@ def duration_distribution(r: int, n: int, kmax: int) -> list[Fraction]:
     return list(islice(_duration_law(r, n), kmax + 1))
 
 
-def exact_distribution(r: int, n: int, min_coverage: Fraction = Fraction(10**9 - 1, 10**9)) -> list[Fraction]:
+def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) -> list[Fraction]:
     """Distribution to the first horizon 32 * 2^i at which its mass reaches
     min_coverage; each doubling resumes the chain where the last one stopped.
 
-    Refuses the non-terminating state, where no horizon can cover the mass.
+    Refuses the non-terminating state, where no horizon can cover the mass,
+    and a min_coverage of 1 or more, which no finite horizon reaches once
+    r >= 2.
     """
     _check_state(n, r)
+    if min_coverage >= 1:
+        raise ValueError(f"min_coverage must be below 1, got {min_coverage}")
     if n == 1 and r >= 2:
         raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
     law = _duration_law(r, n)

@@ -4,10 +4,15 @@ Every polynomial built through the public constructors has
 ``fractions.Fraction`` coefficients; there is no floating point in this
 module.  ``Poly`` maps exponent -> coefficient for a single variable (the
 letter is chosen at render time, so the same class serves polynomials in x
-and polynomials in n).  ``Poly2`` maps (deg_n, deg_x) -> coefficient for the
-bivariate ring Q[n, x].  Both share one sparse core, ``_Sparse``, which holds
-construction, equality, the ring operations and the content; each class adds
-only the queries that depend on its monomial keys.
+and polynomials in n).  ``Poly2`` is the bivariate ring Q[n, x] held as a
+polynomial in x over Q[n]: it maps deg_x -> nonzero ``Poly`` in n, the
+recursive form on which its gcd, exact division, series and moments run.
+Both share one sparse core, ``_Sparse``, which holds construction,
+equality, the ring operations and the content over int exponent keys; the
+ring operations on a Poly2 add and multiply whole rows with Poly's own
+arithmetic.  Poly2 adds only its views: the flat (deg_n, deg_x) form of its
+constructor, ``items`` (which ``repr`` and ``content`` read), ``coeff`` and
+``head_coeff``, and the substitutions, which evaluate row by row.
 
 The ring operations keep the type of the coefficients they are given, so a
 polynomial adopted with int coefficients stays over the integers.  The PGF
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Mapping
 
 Q0 = Fraction(0)
@@ -46,27 +50,16 @@ def _as_fraction(v) -> Fraction:
 
 
 class _Sparse:
-    """Sparse map monomial key -> nonzero coefficient, the core of Poly and
-    Poly2.
+    """Sparse map exponent -> nonzero coefficient, the core of Poly and
+    Poly2: a coefficient is a scalar in a Poly and a Poly in n in a Poly2.
 
-    A subclass names the key of the constant monomial (``_UNIT``), validates
-    keys given from outside (``_check_key``) and multiplies two keys
-    (``_key_mul``).  Only input from outside goes through ``__init__``'s
-    checks, which make every coefficient a Fraction: every operation here
-    drops the zero coefficients it produces and keeps the type of the
-    coefficients, so its result adopts its dict as is.
+    A subclass supplies its public constructor, ``items`` (the flat terms)
+    and ``_map`` (a function applied to every scalar coefficient).  Every
+    operation here drops the zero coefficients it produces and keeps the type
+    of the coefficients, so its result adopts its dict as is.
     """
 
     __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping | None = None):
-        c = {}
-        if coeffs:
-            for key, v in coeffs.items():
-                v = _as_fraction(v)
-                if v:
-                    c[self._check_key(key)] = v
-        self._c = c
 
     @classmethod
     def _adopt(cls, c: dict):
@@ -81,10 +74,7 @@ class _Sparse:
     @classmethod
     def const(cls, v):
         v = _as_fraction(v)
-        return cls._adopt({cls._UNIT: v} if v else {})
-
-    def items(self):
-        return self._c.items()
+        return cls._adopt({0: v} if v else {})
 
     def is_zero(self) -> bool:
         return not self._c
@@ -103,7 +93,7 @@ class _Sparse:
         return hash(frozenset(self._c.items()))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(sorted(self._c.items()))!r})"
+        return f"{type(self).__name__}({dict(sorted(self.items()))!r})"
 
     def __neg__(self):
         return self._adopt({k: -v for k, v in self._c.items()})
@@ -141,11 +131,10 @@ class _Sparse:
             return self._adopt({k: v * other for k, v in self._c.items()})
         if not isinstance(other, type(self)):
             return NotImplemented
-        key_mul = self._key_mul
         c = {}
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():
-                k = key_mul(k1, k2)
+                k = k1 + k2
                 if k in c:
                     c[k] += v1 * v2
                 else:
@@ -171,7 +160,7 @@ class _Sparse:
     def fractions(self):
         """The same polynomial with every coefficient a Fraction, the form in
         which an integer table hands its values out."""
-        return self._adopt({k: Fraction(v) for k, v in self._c.items()})
+        return self._map(Fraction)
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients.
@@ -180,30 +169,37 @@ class _Sparse:
         """
         if self.is_zero():
             return Q0
-        den = lcm(*(v.denominator for v in self._c.values()))
-        num = gcd(*(v.numerator * den // v.denominator for v in self._c.values()))
-        return Fraction(abs(num), den)
+        # The gcd of reduced fractions a_i/b_i is gcd(a_i)/lcm(b_i).
+        values = [v for _, v in self.items()]
+        return Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
 
     def primitive(self):
         """The content c and self/c, which has coprime int coefficients."""
         c = self.content()
-        return c, self._adopt(
-            {k: v.numerator * c.denominator // (v.denominator * c.numerator) for k, v in self._c.items()}
-        )
+        return c, self._map(lambda v: v.numerator * c.denominator // (v.denominator * c.numerator))
 
 
 class Poly(_Sparse):
     """Univariate polynomial, sparse map exponent -> nonzero Fraction."""
 
     __slots__ = ()
-    _UNIT = 0
-    _key_mul = staticmethod(add)
 
-    @staticmethod
-    def _check_key(e) -> int:
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        return int(e)
+    def __init__(self, coeffs: Mapping | None = None):
+        c = {}
+        if coeffs:
+            for e, v in coeffs.items():
+                v = _as_fraction(v)
+                if v:
+                    if e < 0:
+                        raise ValueError(f"negative exponent {e}")
+                    c[int(e)] = v
+        self._c = c
+
+    def items(self):
+        return self._c.items()
+
+    def _map(self, f) -> "Poly":
+        return Poly._adopt({e: f(v) for e, v in self._c.items()})
 
     @classmethod
     def var(cls) -> "Poly":
@@ -289,88 +285,81 @@ class Poly(_Sparse):
 
 
 class Poly2(_Sparse):
-    """Polynomial in Q[n, x], sparse map (deg_n, deg_x) -> nonzero Fraction."""
+    """Polynomial in Q[n, x], sparse map deg_x -> nonzero Poly in n.
+
+    Built from and viewed as the flat map (deg_n, deg_x) -> coefficient.
+    """
 
     __slots__ = ()
-    _UNIT = (0, 0)
 
-    @staticmethod
-    def _check_key(key) -> tuple[int, int]:
-        dn, dx = key
-        if dn < 0 or dx < 0:
-            raise ValueError(f"negative exponent in {key}")
-        return (int(dn), int(dx))
+    def __init__(self, coeffs: Mapping | None = None):
+        rows: dict[int, dict[int, Fraction]] = {}
+        if coeffs:
+            for key, v in coeffs.items():
+                v = _as_fraction(v)
+                if v:
+                    dn, dx = key
+                    if dn < 0 or dx < 0:
+                        raise ValueError(f"negative exponent in {key}")
+                    rows.setdefault(int(dx), {})[int(dn)] = v
+        self._c = {dx: Poly._adopt(row) for dx, row in rows.items()}
 
-    @staticmethod
-    def _key_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        return (a[0] + b[0], a[1] + b[1])
+    def items(self):
+        """The flat terms ((deg_n, deg_x), coefficient)."""
+        return [((dn, dx), v) for dx, row in self._c.items() for dn, v in row._c.items()]
+
+    def _map(self, f) -> "Poly2":
+        return Poly2._adopt({dx: row._map(f) for dx, row in self._c.items()})
+
+    @classmethod
+    def const(cls, v) -> "Poly2":
+        return cls.from_poly_in_n(Poly.const(v))
 
     @classmethod
     def var_n(cls) -> "Poly2":
-        return cls._adopt({(1, 0): Q1})
+        return cls._adopt({0: Poly.var()})
 
     @classmethod
     def var_x(cls) -> "Poly2":
-        return cls._adopt({(0, 1): Q1})
+        return cls._adopt({1: Poly.const(1)})
 
     @classmethod
     def from_poly_in_n(cls, p: Poly) -> "Poly2":
-        return cls._adopt({(e, 0): v for e, v in p.items()})
+        return cls._adopt({0: p} if p else {})
 
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self._c)
+        return self.degree_x() <= 0 and self.degree_n() <= 0
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self._c.get((0, 0), Q0)
+        return self.coeff(0, 0)
 
     def degree_n(self) -> int:
-        return max((dn for dn, _ in self._c), default=-1)
+        return max((row.degree() for row in self._c.values()), default=-1)
 
     def degree_x(self) -> int:
-        return max((dx for _, dx in self._c), default=-1)
+        return max(self._c, default=-1)
 
     def coeff(self, dn: int, dx: int) -> Fraction:
-        return self._c.get((dn, dx), Q0)
-
-    def _subs(self, axis: int, v0) -> Poly:
-        """Substitute a rational for the variable at `axis` of the key (0 for
-        n, 1 for x), leaving a polynomial in the other one."""
-        v0 = _as_fraction(v0)
-        out: dict[int, Fraction] = {}
-        for key, v in self._c.items():
-            e = key[1 - axis]
-            s = out.get(e, Q0) + v * v0 ** key[axis]
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly._adopt(out)
+        row = self._c.get(dx)
+        return row.coeff(dn) if row else Q0
 
     def subs_n(self, n0: Fraction) -> Poly:
         """Substitute a rational for n, leaving a polynomial in x."""
-        return self._subs(0, n0)
+        return Poly._adopt({dx: v for dx, row in self._c.items() if (v := row.eval(n0))})
 
     def subs_x(self, x0: Fraction) -> Poly:
         """Substitute a rational for x, leaving a polynomial in n."""
-        return self._subs(1, x0)
+        x0 = _as_fraction(x0)
+        return sum((row * x0**dx for dx, row in self._c.items()), Poly.zero())
 
     def eval(self, n0: Fraction, x0: Fraction) -> Fraction:
-        n0, x0 = _as_fraction(n0), _as_fraction(x0)
-        total = Q0
-        for (dn, dx), v in self._c.items():
-            total += v * n0**dn * x0**dx
-        return total
-
-    # -- structure as a polynomial in x over Q[n] -------------------------
+        return self.subs_n(n0).eval(x0)
 
     def as_x_coeffs(self) -> dict[int, Poly]:
         """View as {deg_x: coefficient polynomial in n}."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for (dn, dx), v in self._c.items():
-            out.setdefault(dx, {})[dn] = v
-        return {dx: Poly._adopt(c) for dx, c in out.items()}
+        return dict(self._c)
 
     def head_coeff(self) -> Fraction:
         """Coefficient of the head term in canonical term order.
@@ -382,10 +371,8 @@ class Poly2(_Sparse):
         """
         if not self._c:
             raise ValueError("zero polynomial has no head term")
-        dn, dx = max(self._c, key=lambda k: (k[0], -k[1]))
-        return self._c[(dn, dx)]
-
-    content_rational = _Sparse.content
+        _, row = max(self._c.items(), key=lambda item: (item[1].degree(), -item[0]))
+        return row.leading_coeff()
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +397,8 @@ def int_div_exact(p: Poly | Poly2, d: Poly | Poly2) -> Poly | Poly2:
     division over Q takes the same steps until the first one that is not
     integral.
     """
-    if isinstance(p, Poly2):
-        rest, divisor, quotient = p.as_x_coeffs(), d.as_x_coeffs(), int_div_exact
-    else:
-        rest, divisor, quotient = dict(p.items()), dict(d.items()), _int_quotient
+    rest, divisor = dict(p._c), dict(d._c)
+    quotient = int_div_exact if isinstance(p, Poly2) else _int_quotient
     if not divisor:
         raise ZeroDivisionError("polynomial division by zero")
     top = max(divisor)
@@ -435,9 +420,7 @@ def int_div_exact(p: Poly | Poly2, d: Poly | Poly2) -> Poly | Poly2:
                 del rest[k]
     if rest:
         raise ValueError("inexact polynomial division")
-    if isinstance(p, Poly2):
-        return Poly2._adopt({(dn, dx): v for dx, c in q.items() for dn, v in c.items()})
-    return Poly._adopt(q)
+    return p._adopt(q)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +505,7 @@ def poly2_gcd(p: Poly2, q: Poly2) -> Poly2:
     if not (p and q):
         g = (p + q).primitive()[1]
     else:
-        a, b = p.primitive()[1].as_x_coeffs(), q.primitive()[1].as_x_coeffs()
-        g = _prs_gcd(a, b, _gcd_n, int_div_exact)
-        g = Poly2._adopt({(dn, dx): v for dx, c in g.items() for dn, v in c.items()})
+        g = Poly2._adopt(_prs_gcd(p.primitive()[1]._c, q.primitive()[1]._c, _gcd_n, int_div_exact))
     g = g.fractions()
     return -g if g and g.head_coeff() < 0 else g
 

@@ -34,19 +34,6 @@ from math import gcd, lcm, prod
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact, poly2_gcd, poly_gcd
 
 Q0 = Fraction(0)
-Q1 = Fraction(1)
-
-
-def _integer_scale(polys: list[Poly] | list[Poly2]) -> Fraction:
-    """Positive rational s such that multiplying every input by s leaves
-    integer coefficients with joint content 1."""
-    dens = [v.denominator for p in polys for _, v in p.items()]
-    if not dens:
-        return Q1
-    big = lcm(*dens)
-    nums = [v.numerator * big // v.denominator for p in polys for _, v in p.items()]
-    content = gcd(*nums)
-    return Fraction(big, content)
 
 
 class _Quotient:
@@ -103,7 +90,10 @@ class _Quotient:
             return
         if cancel:
             num, den = self._cancel(num, den)
-        s = _integer_scale([num, den])
+        # s is 1 over the joint content of num and den, the gcd of their
+        # contents: for reduced a/b and c/d that is gcd(a, c)/lcm(b, d).
+        cn, cd = num.content(), den.content()
+        s = Fraction(lcm(cn.denominator, cd.denominator), gcd(cn.numerator, cd.numerator))
         if s != 1:
             num, den = num * s, den * s
         if self._anchor(den) < 0:
@@ -180,8 +170,8 @@ class _Quotient:
 
 def _ring_terms(p: Poly | Poly2) -> dict:
     """{power of x: coefficient} of a canonical polynomial, as ints for a
-    Poly in x and as Polys in n for a Poly2."""
-    return p.as_x_coeffs() if isinstance(p, Poly2) else {e: v.numerator for e, v in p.items()}
+    Poly in x and as Polys in n for a Poly2 (its own rows, read only)."""
+    return p._c if isinstance(p, Poly2) else {e: v.numerator for e, v in p.items()}
 
 
 def _series_numerators(num: dict, den: dict, kmax: int, content=None) -> list:

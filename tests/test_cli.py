@@ -167,6 +167,8 @@ def test_geo_table_usage_errors(capsys, tmp_path):
     assert code == 2 and "--r" in err
     code, _, err = run_cli(capsys, "geo", "--table", str(table), "--r", "1", "--limits")
     assert code == 2
+    code, _, err = run_cli(capsys, "geo", "--table", str(table), "--r", "1", "--order", "4")
+    assert code == 2 and "--order apply only to --alpha" in err
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n", encoding="utf-8")
     code, _, _ = run_cli(capsys, "geo", "--table", str(empty), "--r", "1")

@@ -30,7 +30,15 @@ KEYS2 = st.tuples(EXPONENTS, EXPONENTS)
 
 
 def _poly(cls, c: dict):
-    return cls._adopt({k: v for k, v in c.items() if v})
+    """A polynomial with the int coefficients of `c`, keyed by exponent
+    (Poly) or by (deg_n, deg_x) (Poly2, nested into rows in x)."""
+    c = {k: v for k, v in c.items() if v}
+    if cls is Poly:
+        return Poly._adopt(c)
+    rows = {}
+    for (dn, dx), v in c.items():
+        rows.setdefault(dx, {})[dn] = v
+    return Poly2._adopt({dx: Poly._adopt(row) for dx, row in rows.items()})
 
 
 def _primitive(cls, c: dict):
@@ -117,11 +125,11 @@ def test_bivariate_division_matches_rationals(divisor, quotient, noise):
 
 
 def test_division_by_the_monomial_n():
-    n = Poly2._adopt({(1, 0): 1})
-    p = Poly2._adopt({(3, 0): -BIG, (1, 4): 6})
+    n = _poly(Poly2, {(1, 0): 1})
+    p = _poly(Poly2, {(3, 0): -BIG, (1, 4): 6})
     assert int_div_exact(p, n) == Poly2({(2, 0): -BIG, (0, 4): 6})
     with pytest.raises(ValueError):
-        int_div_exact(p + Poly2._adopt({(0, 2): 1}), n)
+        int_div_exact(p + _poly(Poly2, {(0, 2): 1}), n)
     # A constant divisor over Z divides only when it divides every coefficient.
     six = Poly._adopt({0: 6})
     assert int_div_exact(Poly._adopt({0: 12, 5: -6}), six) == Poly({0: 2, 5: -1})

@@ -254,6 +254,10 @@ def test_exact_distribution_coverage():
     assert probs == duration_distribution(2, 2, 32)
     # horizons 32 and 64 fall short here, so the chain resumes twice
     assert exact_distribution(6, 2) == duration_distribution(6, 2, 128)
+    # no finite horizon holds all the mass, so full coverage is refused
+    for coverage in (Fraction(1), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="min_coverage"):
+            exact_distribution(2, 2, coverage)
 
 
 def test_two_ball_moments_by_hand():

@@ -280,4 +280,64 @@ def test_poly2_gcd_divides_both_random():
         poly2_div_exact(a * g, d)
         poly2_div_exact(b * g, d)
         assert d.head_coeff() > 0
-        assert d.content_rational() == 1
+        assert d.content() == 1
+
+
+def _rand_flat(rng: random.Random, integral: bool) -> dict:
+    """A flat map (deg_n, deg_x) -> coefficient; zeros included on purpose."""
+    c = {}
+    for _ in range(rng.randint(0, 8)):
+        v = rng.randint(-9, 9)
+        c[(rng.randint(0, 4), rng.randint(0, 4))] = v if integral else Fraction(v, rng.randint(1, 5))
+    return c
+
+
+def _flat_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for (n1, x1), v1 in a.items():
+        for (n2, x2), v2 in b.items():
+            k = (n1 + n2, x1 + x2)
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _rows_are_dense(p: Poly2) -> bool:
+    """Every x-row stored is a nonzero Poly with no zero coefficient."""
+    rows = p.as_x_coeffs()
+    return all(row and all(v != 0 for _, v in row.items()) for row in rows.values())
+
+
+def test_poly2_layout_invariants():
+    rng = random.Random(1110)
+    for integral in (True, False):
+        for _ in range(60):
+            flat = _rand_flat(rng, integral)
+            p = Poly2(flat)
+            if integral:
+                # the primitive part keeps int coefficients
+                p = p.primitive()[1]
+                assert all(type(v) is int for _, v in p.items())
+            terms = dict(p.items())
+            q = Poly2(terms)
+            # the flat views agree with a rebuild from the flat terms
+            assert dict(q.items()) == terms
+            assert p == q and hash(p) == hash(q)
+            assert repr(p) == f"Poly2({dict(sorted(terms.items()))!r})"
+            assert repr(p.fractions()) == repr(q)
+            for dn in range(6):
+                for dx in range(6):
+                    assert p.coeff(dn, dx) == terms.get((dn, dx), 0)
+            assert _rows_are_dense(p)
+            # products and sums match the flat-dict reference
+            other = Poly2(_rand_flat(rng, integral))
+            if integral:
+                other = other.primitive()[1]
+            assert dict((p * other).items()) == _flat_mul(terms, dict(other.items()))
+            for result in (p + other, p - other, p * other, -p, p * 0, p - p):
+                assert _rows_are_dense(result)
+    n, x = Poly2.var_n(), Poly2.var_x()
+    # a sum that cancels the whole x-row stores no empty row
+    p = (n * x + 1) - n * x
+    assert p.as_x_coeffs() == {0: Poly.const(1)}
+    assert p == Poly2.const(1) and p.degree_x() == 0
+    assert (p * 0).as_x_coeffs() == {}
