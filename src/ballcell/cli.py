@@ -2,8 +2,10 @@
 
 Every command prints a JSON envelope to stdout: command echo, parameters,
 result payload, timing, and version.  The `pgf` command can instead print
-plain text or LaTeX.  Exact values are serialized as "p/q" strings, never as
-floats, so any JSON parser round-trips them losslessly.
+plain text or LaTeX.  Handlers return library values, and `_wire` is the one
+place the wire format is written: exact values as "p/q" strings, never as
+floats, so any JSON parser round-trips them losslessly, and rational
+functions as term lists plus their text.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 configuration
 that never terminates, 4 compute budget exceeded.
@@ -15,6 +17,8 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__, reference
@@ -43,6 +47,7 @@ from .pgf import (
     pgf_symbolic,
     symbolic_den_factors,
 )
+from .polys import Poly2
 from .ratfuncs import RatFunc, RatFunc2, poly2_to_json, ratfunc_latex, ratfunc_text, ratfunc_to_json
 from .scalars import parse_rational
 
@@ -55,141 +60,73 @@ EXIT_BUDGET = 4
 _GATE_SEED = 20260822
 
 
-def _rf(f: RatFunc | RatFunc2) -> dict:
-    """Wire form of a rational function plus its display text."""
-    payload = ratfunc_to_json(f)
-    payload["text"] = ratfunc_text(f)
-    return payload
-
-
-def _q(value: Fraction | None) -> str | None:
-    return None if value is None else str(value)
-
-
-def _scaled_json(entries) -> list | None:
-    if entries is None:
-        return None
-    return [
-        {
-            "order": m.order,
-            "squared": str(m.squared),
-            "sign": m.sign,
-            "value": str(m.value),
-            "exact": _q(m.exact),
-        }
-        for m in entries
-    ]
-
-
-def _moments_json(rep) -> dict:
-    """Wire form of a numeric MomentReport."""
-    return {
-        "order": rep.order,
-        "mean": str(rep.mean),
-        "variance": _q(rep.variance),
-        "raw": [str(v) for v in rep.raw],
-        "central": [str(v) for v in rep.central],
-        "scaled": _scaled_json(rep.scaled),
-    }
+def _wire(value):
+    """The wire form of a library value, and the one place it is written:
+    rational functions as term lists plus their text, Poly2 as term lists,
+    Fraction and Decimal as strings, dataclasses as their fields, dict keys
+    as strings (before json sorts them), tuples as lists."""
+    if isinstance(value, (RatFunc, RatFunc2)):
+        return {**ratfunc_to_json(value), "text": ratfunc_text(value)}
+    if isinstance(value, Poly2):
+        return poly2_to_json(value)
+    if isinstance(value, (Fraction, Decimal)):
+        return str(value)
+    if is_dataclass(value):
+        return {f.name: _wire(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _wire(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_wire(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns the result payload; `run` wraps it in the
+# Command handlers.  Each returns library values; `run` wires them into the
 # envelope (or prints the plain rendering for pgf text/latex output).
 
 
 def _cmd_pgf(args) -> dict:
     if args.symbolic_n:
         p = pgf_symbolic(args.balls)
-        factors = symbolic_den_factors(args.balls)
-        result = {
-            "balls": args.balls,
-            "cells": None,
-            "pgf": _rf(p.func),
-            "terminating": p.terminating,
-            "den_factors": [poly2_to_json(f) for f in factors],
-        }
-        if args.expand is not None:
-            result["distribution"] = [_rf(c) for c in p.func.series(args.expand)]
+        result = {"den_factors": symbolic_den_factors(args.balls)}
     else:
         p = pgf_numeric(args.balls, args.cells)
         if not p.terminating:
             raise DivergentDurationError(
                 "divergent duration: one cell can never isolate a ball"
             )
-        result = {
-            "balls": args.balls,
-            "cells": args.cells,
-            "pgf": _rf(p.func),
-            "terminating": True,
-        }
-        if args.expand is not None:
-            result["distribution"] = [str(c) for c in p.func.series(args.expand)]
+        result = {}
+    result.update(balls=p.balls, cells=p.cells, pgf=p.func, terminating=p.terminating)
+    if args.expand is not None:
+        result["distribution"] = p.func.series(args.expand)
     return result
 
 
 def _render_pgf(args, result) -> list[str]:
-    lines = []
+    f = result["pgf"]
     if args.format == "latex":
-        if args.symbolic_n:
-            factors = symbolic_den_factors(args.balls)
-            f = pgf_symbolic(args.balls).func
-            lines.append(ratfunc_latex(f, factors if len(factors) > 1 else None))
-        else:
-            lines.append(ratfunc_latex(pgf_numeric(args.balls, args.cells).func))
-    else:
-        lines.append(result["pgf"]["text"])
-    if args.expand is not None and args.format == "text":
-        for k, c in enumerate(result["distribution"]):
-            text = c["text"] if isinstance(c, dict) else c
-            lines.append(f"P({k}) = {text}")
-    return lines
+        factors = result.get("den_factors", ())
+        return [ratfunc_latex(f, factors if len(factors) > 1 else None)]
+    return [ratfunc_text(f)] + [
+        f"P({k}) = {str(c) if isinstance(c, Fraction) else ratfunc_text(c)}"
+        for k, c in enumerate(result.get("distribution", ()))
+    ]
 
 
 def _cmd_moments(args) -> dict:
     if args.symbolic_n:
         rep = moments_symbolic(args.balls, args.order)
-        return {
-            "balls": args.balls,
-            "cells": None,
-            "order": rep.order,
-            "mean": _rf(rep.mean),
-            "variance": None if rep.variance is None else _rf(rep.variance),
-            "raw": [_rf(v) for v in rep.raw],
-            "central": [_rf(v) for v in rep.central],
-            "scaled_squared": None
-            if rep.scaled_squared is None
-            else [_rf(v) for v in rep.scaled_squared],
-        }
-    rep = moments(args.balls, args.cells, args.order)
-    return {"balls": args.balls, "cells": args.cells, **_moments_json(rep)}
+    else:
+        rep = moments(args.balls, args.cells, args.order)
+    return {"balls": args.balls, "cells": args.cells, **vars(rep)}
 
 
-def _cmd_approx(args) -> dict:
+def _cmd_approx(args):
     if args.limit:
-        est = error_limit(args.cells, args.rmax, args.digits)
-        return {
-            "cells": est.cells,
-            "rmax": est.rmax,
-            "digits": est.digits,
-            "estimate": str(est.estimate),
-            "gap": str(est.gap),
-            "stabilized": est.stabilized,
-        }
+        return error_limit(args.cells, args.rmax, args.digits)
     if args.balls is None:
         raise ValueError("either --balls or --limit is required")
-    rep = approx_report(args.cells, args.balls)
-    return {
-        "cells": rep.cells,
-        "balls": rep.balls,
-        "approx_mean": str(rep.approx_mean),
-        "exact_mean": str(rep.exact_mean),
-        "error": str(rep.error),
-        "ratio_mean": None if rep.ratio_mean is None else str(rep.ratio_mean),
-        "approx_variance": str(rep.approx_variance),
-        "exact_variance": str(rep.exact_variance),
-        "ratio_variance": None if rep.ratio_variance is None else str(rep.ratio_variance),
-    }
+    return approx_report(args.cells, args.balls)
 
 
 def _read_step_table(path: str) -> list[Fraction]:
@@ -204,63 +141,37 @@ def _read_step_table(path: str) -> list[Fraction]:
     return values
 
 
-def _cmd_geo(args) -> dict:
+def _cmd_geo(args):
     if args.table is not None:
         if args.limits or args.order is not None:
             raise ValueError("--limits and --order apply only to --alpha")
-        seq = StepSequence.from_table(_read_step_table(args.table))
         if args.r is None:
             raise ValueError("--table needs --r")
-        mean = chain_mean(args.r, seq)
-        variance = chain_variance(args.r, seq)
+        seq = StepSequence.from_table(_read_step_table(args.table))
         return {
             "kind": seq.kind,
             "label": seq.label,
             "r": args.r,
-            "mean": str(mean),
-            "variance": str(variance),
+            "mean": chain_mean(args.r, seq),
+            "variance": chain_variance(args.r, seq),
         }
-    alpha = args.alpha
     if args.limits:
-        lim = alpha_limits(alpha)
-        return {
-            "alpha": str(lim.alpha),
-            "cv_squared": str(lim.cv_squared),
-            "skewness_squared": str(lim.skewness_squared),
-            "kurtosis": str(lim.kurtosis),
-            "m5_scaled_squared": str(lim.m5_scaled_squared),
-            "m6_scaled": str(lim.m6_scaled),
-            "cv": str(lim.cv),
-            "skewness": str(lim.skewness),
-            "kurtosis_decimal": str(lim.kurtosis_decimal),
-            "m5_scaled": str(lim.m5_scaled),
-            "m6_scaled_decimal": str(lim.m6_scaled_decimal),
-        }
+        if args.r is not None or args.order is not None:
+            raise ValueError("--limits takes neither --r nor --order")
+        return alpha_limits(args.alpha)
     if args.r is None:
         raise ValueError("--alpha needs --r (or --limits)")
-    mean, variance = alpha_closed_forms(alpha, args.r)
-    result = {
-        "alpha": str(alpha),
-        "r": args.r,
-        "mean": str(mean),
-        "variance": str(variance),
-    }
+    mean, variance = alpha_closed_forms(args.alpha, args.r)
+    result = {"alpha": args.alpha, "r": args.r, "mean": mean, "variance": variance}
     if args.order is not None:
-        result["moments"] = _moments_json(alpha_moments(alpha, args.r, args.order))
+        result["moments"] = alpha_moments(args.alpha, args.r, args.order)
     return result
 
 
 def _cmd_simulate(args) -> dict:
     batch, traces = _simulate_batch(args.balls, args.cells, args.trials, args.seed, record=args.verbose)
-    result = {
-        "balls": batch.balls,
-        "cells": batch.cells,
-        "trials": batch.trials,
-        "seed": batch.seed,
-        "mean": str(batch.mean),
-        "variance": str(batch.variance),
-        "histogram": {str(k): v for k, v in batch.histogram.items()},
-    }
+    names = ("balls", "cells", "trials", "seed", "mean", "variance", "histogram")
+    result = {name: getattr(batch, name) for name in names}
     if args.verbose:
         result["games"] = [
             {
@@ -274,17 +185,7 @@ def _cmd_simulate(args) -> dict:
             for i, (duration, rounds) in enumerate(zip(batch.durations, traces))
         ]
     if args.gof:
-        law = DurationLaw.compute(args.balls, args.cells)
-        rep = gof_compare(batch, law)
-        result["gof"] = {
-            "tv_distance": str(rep.tv_distance),
-            "chi_square": str(rep.chi_square),
-            "dof": rep.dof,
-            "bins": [
-                {"lo": b.lo, "hi": b.hi, "observed": b.observed, "expected": str(b.expected)}
-                for b in rep.bins
-            ],
-        }
+        result["gof"] = gof_compare(batch, DurationLaw.compute(args.balls, args.cells))
     return result
 
 
@@ -503,24 +404,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parameters(args) -> dict:
-    skip = {"handler", "command"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = str(value) if isinstance(value, Fraction) else value
-    return out
-
-
 def run(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; argparse exits 2 on usage
-    errors.  `timing_ms` covers the command only, not parsing or printing."""
+    errors.  `timing_ms` covers the command only, not parsing, serializing or
+    printing.  A ValueError while serializing is a usage error too."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
         result = args.handler(args)
+        elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
+        if args.command == "pgf" and args.format != "json":
+            out = "\n".join(_render_pgf(args, result))
+        else:
+            parameters = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
+            envelope = {
+                "command": args.command,
+                "parameters": _wire(parameters),
+                "result": _wire(result),
+                "timing_ms": elapsed_ms,
+                "version": __version__,
+            }
+            out = json.dumps(envelope, indent=2, sort_keys=True)
     except DivergentDurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -530,21 +435,7 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
-
-    if args.command == "pgf" and args.format != "json":
-        for line in _render_pgf(args, result):
-            print(line)
-        return EXIT_OK
-
-    envelope = {
-        "command": args.command,
-        "parameters": _parameters(args),
-        "result": result,
-        "timing_ms": elapsed_ms,
-        "version": __version__,
-    }
-    print(json.dumps(envelope, indent=2, sort_keys=True))
+    print(out)
     if args.command == "verify" and not result["passed"]:
         return EXIT_VERIFY_FAILED
     return EXIT_OK

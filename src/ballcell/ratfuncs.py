@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact, poly2_gcd, poly_gcd
+from .scalars import parse_rational
 
 Q0 = Fraction(0)
 
@@ -411,22 +412,12 @@ def ratfunc_latex(f: RatFunc | RatFunc2, den_factors=None) -> str:
 # JSON wire format
 
 
-def rational_to_json(q: Fraction) -> str:
-    return str(q)
-
-
-def rational_from_json(s: str) -> Fraction:
-    from .scalars import parse_rational
-
-    return parse_rational(s)
-
-
 def poly_to_json(p: Poly) -> list:
     return [[e, str(v)] for e, v in sorted(p.items())]
 
 
 def poly_from_json(data) -> Poly:
-    return Poly.from_pairs((int(e), rational_from_json(v)) for e, v in data)
+    return Poly.from_pairs((int(e), parse_rational(v)) for e, v in data)
 
 
 def poly2_to_json(p: Poly2) -> list:
@@ -436,7 +427,7 @@ def poly2_to_json(p: Poly2) -> list:
 def poly2_from_json(data) -> Poly2:
     out = {}
     for (dn, dx), v in ((tuple(k), v) for k, v in data):
-        out[(int(dn), int(dx))] = out.get((int(dn), int(dx)), Q0) + rational_from_json(v)
+        out[(int(dn), int(dx))] = out.get((int(dn), int(dx)), Q0) + parse_rational(v)
     return Poly2(out)
 
 

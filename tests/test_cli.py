@@ -175,6 +175,16 @@ def test_geo_table_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, _ = run_cli(capsys, "geo", "--table", str(tmp_path / "absent.txt"), "--r", "1")
     assert code == 2
+    # A missing --r is reported before the file is read.
+    code, _, err = run_cli(capsys, "geo", "--table", str(tmp_path / "absent.txt"))
+    assert code == 2 and "--table needs --r" in err
+
+
+def test_geo_limits_usage_errors(capsys):
+    for extra in (("--order", "4"), ("--r", "3"), ("--r", "3", "--order", "4")):
+        code, out, err = run_cli(capsys, "geo", "--alpha", "1/2", "--limits", *extra)
+        assert code == 2 and out == ""
+        assert "--limits takes neither --r nor --order" in err
 
 
 def test_simulate_trivial_histogram(capsys):
@@ -183,6 +193,14 @@ def test_simulate_trivial_histogram(capsys):
     assert result["histogram"] == {"1": 100}
     assert result["mean"] == "1"
     assert result["variance"] == "0"
+
+
+def test_simulate_histogram_keys_sort_as_strings(capsys):
+    # Keys are strings before json sorts them, so "10" precedes "4" in the
+    # printed envelope; json.loads keeps the printed order.
+    env = run_json(capsys, "simulate", "--balls", "5", "--cells", "2", "--trials", "30", "--seed", "11")
+    keys = list(env["result"]["histogram"])
+    assert keys == sorted(keys) and len({len(k) for k in keys}) == 2
 
 
 def test_simulate_deterministic_modulo_timing(capsys):
@@ -258,6 +276,18 @@ def test_exit_code_usage_from_values(capsys):
     assert "error:" in err
     code, _, _ = run_cli(capsys, "geo", "--alpha", "3/2", "--r", "1")
     assert code == 2
+
+
+def test_serialization_error_is_a_usage_error(capsys, monkeypatch):
+    def broken(f):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(cli, "ratfunc_text", broken)
+    for fmt in ("json", "text"):
+        code, out, err = run_cli(capsys, "pgf", "--cells", "2", "--balls", "2", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot render\n"
 
 
 def test_argparse_usage_exits_two(capsys):

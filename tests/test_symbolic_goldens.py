@@ -1,10 +1,16 @@
-"""Byte-identity goldens for the symbolic-n CLI.
+"""Byte-identity goldens for every command shape of the CLI.
 
 Every request runs through ``cli.run``; its stdout, with ``timing_ms``
 removed from the JSON envelope, must hash to the digest recorded here.  The
-digests were recorded while Poly2 still stored flat (deg_n, deg_x) keys, so
-they pin the canonical forms, their order and their rendering independently
-of the x-major layout.  Never regenerate them from the code under test.
+symbolic-n digests were recorded while Poly2 still stored flat (deg_n, deg_x)
+keys, so they pin the canonical forms, their order and their rendering
+independently of the x-major layout.  The numeric `pgf` (json, text and
+latex, with and without `--expand`), `moments` (with a zero variance),
+`approx`, `geo`, `simulate --verbose --gof` and `verify` digests were
+recorded while each handler still built its wire dicts by hand, so they pin
+the wire format independently of the one serializer, `cli._wire`.  The
+digest re-sorts the parsed envelope, so key order is pinned in
+`tests/test_cli.py` instead.  Never regenerate them from the code under test.
 """
 
 import hashlib
@@ -64,6 +70,25 @@ GOLDEN = {
     "moments --symbolic-n --balls 3 --order 4": "21c9d3791be1fdab5f116e793a15d99b772b979aa407af77d3ef12febf765b83",
     "moments --symbolic-n --balls 4 --order 4": "b4e856dfea0f6721745d5da83de5c8ad14f93bc6c551f9f9a85b07bf5a3e31d9",
     "moments --symbolic-n --balls 5 --order 2": "2785f0eab758be862af67b1cc5650095a62dda52575057c68754ca16cc5dd487",
+    "pgf --cells 3 --balls 4 --format json": "8a3debbc6c7841eaa54e9234edf91487ced9adf20847bd6fbba6902a7916a540",
+    "pgf --cells 3 --balls 4 --format text": "9e9665d843589bb792b649ffd3c205cf4214c9b4cd3af9bf9691e9a1a5f0106b",
+    "pgf --cells 3 --balls 4 --format latex": "caa9d33eff24c2bd315b65d6bb7caa30d26178878128115ccca5653a1d439dce",
+    "pgf --cells 3 --balls 4 --expand 6 --format json": "f1975016c9cb5130ff085ec9ff066ed7a934ff02c8ab10d72d00b971ee5e49b7",
+    "pgf --cells 3 --balls 4 --expand 6 --format text": "a3eff80c0119eb7607c5e55fb82f9fec32a29f9e70ac5928f001afc8cac19f1b",
+    "pgf --cells 3 --balls 4 --expand 6 --format latex": "caa9d33eff24c2bd315b65d6bb7caa30d26178878128115ccca5653a1d439dce",
+    "pgf --cells 5 --balls 5 --expand 6 --format latex": "c2c4aa4c870e245dfe4facab4e29e0c95751573e71a67c8b2061774ac8b92b9a",
+    "moments --cells 3 --balls 4 --order 4": "0d81770011623853247c9851350c70ace6c413b13bf49d5e7478d9bc7d54f798",
+    "moments --cells 5 --balls 6 --order 6": "910a6119e35b3c2ba536e982fcd5a53aa62e32bcbcc8864301eb61052d709eb9",
+    "moments --cells 2 --balls 1 --order 4": "eeec7ecd63aacba25f74a085e50cb40f79d86977fcbc08fe20e6b1ff7daf80e4",
+    "approx --cells 5 --balls 7": "17f13b62b5095923738badff1ff420466c0315b04d0fb5753cd114f1f8821712",
+    "approx --cells 2 --balls 1": "d16f9c182ab6327cca71cb82091a9b7172d09b070e20fd5d2412d22000f7e1a1",
+    "approx --cells 3 --limit --rmax 60 --digits 20": "ac36c0c46e6f0ba23866ea7e90b7d70dbaf5e863bb9098fcacf1fb4936cd0ac8",
+    "geo --alpha 1/3 --r 40 --order 6": "86707a43209a86f075461f14a86de037b63b9c2ecc0310e0bcad8224c480150e",
+    "geo --alpha 1/2 --limits": "abc7d1ca30ad1e49698cebdd959018b66b3b8f7d117b6fde7fbf4c83da162c10",
+    "geo --alpha 1/3 --limits": "86ef6702d8b6e54619201ba822d0da83ebb855e6167d37d7e27b84804de26edb",
+    "simulate --balls 4 --cells 3 --trials 20 --seed 11 --verbose --gof": "e38bb5bbd0e69cf9f54030ef9678cd3e541c4cefa1727bf5f3b40c18bafa82cc",
+    "simulate --balls 5 --cells 2 --trials 30 --seed 11 --verbose --gof": "e1dd0079bf4c13c320d2a313798dcdfe40f1fbe127716821a5719bad9adeb954",
+    "verify --suite paper --budget small": "9f58cd2d33c75933cfd742f6754251f60c02b812691b55728efad9ee3801da7e",
 }
 
 
