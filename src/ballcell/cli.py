@@ -169,6 +169,8 @@ def _cmd_geo(args):
 
 
 def _cmd_simulate(args) -> dict:
+    # The exact law comes first, so that its cost estimate refuses before play.
+    law = DurationLaw.compute(args.balls, args.cells) if args.gof else None
     batch, traces = _simulate_batch(args.balls, args.cells, args.trials, args.seed, record=args.verbose)
     names = ("balls", "cells", "trials", "seed", "mean", "variance", "histogram")
     result = {name: getattr(batch, name) for name in names}
@@ -185,7 +187,7 @@ def _cmd_simulate(args) -> dict:
             for i, (duration, rounds) in enumerate(zip(batch.durations, traces))
         ]
     if args.gof:
-        result["gof"] = gof_compare(batch, DurationLaw.compute(args.balls, args.cells))
+        result["gof"] = gof_compare(batch, law)
     return result
 
 

@@ -10,13 +10,23 @@ SplitMix64 is counter-based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC 2011): word m of the stream at state s is mix(s + m·γ), so a
 whole round can be drawn at once.  Each draw packs its words into 128-bit
 lanes of one Python int (the state of every lane from a byte join, plus the
-offsets m·γ from a lane table), runs the mix lane-wise as a dozen big-int
-operations, and unpacks the low half of each lane through ``array``.  A
-batch plays its trials in chunks of _LANES // r games, one draw per round of
-a chunk, and counts the captures of all its games at once; a word that
-``below`` would reject sends only the games that drew it back to the scalar
-generator for that round.  The draw equals the scalar stream word for word,
-so every duration, trace and batch is the one the per-ball loop gives.
+offsets m·γ from a prefix table: entry k of ``_steps()`` holds the first k
+offsets, so a game's offsets cost one list index), runs the mix lane-wise as
+a dozen big-int operations, and unpacks the low half of each lane through
+``array``.  A batch plays its trials in chunks of _LANES // r games, one draw
+per round of a chunk; a word that ``below`` would reject sends only the games
+that drew it back to the scalar generator for that round.  The draw equals
+the scalar stream word for word, so every duration, trace and batch is the
+one the per-ball loop gives.
+
+Captures are counted SIMD-within-a-register (Lamport, "Multiple byte
+processing with full-word instructions", CACM 18(8), 1975): a game's
+occupancy is one int of n lanes of w = r.bit_length() + 1 bits, the sum of
+its balls' entries 1 << (w·cell) in a one-hot table, and a lane-wise test
+that no carry can cross counts the lanes holding exactly one ball.  While n·w
+is at most _LANE_BITS; past it, the table would cost O(n²·w) bits and each
+sum O(n·w), so a round counts its captures with a Counter over keys
+game·n + cell instead.
 
 The standard library is used and not numpy: importing numpy after ballcell
 raises the interpreter's peak RSS from 16.6 to 28.1 MB (numpy 2.4, Python
@@ -33,8 +43,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, repeat
-from operator import add, and_, eq, floordiv, mod, mul, not_, sub
+from itertools import chain, compress, islice, repeat
+from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
 
 from .errors import BudgetExceededError, DivergentDurationError
 from .pgf import MIN_COVERAGE, exact_distribution
@@ -52,6 +62,12 @@ _MIX2 = 0x94D049BB133111EB
 _LANES = 2048
 # Keeps the low 64 bits of every 128-bit lane of one draw.
 _LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
+# Largest n·w, in bits, for which _play counts captures in w-bit lanes of
+# one int per game.  Measured against the Counter on full rounds of one
+# draw (2-vCPU Xeon, Python 3.11): at 1024 bits the lanes take 0.6-0.8 of
+# its time for r >= 8 and 0.85-1.0 for r = 2..5; they break even near 1536
+# bits for small r and near 3072 for r >= 24.
+_LANE_BITS = 1024
 
 
 def _mix64(z: int) -> int:
@@ -140,10 +156,12 @@ def _mix_lanes(z: int) -> int:
 
 
 @cache
-def _steps() -> memoryview:
-    """The stream offsets 1·γ, 2·γ, ... of one draw as consecutive 16-byte
-    lanes, built on first use so that importing the package stays cheap."""
-    return memoryview(b"".join((j * _GAMMA & MASK64).to_bytes(16, "little") for j in range(1, _LANES + 1)))
+def _steps() -> list[memoryview]:
+    """Entry k holds the stream offsets 1·γ, ..., k·γ of one draw as
+    consecutive 16-byte lanes, for k = 0.._LANES: prefixes of one buffer,
+    built on first use so that importing the package stays cheap."""
+    offsets = memoryview(b"".join((j * _GAMMA & MASK64).to_bytes(16, "little") for j in range(1, _LANES + 1)))
+    return [offsets[:16 * k] for k in range(_LANES + 1)]
 
 
 def _packed_words(states: Sequence[int], counts: Sequence[int]) -> array:
@@ -151,7 +169,7 @@ def _packed_words(states: Sequence[int], counts: Sequence[int]) -> array:
     order, drawn by one packed mix; sum(counts) is at most _LANES."""
     total = sum(counts)
     lanes = b"".join(map(bytes.__mul__, map(int.to_bytes, states, repeat(16), repeat("little")), counts))
-    steps = b"".join(map(_steps().__getitem__, map(slice, repeat(0), map((16).__mul__, counts))))
+    steps = b"".join(map(_steps().__getitem__, counts))
     z = (int.from_bytes(lanes, "little") + int.from_bytes(steps, "little")) & _LANE_MASK
     words = array("Q", _mix_lanes(z).to_bytes(16 * total, "little"))
     if sys.byteorder == "big":
@@ -193,6 +211,40 @@ def _replay_rejected(states: Sequence[int], balls: Sequence[int], n: int, words:
     return cells, moved
 
 
+def _lanes(r: int, n: int):
+    """The one-hot table onehot[c] = 1 << (w·c) of games with r balls on n
+    cells, w = r.bit_length() + 1, and its lane masks low (bit 0 of every
+    lane), fill (all bits of every lane but the top one) and top; None when
+    n·w passes _LANE_BITS."""
+    w = r.bit_length() + 1
+    if n * w > _LANE_BITS:
+        return None
+    onehot = [1 << (w * c) for c in range(n)]
+    low = sum(onehot)
+    top = low << (w - 1)
+    return onehot, low, top - low, top
+
+
+def _left_by_lanes(lanes, balls: Sequence[int], cells) -> list[int]:
+    """The balls each game keeps after a round in which game i threw the
+    next balls[i] of `cells`, from the game's occupancy: lane c counts its
+    balls in cell c.  No lane exceeds r < 2^(w-1), so ((occ ^ low) + fill) &
+    top keeps the top bit of every lane not holding exactly one ball, and no
+    carry crosses a lane."""
+    onehot, low, fill, top = lanes
+    occupancy = map(sum, map(islice, repeat(map(onehot.__getitem__, cells)), balls))
+    crowded = map(int.bit_count, map(and_, map(add, map(xor, occupancy, repeat(low)), repeat(fill)), repeat(top)))
+    return list(map(sub, balls, map(sub, repeat(len(onehot)), crowded)))
+
+
+def _left_by_counter(n: int, balls: Sequence[int], cells) -> list[int]:
+    """As _left_by_lanes, counting on keys game·n + cell over the round."""
+    owners = chain.from_iterable(map(repeat, range(0, len(balls) * n, n), balls))
+    counts = Counter(map(add, owners, cells))
+    captured = Counter(map(floordiv, compress(counts, map(eq, counts.values(), repeat(1))), repeat(n)))
+    return list(map(sub, balls, map(captured.get, range(len(balls)), repeat(0))))
+
+
 def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     """Durations of the games with r balls on n cells that start at each
     stream state, and with `record` the rounds of each game.
@@ -201,7 +253,7 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     the next words of its stream in order, ball j of a game with b balls the
     word mix(s + (j+1)·γ), and its cell is word % n, exactly as b calls of
     ``SplitMix64.below`` would give unless a word is rejected.  Captures are
-    counted on keys game·n + cell over the whole round.
+    counted in lanes while n·w is at most _LANE_BITS, else by a Counter.
     """
     durations = [0] * len(states)
     traces = [[] for _ in states] if record else []
@@ -210,6 +262,7 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     # The top bytes of a word >= limit are all 0xff, so a round without this
     # run of bytes has no rejected word and skips the exact test.
     marker = b"\xff" * ((64 - spare.bit_length()) // 8)
+    lanes = _lanes(r, n)
     live = list(range(len(states))) if r else []
     balls = [r] * len(live)
     rounds = 0
@@ -223,10 +276,7 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
             states = list(map(and_, map(add, states, map(mul, balls, repeat(_GAMMA))), repeat(MASK64)))
         if record:
             cells = list(cells)
-        owners = chain.from_iterable(map(repeat, range(0, len(live) * n, n), balls))
-        counts = Counter(map(add, owners, cells))
-        captured = Counter(map(floordiv, compress(counts, map(eq, counts.values(), repeat(1))), repeat(n)))
-        left = list(map(sub, balls, map(captured.get, range(len(live)), repeat(0))))
+        left = _left_by_lanes(lanes, balls, cells) if lanes else _left_by_counter(n, balls, cells)
         if record:
             start = 0
             for i, b, rest in zip(live, balls, left):
@@ -308,7 +358,7 @@ def _simulate_batch(r: int, n: int, trials: int, seed: int, record: bool = False
         durations += played
         traces += recorded
     mean = Fraction(sum(durations), trials)
-    variance = Fraction(sum(d * d for d in durations), trials) - mean * mean
+    variance = Fraction(sum(map(mul, durations, durations)), trials) - mean * mean
     return SimBatch(
         balls=r,
         cells=n,
@@ -331,6 +381,7 @@ class DurationLaw:
 
     @classmethod
     def compute(cls, r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) -> "DurationLaw":
+        _check_sim_state(r, n)
         return cls(r, n, tuple(exact_distribution(r, n, min_coverage)))
 
     def coverage(self) -> Fraction:

@@ -46,13 +46,14 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, islice
-from math import comb, gcd, prod
+from math import comb, gcd, inf, log, log1p, log10, prod
 from operator import mul
 
 from .errors import BudgetExceededError, DivergentDurationError
 
-# transition_prob_symbolic and poly2_div_exact are no longer called here, but
-# perfbench/tracer.py wraps pgf.transition_prob_symbolic and
+# transition_prob_symbolic, transition_row and poly2_div_exact are no longer
+# called here (the exact law walks _row_numerators), but perfbench/tracer.py
+# wraps pgf.transition_prob_symbolic, pgf.transition_row and
 # pgf.poly2_div_exact by name, so the attributes stay.
 from .game import (  # noqa: F401
     _check_state,
@@ -63,7 +64,7 @@ from .game import (  # noqa: F401
 )
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact  # noqa: F401
 from .ratfuncs import RatFunc, RatFunc2, _ring_terms, _series_numerators
-from .scalars import decimal_sqrt
+from .scalars import BUDGET_ENV, decimal_sqrt, enum_budget
 
 DEFAULT_SYMBOLIC_CEILING = 40
 
@@ -71,7 +72,13 @@ DEFAULT_SYMBOLIC_CEILING = 40
 # montecarlo.gof_compare accepts.
 MIN_COVERAGE = Fraction(10**9 - 1, 10**9)
 
-Q0 = Fraction(0)
+# exact_distribution refuses a law whose estimated horizon H gives terms over
+# n^(r·H) of more than enum_budget() // LAW_DIGITS_DIVISOR digits: 10^4 at the
+# default budget.  Just inside it, (11, 2) estimates 6.4k digits and (18, 3)
+# 9.7k; each walks in 11-12 s (2-vCPU Xeon), while (12, 2), at 12.7k, is
+# refused.  The --gof states of the benchmark estimate at most 1k digits.
+LAW_DIGITS_DIVISOR = 1000
+
 Q1 = Fraction(1)
 
 
@@ -318,22 +325,24 @@ def _duration_law(r: int, n: int):
 
     Walks the ball-count Markov chain directly (states r down to 0, one
     capture row per state) and differences the absorption probabilities.
+    After k rounds every state's mass is an integer over n^(r·k): state i's
+    row is _row_numerators(n, i) over n^i, scaled by n^(r-i) to the common
+    n^r, so the walk runs on integers and builds one Fraction per term.
     """
-    rows = [transition_row(n, i).probs for i in range(r + 1)]
-    state = [Q0] * (r + 1)
-    state[r] = Q1
-    absorbed = Q0
+    scale = n**r
+    rows = [[(t, a * n ** (r - i)) for t, a in enumerate(_row_numerators(n, i)) if a] for i in range(r + 1)]
+    state = [0] * r + [1]
+    absorbed = 0
+    den = 1
     while True:
-        yield state[0] - absorbed
-        absorbed = state[0]
-        nxt = [Q0] * (r + 1)
-        for i in range(r + 1):
-            w = state[i]
+        yield Fraction(state[0] - absorbed, den)
+        absorbed = state[0] * scale
+        den *= scale
+        nxt = [0] * (r + 1)
+        for i, w in enumerate(state):
             if w:
-                row = rows[i]
-                for t in range(i + 1):
-                    if row[t]:
-                        nxt[i - t] += w * row[t]
+                for t, a in rows[i]:
+                    nxt[i - t] += w * a
         state = nxt
 
 
@@ -355,13 +364,30 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) ->
 
     Refuses the non-terminating state, where no horizon can cover the mass,
     and a min_coverage of 1 or more, which no finite horizon reaches once
-    r >= 2.
+    r >= 2.  Before walking, it estimates the horizon H as
+    log(1 - min_coverage) / log(p), p the largest stay probability of the
+    states 2..r, and refuses with BudgetExceededError when the terms there,
+    over n^(r·H), would pass enum_budget() // LAW_DIGITS_DIVISOR digits.
     """
     _check_state(n, r)
     if min_coverage >= 1:
         raise ValueError(f"min_coverage must be below 1, got {min_coverage}")
     if n == 1 and r >= 2:
         raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
+    # The slowest mode of the chain is its largest stay probability p, so the
+    # mass left after H rounds is about p^H.  There is no such state when
+    # r < 2, and p - 1 rounds to 0.0 when p is within 2^-1075 of 1.
+    p = max((Fraction(_row_numerators(n, i)[0], n**i) for i in range(2, r + 1)), default=0)
+    decay = -log1p(float(p - 1)) if p else inf
+    horizon = -log(1 - min_coverage) / decay if decay else inf
+    digits = horizon * r * log10(n)
+    budget = enum_budget() // LAW_DIGITS_DIVISOR
+    if digits > budget:
+        raise BudgetExceededError(
+            f"the exact law of ({r} balls, {n} cells) needs about {horizon:.3g} rounds to cover "
+            f"{float(min_coverage):.9f} of its mass, with terms of about {digits:.3g} digits; the budget "
+            f"is {budget} digits ({BUDGET_ENV} / {LAW_DIGITS_DIVISOR})"
+        )
     law = _duration_law(r, n)
     probs = list(islice(law, 33))
     while sum(probs) < min_coverage:

@@ -5,6 +5,7 @@ asserted directly; nothing here shells out.
 """
 
 import json
+import time
 
 import pytest
 
@@ -268,6 +269,19 @@ def test_exit_code_budget(capsys):
         capsys, "simulate", "--balls", "2", "--cells", str(10**8), "--trials", "1", "--seed", "0"
     )
     assert code == 4
+
+
+def test_gof_refuses_a_long_law_before_play(capsys):
+    # (30, 2) averages about 10^8 rounds a game and its law about 3.7e8 rounds
+    # of horizon: the estimate refuses before a single game is played.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "simulate", "--balls", "30", "--cells", "2", "--trials", "1000", "--seed", "1", "--gof"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert "about 3.71e+08 rounds" in err and "BALLCELL_BUDGET" in err
 
 
 def test_exit_code_usage_from_values(capsys):

@@ -8,6 +8,7 @@ differentiated mean/variance recurrences.
 import time
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -34,7 +35,7 @@ from ballcell.pgf import (
 from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
 from ballcell.scalars import to_decimal
-from oracles import div_exact_over_q
+from oracles import div_exact_over_q, duration_law_over_q
 
 X = Poly.var()
 
@@ -258,6 +259,52 @@ def test_exact_distribution_coverage():
     for coverage in (Fraction(1), Fraction(3, 2)):
         with pytest.raises(ValueError, match="min_coverage"):
             exact_distribution(2, 2, coverage)
+
+
+# Every state to which the simulate_gof benchmark workload can send --gof:
+# r = 2 + (22j)//39 for even j with r <= 12, and n from 2r - r//4 to 2r.
+GOF_STATES = [(r, n) for r in (2, 3, 4, 5, 6, 7, 8, 9, 11, 12) for n in range(2 * r - r // 4, 2 * r + 1)]
+# r = 0, r = 1, one cell with r <= 1, fewer cells than balls, and (12, 23).
+LAW_STATES = [(0, 1), (0, 4), (1, 1), (1, 5), (5, 3), (9, 4), (6, 2), (12, 23)]
+
+
+def _law_over_q(r, n):
+    law = duration_law_over_q(r, n)
+    probs = list(islice(law, 33))
+    while sum(probs) < pgf.MIN_COVERAGE:
+        probs += islice(law, len(probs) - 1)
+    return probs
+
+
+@pytest.mark.parametrize("r,n", sorted(set(LAW_STATES + GOF_STATES)))
+def test_integer_law_matches_fraction_chain(r, n):
+    probs = exact_distribution(r, n)
+    assert probs == _law_over_q(r, n)
+    assert all(type(p) is Fraction for p in probs)
+    assert duration_distribution(r, n, 40) == list(islice(duration_law_over_q(r, n), 41))
+
+
+def test_exact_distribution_refuses_long_horizons(monkeypatch):
+    # (30, 2) stays put with probability 1 - 60/2^30 in its slowest state.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"about 3\.71e\+08 rounds .* about 3\.35e\+09 digits"):
+        exact_distribution(30, 2)
+    assert time.perf_counter() - start < 1
+    # A lower coverage needs a shorter horizon: (12, 2) estimates 12.7k digits
+    # for the default and 426 for half the mass.  duration_distribution, told
+    # its horizon, never refuses.
+    with pytest.raises(BudgetExceededError):
+        exact_distribution(12, 2)
+    assert sum(exact_distribution(12, 2, Fraction(1, 2))) >= Fraction(1, 2)
+    assert duration_distribution(30, 2, 3) == list(islice(duration_law_over_q(30, 2), 4))
+    # The budget scales with BALLCELL_BUDGET: (8, 2) estimates 773 digits.
+    assert exact_distribution(8, 2)
+    monkeypatch.setenv("BALLCELL_BUDGET", str(10**5))
+    with pytest.raises(BudgetExceededError, match="budget is 100 digits"):
+        exact_distribution(8, 2)
+    assert exact_distribution(3, 3) == _law_over_q(3, 3)
+    with pytest.raises(ValueError, match="min_coverage"):
+        exact_distribution(30, 2, Fraction(1))
 
 
 def test_two_ball_moments_by_hand():
