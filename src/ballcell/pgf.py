@@ -79,6 +79,12 @@ MIN_COVERAGE = Fraction(10**9 - 1, 10**9)
 # refused.  The --gof states of the benchmark estimate at most 1k digits.
 LAW_DIGITS_DIVISOR = 1000
 
+# exact_distribution always walks the first LAW_MIN_TERMS terms (rounds 0..32),
+# so its estimate takes a horizon of at least LAW_MIN_TERMS - 1 rounds: a
+# short horizon at large r, such as (100, 150) at H = 4.1, still walks 32
+# rounds of terms over n^(32·r).
+LAW_MIN_TERMS = 33
+
 Q1 = Fraction(1)
 
 
@@ -366,8 +372,9 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) ->
     and a min_coverage of 1 or more, which no finite horizon reaches once
     r >= 2.  Before walking, it estimates the horizon H as
     log(1 - min_coverage) / log(p), p the largest stay probability of the
-    states 2..r, and refuses with BudgetExceededError when the terms there,
-    over n^(r·H), would pass enum_budget() // LAW_DIGITS_DIVISOR digits.
+    states 2..r, and refuses with BudgetExceededError when the terms after
+    max(H, LAW_MIN_TERMS - 1) rounds, over n^r per round, would pass
+    enum_budget() // LAW_DIGITS_DIVISOR digits.
     """
     _check_state(n, r)
     if min_coverage >= 1:
@@ -379,17 +386,17 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) ->
     # r < 2, and p - 1 rounds to 0.0 when p is within 2^-1075 of 1.
     p = max((Fraction(_row_numerators(n, i)[0], n**i) for i in range(2, r + 1)), default=0)
     decay = -log1p(float(p - 1)) if p else inf
-    horizon = -log(1 - min_coverage) / decay if decay else inf
+    horizon = max(-log(1 - min_coverage) / decay if decay else inf, LAW_MIN_TERMS - 1)
     digits = horizon * r * log10(n)
     budget = enum_budget() // LAW_DIGITS_DIVISOR
     if digits > budget:
         raise BudgetExceededError(
-            f"the exact law of ({r} balls, {n} cells) needs about {horizon:.3g} rounds to cover "
-            f"{float(min_coverage):.9f} of its mass, with terms of about {digits:.3g} digits; the budget "
-            f"is {budget} digits ({BUDGET_ENV} / {LAW_DIGITS_DIVISOR})"
+            f"the exact law of ({r} balls, {n} cells) walks about {horizon:.3g} rounds (at least "
+            f"{LAW_MIN_TERMS - 1}) to cover {float(min_coverage):.9f} of its mass, with terms of about "
+            f"{digits:.3g} digits; the budget is {budget} digits ({BUDGET_ENV} / {LAW_DIGITS_DIVISOR})"
         )
     law = _duration_law(r, n)
-    probs = list(islice(law, 33))
+    probs = list(islice(law, LAW_MIN_TERMS))
     while sum(probs) < min_coverage:
         probs += islice(law, len(probs) - 1)
     return probs
@@ -412,13 +419,16 @@ def _moment_numerators(func: RatFunc | RatFunc2, order: int) -> tuple:
     """d1 = den(1) with the raw numerators R_1..R_order and central ones
     C_2..C_order in the coefficient ring: E[X^i] = R_i / d1^(i+1) and
     m_i = C_i / d1^(2i).  The series of F(1 + h) over powers of d1 gives
-    E[(X)_k] = k! c_k / d1^(k+1); nothing is divided on the way."""
+    E[(X)_k] = k! c_k / d1^(k+1); nothing is divided on the way.  The ring
+    is Z or Z[n] (``_ring_terms`` reads the canonical coefficients as ints)
+    and the power chains start from the int 1, so every value returned is
+    an int or a Poly in n with int coefficients."""
     num, den = (_shift_to_one(_ring_terms(p), order) for p in (func.num, func.den))
     d1, cs = den[0], [c for c, _ in _series_numerators(num, den, order)]
-    pw = list(accumulate([d1] * order, mul, initial=d1**0))
+    pw = list(accumulate([d1] * order, mul, initial=1))
     raw = [sum(_surjections(i, k) * cs[k] * pw[i - k] for k in range(1, i + 1)) for i in range(1, order + 1)]
     # m_i d1^(2i) = (-R_1)^i + sum_{j>=1} C(i, j) R_j d1^(j-1) (-R_1)^(i-j)
-    lead = list(accumulate([-raw[0]] * order, mul, initial=d1**0))
+    lead = list(accumulate([-raw[0]] * order, mul, initial=1))
     central = [
         lead[i] + sum(comb(i, j) * raw[j - 1] * pw[j - 1] * lead[i - j] for j in range(1, i + 1))
         for i in range(2, order + 1)
@@ -468,14 +478,15 @@ def moments(r: int, n: int, order: int) -> MomentReport:
 
 def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> SymbolicMomentReport:
     """Moments as reduced rational functions of the cell count: the numeric
-    chain over Polys in n, each moment reduced once by ``RatFunc2._x_free``
-    against the denominator factors at x = 1 (times d1's constant).
+    chain over Polys in n with int coefficients, each moment reduced once by
+    ``RatFunc2._x_free`` against the denominator factors at x = 1 (times d1's
+    constant, a Fraction).  That reduction builds the moment's only Fractions.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     d1, raw_nums, central_nums = _moment_numerators(pgf_symbolic(r, max_balls).func, order)
     at_one = Counter(f.subs_x(Q1) for f in symbolic_den_factors(r, max_balls))
-    at_one[Poly.const(d1.leading_coeff() / prod(f.leading_coeff() ** m for f, m in at_one.items()))] += 1
+    at_one[Poly.const(Fraction(d1.leading_coeff()) / prod(f.leading_coeff() ** m for f, m in at_one.items()))] += 1
 
     def over_d1(v: Poly, power: int) -> RatFunc2:
         return RatFunc2._x_free(v, {f: m * power for f, m in at_one.items()})

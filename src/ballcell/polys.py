@@ -15,9 +15,12 @@ constructor, ``items`` (which ``repr`` and ``content`` read), ``coeff`` and
 ``head_coeff``, and the substitutions, which evaluate row by row.
 
 The ring operations keep the type of the coefficients they are given, so a
-polynomial adopted with int coefficients stays over the integers.  The PGF
-table works that way: it divides with ``int_div_exact`` (long division over
-Z or Z[n]) and hands its results out through ``fractions``.
+polynomial adopted with int coefficients stays over the integers, and its
+zeroth power is the int unit.  The PGF table works that way: it divides with
+``int_div_exact`` (long division over Z or Z[n]) and hands its results out
+through ``fractions``.  So do the series and moment chains, which read a
+canonical quotient's integral coefficients as ints; each of their results
+becomes a Fraction once, when ``RatFunc2._x_free`` reduces it.
 
 Greatest common divisors and exact division over Q run on the same integer
 core: each operand is split by ``primitive`` into its content and an integer
@@ -146,7 +149,11 @@ class _Sparse:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        # No unit factor, so int coefficients stay ints; p**0 is const(1).
+        # No unit factor, so int coefficients stay ints; p**0 is the unit of
+        # p's coefficient type (int 1 over int coefficients), and const(1)
+        # for the zero polynomial.
+        if not k:
+            return self._adopt({0: next(iter(self._c.values())) ** 0}) if self._c else self.const(1)
         result = None
         base = self
         while k:
@@ -155,7 +162,7 @@ class _Sparse:
             k >>= 1
             if k:
                 base = base * base
-        return self.const(1) if result is None else result
+        return result
 
     def fractions(self):
         """The same polynomial with every coefficient a Fraction, the form in

@@ -170,9 +170,13 @@ class _Quotient:
 
 
 def _ring_terms(p: Poly | Poly2) -> dict:
-    """{power of x: coefficient} of a canonical polynomial, as ints for a
-    Poly in x and as Polys in n for a Poly2 (its own rows, read only)."""
-    return p._c if isinstance(p, Poly2) else {e: v.numerator for e, v in p.items()}
+    """{power of x: coefficient} of a canonical polynomial, whose
+    coefficients are integral: ints for a Poly in x, Polys in n with int
+    coefficients for a Poly2, so the chains that read them never touch a
+    Fraction."""
+    if isinstance(p, Poly2):
+        return {e: row._map(lambda v: v.numerator) for e, row in p._c.items()}
+    return {e: v.numerator for e, v in p.items()}
 
 
 def _series_numerators(num: dict, den: dict, kmax: int, content=None) -> list:
@@ -181,14 +185,17 @@ def _series_numerators(num: dict, den: dict, kmax: int, content=None) -> list:
     window of the last deg(den) numerators shares one scale, multiplied by d0
     per step, so coefficient k is over d0^(k+1); a `content` (ring gcd) also
     divides window and scale by their common part, keeping numerators small.
+    The scale starts from the int 1, so over int rows (see ``_ring_terms``)
+    every numerator and factor has int coefficients.
     """
     d0 = den.get(0)
     if not d0:
         raise ZeroDivisionError("denominator vanishes at x = 0; no Maclaurin expansion")
     tail = sorted((j, dj) for j, dj in den.items() if j)
-    scale, window, out = d0**0, [], []
+    # zero is the ring's zero, so a term missing from num is still a ring element.
+    scale, window, out, zero = 1, [], [], d0 * 0
     for k in range(kmax + 1):
-        acc = num.get(k, 0) * scale - sum(dj * window[j - 1] for j, dj in tail if j <= k)
+        acc = num.get(k, zero) * scale - sum(dj * window[j - 1] for j, dj in tail if j <= k)
         scale, window = scale * d0, [acc] + [w * d0 for w in window[: max(den) - 1]]
         if content is not None:
             g = content(scale, *window)

@@ -284,6 +284,20 @@ def test_gof_refuses_a_long_law_before_play(capsys):
     assert "about 3.71e+08 rounds" in err and "BALLCELL_BUDGET" in err
 
 
+def test_gof_refuses_a_short_horizon_that_walks_32_rounds(capsys, monkeypatch):
+    # (100, 150) covers its mass in about 4 rounds, but the law always walks
+    # 32, over terms of about 7k digits: past a budget of 5000 digits.
+    monkeypatch.setenv("BALLCELL_BUDGET", "5000000")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "simulate", "--balls", "100", "--cells", "150", "--trials", "10", "--seed", "1", "--gof"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert "about 32 rounds" in err and "budget is 5000 digits" in err
+
+
 def test_exit_code_usage_from_values(capsys):
     code, _, err = run_cli(capsys, "approx", "--cells", "1", "--balls", "3")
     assert code == 2

@@ -303,6 +303,14 @@ def test_exact_distribution_refuses_long_horizons(monkeypatch):
     with pytest.raises(BudgetExceededError, match="budget is 100 digits"):
         exact_distribution(8, 2)
     assert exact_distribution(3, 3) == _law_over_q(3, 3)
+    # The walk takes at least LAW_MIN_TERMS terms, which the estimate counts:
+    # (100, 150) covers its mass in H = 4.1 rounds but walks 32, whose terms
+    # run to about 7k digits.
+    monkeypatch.setenv("BALLCELL_BUDGET", str(5 * 10**6))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"about 32 rounds .* about 6\.96e\+03 digits"):
+        exact_distribution(100, 150)
+    assert time.perf_counter() - start < 1
     with pytest.raises(ValueError, match="min_coverage"):
         exact_distribution(30, 2, Fraction(1))
 
@@ -503,8 +511,20 @@ def test_symbolic_moments_match_field_arithmetic_reference():
         assert rep.mean is rep.raw[0] and rep.variance is rep.central[0]
 
 
+def test_symbolic_moment_chain_runs_over_int_coefficients():
+    # d1 and the raw and central numerators are Polys in n over Z; the
+    # reported moments are the reduced Fraction forms _x_free builds.
+    d1, raw, central = pgf._moment_numerators(pgf_symbolic(5).func, 4)
+    assert len(raw) == 4 and len(central) == 3
+    for p in (d1, *raw, *central):
+        assert isinstance(p, Poly) and all(type(v) is int for _, v in p.items())
+    rep = moments_symbolic(5, 4)
+    for f in (*rep.raw, *rep.central, *rep.scaled_squared):
+        assert all(type(v) is Fraction for p in (f.num, f.den) for _, v in p.items())
+
+
 def test_symbolic_moments_specialize_to_numeric_moments():
-    for r in range(1, 6):
+    for r in range(1, 7):
         rep = moments_symbolic(r, 4)
         for n in range(2, 8):
             want = moments(r, n, 4)

@@ -123,6 +123,22 @@ def test_pow_matches_repeated_product():
         p ** (-1)
 
 
+def test_pow_zero_keeps_the_coefficient_type():
+    # p**0 is the unit over p's coefficients: an int polynomial stays over Z
+    int_poly = Poly({0: 2, 1: -1}).primitive()[1]
+    int_poly2 = Poly2({(1, 0): 3, (0, 2): -1, (2, 1): 5}).primitive()[1]
+    for p in (int_poly, int_poly2):
+        unit = p**0
+        assert unit == 1 and type(unit) is type(p)
+        assert all(type(v) is int for _, v in unit.items())
+        assert all(type(v) is int for _, v in (p * unit).items())
+    # the zero polynomial and Fraction polynomials keep const(1)
+    for p in (Poly({0: Fraction(1, 2)}), Poly2({(1, 1): Fraction(2, 3)}), Poly.zero(), Poly2.zero()):
+        unit = p**0
+        assert unit == type(p).const(1)
+        assert all(type(v) is Fraction for _, v in unit.items())
+
+
 def test_derivative_and_eval():
     # d/dx (3x^4 - x + 5) = 12x^3 - 1
     p = Poly({4: 3, 1: -1, 0: 5})

@@ -16,6 +16,8 @@ from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import (
     RatFunc,
     RatFunc2,
+    _ring_terms,
+    _series_numerators,
     poly2_from_json,
     poly2_to_json,
     poly_from_json,
@@ -290,6 +292,25 @@ def test_ratfunc2_series_with_non_monomial_constant_term():
         assert [(c.num, c.den) for c in out] == [(c.num, c.den) for c in ref]
         for n0 in (Fraction(2), Fraction(3), Fraction(7, 2), Fraction(9, 4), Fraction(11)):
             assert [c.subs_n(n0) for c in out] == [RatFunc.from_fraction(v) for v in f.subs_n(n0).series(6)]
+
+
+def test_series_windows_have_int_coefficients():
+    # The recurrence reads the canonical rows as Polys in n over Z and starts
+    # its scale from the int 1, so every numerator and denominator factor it
+    # yields is over Z; only _x_free builds Fractions, once per coefficient.
+    cases = [
+        pgf_symbolic(6).func,
+        RatFunc2(X2 * (N2 - 1), N2 - X2),
+        RatFunc2(N2 * X2 + 3),
+        RatFunc2(N2 - 1, (N2 - 1) ** 2 - X2),
+    ]
+    for f in cases:
+        terms = _series_numerators(_ring_terms(f.num), _ring_terms(f.den), 6)
+        for num, den in terms:
+            for p in (num, *den):
+                assert isinstance(p, Poly) and all(type(v) is int for _, v in p.items()), f
+        for c in f.series(6):
+            assert all(type(v) is Fraction for p in (c.num, c.den) for _, v in p.items())
 
 
 def test_polynomial_text_ordering():

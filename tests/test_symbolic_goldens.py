@@ -37,6 +37,7 @@ GOLDEN = {
     "moments --symbolic-n --balls 3 --order 4": "c347e373b0607b84596912d214f8720eadfeb1ab7e18819afac97c8ff6012c60",
     "moments --symbolic-n --balls 4 --order 4": "5175369a662f82dc6cee1fec50829d6bfe1b902080bb0826a99c68ab9bea0280",
     "moments --symbolic-n --balls 5 --order 2": "554d590aad0bed081b691a81dce73ab526c442f051d748db5f81848843eb2b13",
+    "moments --symbolic-n --balls 7 --order 4": "68969541a0e86f345d642b4b403e90ed484e506c28ce618f14bab9dc95594ee3",
     "pgf --cells 3 --balls 4 --expand 6 --format json": "ea65a89085e3b25a3b7e34f369aa7935416b9fa9f1facece51f98ccc9dd5e13d",
     "pgf --cells 3 --balls 4 --expand 6 --format latex": "caa9d33eff24c2bd315b65d6bb7caa30d26178878128115ccca5653a1d439dce",
     "pgf --cells 3 --balls 4 --expand 6 --format text": "a3eff80c0119eb7607c5e55fb82f9fec32a29f9e70ac5928f001afc8cac19f1b",
@@ -48,6 +49,7 @@ GOLDEN = {
     "pgf --symbolic-n --balls 1 --format json": "9d4e8b6b55bd9b8bf35c9e2610fefb633a337b3faedf4eef6facad063362a372",
     "pgf --symbolic-n --balls 1 --format latex": "73cb3858a687a8494ca3323053016282f3dad39d42cf62ca4e79dda2aac7d9ac",
     "pgf --symbolic-n --balls 1 --format text": "73cb3858a687a8494ca3323053016282f3dad39d42cf62ca4e79dda2aac7d9ac",
+    "pgf --symbolic-n --balls 10 --expand 6": "94e744df848922b46feb37f502bf828d8c666f0c2ddb4ff8bd24dea17b27c8ea",
     "pgf --symbolic-n --balls 10 --format json": "2f8d0b11b084471148043fb91d244154dc76df011461f8a8689d736559cc867d",
     "pgf --symbolic-n --balls 10 --format latex": "b48f4940298bb21d8c0b7d464a80b226054df4373c92dd6a902d6df6e6176d4b",
     "pgf --symbolic-n --balls 10 --format text": "7dfd51ca64a8a3362ce6ace18ebee2d606fc7a3b75c4320333b40d852c8a1be8",

@@ -85,7 +85,7 @@ def test_symbolic_moments_against_sympy(r):
         assert low.raw == rep.raw[:order] and low.central == rep.central[: order - 1]
 
 
-@pytest.mark.parametrize("r", range(0, 7))
+@pytest.mark.parametrize("r", range(0, 8))
 def test_symbolic_series_against_sympy(r):
     f = pgf_symbolic(r).func
     g = _expr(f.num) / _expr(f.den)
