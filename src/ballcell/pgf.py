@@ -22,16 +22,18 @@ probability enters as an integer over n^r.  The factors b - a*x are
 irreducible, so dividing out each factor that divides the numerator exactly
 leaves a reduced quotient, and no polynomial gcd is ever computed.
 
-The table works over the integers: every polynomial it builds has int
-coefficients, and exact division by a factor is integer long division,
-which by Gauss's lemma fails exactly when the factor does not divide.  Each
-level is handed out as a reduced function with Fraction coefficients, built
-once when the level is appended; every coefficient a caller sees is a
-Fraction.
+Scalars follow the one rule of ``polys``: a coefficient is an int or a
+Fraction, whichever the computation produced, only a real division makes a
+Fraction, and a canonical quotient holds ints.  So the table works over the
+integers: every polynomial it builds has int coefficients, and exact
+division by a factor is integer long division, which by Gauss's lemma fails
+exactly when the factor does not divide.  Each level's reduced function is
+built once, when the level is appended, and is handed out as it is.
 
 Moments come from one chain for numeric and symbolic n, run in the
-coefficient ring (integers, or polynomials in n) over powers of d1 = den(1);
-each result is then reduced once over the known factors of its denominator.
+coefficient ring (integers, or polynomials in n) on the int coefficients of
+the canonical fields, over powers of d1 = den(1); each result is then
+reduced once over the known factors of its denominator.
 
 The degenerate state n = 1 with r >= 2 never terminates; the recurrence then
 yields the zero function, which is kept, flagged, and refused by the moment
@@ -63,7 +65,7 @@ from .game import (  # noqa: F401
     transition_row,
 )
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact  # noqa: F401
-from .ratfuncs import RatFunc, RatFunc2, _ring_terms, _series_numerators
+from .ratfuncs import RatFunc, RatFunc2, _series_numerators
 from .scalars import BUDGET_ENV, decimal_sqrt, enum_budget
 
 DEFAULT_SYMBOLIC_CEILING = 40
@@ -84,9 +86,6 @@ LAW_DIGITS_DIVISOR = 1000
 # short horizon at large r, such as (100, 150) at H = 4.1, still walks 32
 # rounds of terms over n^(32·r).
 LAW_MIN_TERMS = 33
-
-Q1 = Fraction(1)
-
 
 @dataclass(frozen=True)
 class DurationPGF:
@@ -165,9 +164,9 @@ def _check_symbolic(r: int, max_balls: int) -> None:
 # The PGF table, grown bottom-up and cached per context.  Keyed by cell count,
 # None standing for symbolic n; each level is (numerator, {factor: power},
 # reduced function), with the denominator factored as the module docstring
-# describes.  Numerator and factors have int coefficients, the function
-# Fraction ones.  Factors are primitive with a positive head term, so
-# associate factors meet as equal keys and the merge never needs a gcd.
+# describes.  All three have int coefficients.  Factors are primitive with a
+# positive head term, so associate factors meet as equal keys and the merge
+# never needs a gcd.
 # Entries are replaced wholesale (never mutated in place) so completed levels
 # are always safe to read from other threads.
 
@@ -275,7 +274,7 @@ def _levels(n: int | None, rmax: int) -> list[tuple]:
     if levels is not None and len(levels) > rmax:
         return levels
     one, x, var_n, row, quotient = _ring(n)
-    levels = list(levels or [(one, {}, quotient.from_fraction(Q1))])
+    levels = list(levels or [(one, {}, quotient.from_fraction(1))])
     for r in range(len(levels), rmax + 1):
         a, b, *caps = row(r)
         terms = []
@@ -285,7 +284,7 @@ def _levels(n: int | None, rmax: int) -> list[tuple]:
                 terms.append((scale * num, {**den, var_n: den.get(var_n, 0) + r}))
         stay = (b, b - a * x) if a else None
         num, den = _cancel_factors(*_merge_terms(terms, x, stay), int_div_exact)
-        func = quotient.from_coprime(num.fractions(), _expand(den, one).fractions())
+        func = quotient.from_coprime(num, _expand(den, one))
         levels.append((num, den, func))
     _LEVELS[n] = levels
     return levels
@@ -306,7 +305,7 @@ def symbolic_den_factors(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> l
     den = _levels(None, r)[r][1]
     factors = []
     for f, m in den.items():
-        factors.extend([f.fractions()] * m)
+        factors.extend([f] * m)
     factors.sort(key=lambda f: (f.degree_n(), f.degree_x(), sorted(f.items())))
     return factors
 
@@ -420,10 +419,10 @@ def _moment_numerators(func: RatFunc | RatFunc2, order: int) -> tuple:
     C_2..C_order in the coefficient ring: E[X^i] = R_i / d1^(i+1) and
     m_i = C_i / d1^(2i).  The series of F(1 + h) over powers of d1 gives
     E[(X)_k] = k! c_k / d1^(k+1); nothing is divided on the way.  The ring
-    is Z or Z[n] (``_ring_terms`` reads the canonical coefficients as ints)
-    and the power chains start from the int 1, so every value returned is
-    an int or a Poly in n with int coefficients."""
-    num, den = (_shift_to_one(_ring_terms(p), order) for p in (func.num, func.den))
+    is Z or Z[n], read off the canonical fields' int coefficients, and the
+    power chains start from the int 1, so every value returned is an int or
+    a Poly in n with int coefficients."""
+    num, den = (_shift_to_one(p._c, order) for p in (func.num, func.den))
     d1, cs = den[0], [c for c, _ in _series_numerators(num, den, order)]
     pw = list(accumulate([d1] * order, mul, initial=1))
     raw = [sum(_surjections(i, k) * cs[k] * pw[i - k] for k in range(1, i + 1)) for i in range(1, order + 1)]
@@ -480,13 +479,13 @@ def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILI
     """Moments as reduced rational functions of the cell count: the numeric
     chain over Polys in n with int coefficients, each moment reduced once by
     ``RatFunc2._x_free`` against the denominator factors at x = 1 (times d1's
-    constant, a Fraction).  That reduction builds the moment's only Fractions.
+    constant, a Fraction).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     d1, raw_nums, central_nums = _moment_numerators(pgf_symbolic(r, max_balls).func, order)
-    at_one = Counter(f.subs_x(Q1) for f in symbolic_den_factors(r, max_balls))
-    at_one[Poly.const(Fraction(d1.leading_coeff()) / prod(f.leading_coeff() ** m for f, m in at_one.items()))] += 1
+    at_one = Counter(f.subs_x(1) for f in symbolic_den_factors(r, max_balls))
+    at_one[Poly.const(Fraction(d1.leading_coeff(), prod(f.leading_coeff() ** m for f, m in at_one.items())))] += 1
 
     def over_d1(v: Poly, power: int) -> RatFunc2:
         return RatFunc2._x_free(v, {f: m * power for f, m in at_one.items()})
@@ -499,9 +498,9 @@ def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILI
         # m_i = a_i/b_i reduced: m_i^2/m_2^i = (a_i^2/a_2^i)(b_2^i/b_i^2), and a
         # common factor can only sit in a_i, a_2 or in b_2, b_i, so the two
         # quotients reduce apart and their product stays reduced.
-        a2, b2 = variance.num.subs_x(Q1), variance.den.subs_x(Q1)
+        a2, b2 = variance.num.subs_x(1), variance.den.subs_x(1)
         for i, mi in enumerate(central[1:], 3):
-            ai, bi = mi.num.subs_x(Q1), mi.den.subs_x(Q1)
+            ai, bi = mi.num.subs_x(1), mi.den.subs_x(1)
             top, bottom = RatFunc2._x_free(ai * ai, {a2: i}), RatFunc2._x_free(b2**i, {bi: 2})
             scaled += (RatFunc2.from_coprime(top.num * bottom.num, top.den * bottom.den),)
     return SymbolicMomentReport(order, tuple(raw), tuple(central), scaled, raw[0], variance)

@@ -1,10 +1,8 @@
 """Sparse exact polynomials in one and two variables.
 
-Every polynomial built through the public constructors has
-``fractions.Fraction`` coefficients; there is no floating point in this
-module.  ``Poly`` maps exponent -> coefficient for a single variable (the
-letter is chosen at render time, so the same class serves polynomials in x
-and polynomials in n).  ``Poly2`` is the bivariate ring Q[n, x] held as a
+``Poly`` maps exponent -> coefficient for a single variable (the letter is
+chosen at render time, so the same class serves polynomials in x and
+polynomials in n).  ``Poly2`` is the bivariate ring Q[n, x] held as a
 polynomial in x over Q[n]: it maps deg_x -> nonzero ``Poly`` in n, the
 recursive form on which its gcd, exact division, series and moments run.
 Both share one sparse core, ``_Sparse``, which holds construction,
@@ -14,13 +12,14 @@ arithmetic.  Poly2 adds only its views: the flat (deg_n, deg_x) form of its
 constructor, ``items`` (which ``repr`` and ``content`` read), ``coeff`` and
 ``head_coeff``, and the substitutions, which evaluate row by row.
 
-The ring operations keep the type of the coefficients they are given, so a
-polynomial adopted with int coefficients stays over the integers, and its
-zeroth power is the int unit.  The PGF table works that way: it divides with
-``int_div_exact`` (long division over Z or Z[n]) and hands its results out
-through ``fractions``.  So do the series and moment chains, which read a
-canonical quotient's integral coefficients as ints; each of their results
-becomes a Fraction once, when ``RatFunc2._x_free`` reduces it.
+One scalar rule holds throughout: a coefficient is an ``int`` or a
+``fractions.Fraction``, whichever the computation produced.  The
+constructors keep an int as an int, the ring operations keep the type they
+are given, and only a real division (``monic``, ``divmod``, the ratio of two
+contents) turns an int into a Fraction.  There is no floating point in this
+module.  The PGF table, the series chain and the moment chain therefore run
+over Z or Z[n] on the int coefficients of canonical quotients, dividing with
+``int_div_exact`` (long division over Z or Z[n]).
 
 Greatest common divisors and exact division over Q run on the same integer
 core: each operand is split by ``primitive`` into its content and an integer
@@ -30,8 +29,9 @@ Z[n] (``poly2_gcd``), and ``poly2_div_exact`` divides the integer parts with
 
 Degrees in this package stay small (at most a few hundred) while coefficients
 grow large, so the representation favors simplicity: dict arithmetic on top of
-big integers.  Values are never mutated after construction; every operation
-returns a fresh object, which keeps everything safe to share across threads.
+big integers.  Values are never mutated after construction (an operation that
+changes nothing may return its operand), which keeps everything safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-Q0 = Fraction(0)
-Q1 = Fraction(1)
 
-
-def _as_fraction(v) -> Fraction:
+def _scalar(v) -> int | Fraction:
+    """`v` as a coefficient: an int or a Fraction as it is, a bool as an int."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v)
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
@@ -76,7 +74,7 @@ class _Sparse:
 
     @classmethod
     def const(cls, v):
-        v = _as_fraction(v)
+        v = _scalar(v)
         return cls._adopt({0: v} if v else {})
 
     def is_zero(self) -> bool:
@@ -149,11 +147,8 @@ class _Sparse:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        # No unit factor, so int coefficients stay ints; p**0 is the unit of
-        # p's coefficient type (int 1 over int coefficients), and const(1)
-        # for the zero polynomial.
         if not k:
-            return self._adopt({0: next(iter(self._c.values())) ** 0}) if self._c else self.const(1)
+            return self.const(1)
         result = None
         base = self
         while k:
@@ -164,30 +159,28 @@ class _Sparse:
                 base = base * base
         return result
 
-    def fractions(self):
-        """The same polynomial with every coefficient a Fraction, the form in
-        which an integer table hands its values out."""
-        return self._map(Fraction)
-
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients.
 
         Zero polynomial has content 0.
         """
         if self.is_zero():
-            return Q0
+            return Fraction(0)
         # The gcd of reduced fractions a_i/b_i is gcd(a_i)/lcm(b_i).
         values = [v for _, v in self.items()]
         return Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
 
     def primitive(self):
-        """The content c and self/c, which has coprime int coefficients."""
+        """The content c and self/c, which has coprime int coefficients: self
+        itself when it has int coefficients and content 1."""
         c = self.content()
+        if c == 1 and all(type(v) is int for _, v in self.items()):
+            return c, self
         return c, self._map(lambda v: v.numerator * c.denominator // (v.denominator * c.numerator))
 
 
 class Poly(_Sparse):
-    """Univariate polynomial, sparse map exponent -> nonzero Fraction."""
+    """Univariate polynomial, sparse map exponent -> nonzero coefficient."""
 
     __slots__ = ()
 
@@ -195,7 +188,7 @@ class Poly(_Sparse):
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _as_fraction(v)
+                v = _scalar(v)
                 if v:
                     if e < 0:
                         raise ValueError(f"negative exponent {e}")
@@ -211,24 +204,24 @@ class Poly(_Sparse):
     @classmethod
     def var(cls) -> "Poly":
         """The monomial of degree 1."""
-        return cls._adopt({1: Q1})
+        return cls._adopt({1: 1})
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, Fraction]]) -> "Poly":
-        c: dict[int, Fraction] = {}
+    def from_pairs(cls, pairs: Iterable[tuple[int, int | Fraction]]) -> "Poly":
+        c: dict[int, int | Fraction] = {}
         for e, v in pairs:
-            c[e] = c.get(e, Q0) + _as_fraction(v)
+            c[e] = c.get(e, 0) + _scalar(v)
         return cls(c)
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return max(self._c) if self._c else -1
 
-    def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Q0)
+    def coeff(self, e: int) -> int | Fraction:
+        return self._c.get(e, 0)
 
-    def leading_coeff(self) -> Fraction:
-        return self._c[max(self._c)] if self._c else Q0
+    def leading_coeff(self) -> int | Fraction:
+        return self._c[max(self._c)] if self._c else 0
 
     def min_exponent(self) -> int:
         """Valuation: smallest exponent with a nonzero coefficient (-1 if zero)."""
@@ -246,14 +239,14 @@ class Poly(_Sparse):
         q: dict[int, Fraction] = {}
         r = dict(self._c)
         db = other.degree()
-        lb = other.leading_coeff()
+        lb = Fraction(other.leading_coeff())
         while r and max(r) >= db:
             dr = max(r)
             coef = r[dr] / lb
             q[dr - db] = coef
             for e, v in other._c.items():
                 e2 = dr - db + e
-                s = r.get(e2, Q0) - coef * v
+                s = r.get(e2, 0) - coef * v
                 if s:
                     r[e2] = s
                 else:
@@ -273,17 +266,18 @@ class Poly(_Sparse):
     def derivative(self) -> "Poly":
         return Poly._adopt({e - 1: v * e for e, v in self._c.items() if e > 0})
 
-    def eval(self, x0: Fraction) -> Fraction:
-        x0 = _as_fraction(x0)
-        total = Q0
+    def eval(self, x0: Fraction) -> int | Fraction:
+        x0 = _scalar(x0)
+        total = 0
         for e, v in self._c.items():
             total += v * x0**e
         return total
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        """self over its leading coefficient; self when that is 0 or 1."""
+        lc = Fraction(self.leading_coeff())
+        if lc in (0, 1):
             return self
-        lc = self.leading_coeff()
         return Poly._adopt({e: v / lc for e, v in self._c.items()})
 
 
@@ -300,10 +294,10 @@ class Poly2(_Sparse):
     __slots__ = ()
 
     def __init__(self, coeffs: Mapping | None = None):
-        rows: dict[int, dict[int, Fraction]] = {}
+        rows: dict[int, dict[int, int | Fraction]] = {}
         if coeffs:
             for key, v in coeffs.items():
-                v = _as_fraction(v)
+                v = _scalar(v)
                 if v:
                     dn, dx = key
                     if dn < 0 or dx < 0:
@@ -337,7 +331,7 @@ class Poly2(_Sparse):
     def is_constant(self) -> bool:
         return self.degree_x() <= 0 and self.degree_n() <= 0
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.coeff(0, 0)
@@ -348,9 +342,9 @@ class Poly2(_Sparse):
     def degree_x(self) -> int:
         return max(self._c, default=-1)
 
-    def coeff(self, dn: int, dx: int) -> Fraction:
+    def coeff(self, dn: int, dx: int) -> int | Fraction:
         row = self._c.get(dx)
-        return row.coeff(dn) if row else Q0
+        return row.coeff(dn) if row else 0
 
     def subs_n(self, n0: Fraction) -> Poly:
         """Substitute a rational for n, leaving a polynomial in x."""
@@ -358,17 +352,17 @@ class Poly2(_Sparse):
 
     def subs_x(self, x0: Fraction) -> Poly:
         """Substitute a rational for x, leaving a polynomial in n."""
-        x0 = _as_fraction(x0)
+        x0 = _scalar(x0)
         return sum((row * x0**dx for dx, row in self._c.items()), Poly.zero())
 
-    def eval(self, n0: Fraction, x0: Fraction) -> Fraction:
+    def eval(self, n0: Fraction, x0: Fraction) -> int | Fraction:
         return self.subs_n(n0).eval(x0)
 
     def as_x_coeffs(self) -> dict[int, Poly]:
         """View as {deg_x: coefficient polynomial in n}."""
         return dict(self._c)
 
-    def head_coeff(self) -> Fraction:
+    def head_coeff(self) -> int | Fraction:
         """Coefficient of the head term in canonical term order.
 
         Canonical order lists terms by degree in n descending, then degree in
@@ -493,12 +487,10 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     c*x^e and a nonzero q have gcd x^min(e, valuation of q), read off directly.
     """
     if not (p and q):
-        return (p + q).fractions().monic()
+        return (p + q).monic()
     if len(p._c) == 1 or len(q._c) == 1:
-        return Poly._adopt({min(*p._c, *q._c): Q1})
-    g = _prs_gcd(p.primitive()[1]._c, q.primitive()[1]._c, gcd, _int_quotient)
-    lead = g[max(g)]
-    return Poly._adopt({e: Fraction(v, lead) for e, v in g.items()})
+        return Poly._adopt({min(*p._c, *q._c): 1})
+    return Poly._adopt(_prs_gcd(p.primitive()[1]._c, q.primitive()[1]._c, gcd, _int_quotient)).monic()
 
 
 def poly2_gcd(p: Poly2, q: Poly2) -> Poly2:
@@ -513,7 +505,6 @@ def poly2_gcd(p: Poly2, q: Poly2) -> Poly2:
         g = (p + q).primitive()[1]
     else:
         g = Poly2._adopt(_prs_gcd(p.primitive()[1]._c, q.primitive()[1]._c, _gcd_n, int_div_exact))
-    g = g.fractions()
     return -g if g and g.head_coeff() < 0 else g
 
 
@@ -524,4 +515,5 @@ def poly2_div_exact(p: Poly | Poly2, d: Poly | Poly2) -> Poly | Poly2:
     """
     cp, p = p.primitive()
     cd, d = d.primitive()
-    return int_div_exact(p, d).fractions() * (cp / cd)
+    q = int_div_exact(p, d)
+    return q if cp == cd else q * (cp / cd)

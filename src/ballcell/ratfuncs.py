@@ -5,7 +5,7 @@ bivariate polynomials in n and x.  Both are kept in a canonical form at all
 times:
 
 * numerator and denominator coprime (divided by their gcd),
-* all coefficients integral (rational denominators cleared jointly),
+* all coefficients ints (rational denominators cleared jointly),
 * joint integer content stripped,
 * the denominator's head term positive, where the head term is the first one
   in canonical term order (degree in n descending, then degree in x
@@ -13,39 +13,43 @@ times:
 
 Canonical form makes equality a structural comparison: two quotients are equal
 iff their reduced forms match field by field.  Both classes share one quotient
-core, ``_Quotient``, which holds construction, the scale-and-sign step and
-every operator; each class supplies its ring, its cancel step (a gcd and
-exact division, both on primitive integer parts; see ``polys``) and its sign
-anchor.  Operations that keep a coprime pair coprime (negation, powers,
-scaling by a constant) skip the gcd.  Both classes also share one Maclaurin
-recurrence, ``series``, run on numerators over powers of den(0) in the
-coefficient ring (RatFunc divides out their common integer content each
-step); each coefficient is reduced once over its known denominator factors
-by the class's ``_x_free``, which for RatFunc2 divides with
-``int_div_exact``.  The module carries the text/LaTeX renderers and the JSON
-wire format used by the CLI ("p/q" strings, never floats).
+core, ``_Quotient``, which holds construction, the cancel step (a gcd and
+exact division, both on primitive integer parts; see ``polys``), the
+scale-and-sign step and every operator; each class supplies its ring, its
+gcd and its sign anchor.  Operations that keep a coprime pair coprime
+(negation, powers, scaling by a constant) skip the gcd.  Scalars follow the
+rule of ``polys``: int or Fraction as computed, a Fraction only from a real
+division; the canonical fields always hold ints, whatever the inputs held.
+
+Both classes also share one Maclaurin recurrence, ``series``, which reads
+the int coefficients of the canonical fields directly and runs on
+numerators over powers of den(0) in the coefficient ring, Z or Z[n]
+(RatFunc divides out their common integer content each step); each
+coefficient is reduced once over its known denominator factors by the
+class's ``_x_free``, which for RatFunc2 divides with ``int_div_exact``.
+
+The module carries the text/LaTeX renderers and the JSON wire format used by
+the CLI ("p/q" strings, never floats).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact, poly2_gcd, poly_gcd
 from .scalars import parse_rational
-
-Q0 = Fraction(0)
 
 
 class _Quotient:
     """Canonical quotient num/den over a polynomial ring, the core of RatFunc
     and RatFunc2.
 
-    A subclass supplies ``_ring`` (its polynomial class), ``_cancel`` (the
-    pair divided by its gcd, exactly, on their primitive integer parts), ``_anchor`` (the coefficient of the
-    denominator whose sign is fixed positive) and ``_x_free`` (a ring
-    element over {factor: power} as the reduced x-free value ``series``
-    returns); ``_content``, a gcd over its coefficient ring, is optional.
+    A subclass supplies ``_ring`` (its polynomial class), ``_gcd`` (a gcd in
+    that ring), ``_anchor`` (the coefficient of the denominator whose sign is
+    fixed positive) and ``_x_free`` (a ring element over {factor: power} as
+    the reduced x-free value ``series`` returns); ``_content``, a gcd over its
+    coefficient ring, is optional.
     """
 
     __slots__ = ("num", "den")
@@ -67,7 +71,7 @@ class _Quotient:
         return f
 
     @classmethod
-    def from_fraction(cls, q: Fraction):
+    def from_fraction(cls, q: int | Fraction):
         return cls.from_coprime(q, 1)
 
     def _coerce(self, v):
@@ -81,7 +85,9 @@ class _Quotient:
 
     def _settle(self, num, den, cancel: bool) -> None:
         """Set the canonical fields of num/den, dividing by the gcd first
-        when `cancel` is set."""
+        when `cancel` is set: the primitive parts of the pair, scaled by the
+        reduced ratio a/b of their contents (num by a, den by b), so the
+        fields are jointly primitive with int coefficients."""
         num = self._coerce(num)
         den = self._coerce(den)
         if den.is_zero():
@@ -91,21 +97,29 @@ class _Quotient:
             return
         if cancel:
             num, den = self._cancel(num, den)
-        # s is 1 over the joint content of num and den, the gcd of their
-        # contents: for reduced a/b and c/d that is gcd(a, c)/lcm(b, d).
-        cn, cd = num.content(), den.content()
-        s = Fraction(lcm(cn.denominator, cd.denominator), gcd(cn.numerator, cd.numerator))
-        if s != 1:
-            num, den = num * s, den * s
+        cn, num = num.primitive()
+        cd, den = den.primitive()
+        ratio = cn / cd
+        if ratio.numerator != 1:
+            num = num * ratio.numerator
+        if ratio.denominator != 1:
+            den = den * ratio.denominator
         if self._anchor(den) < 0:
             num, den = -num, -den
         self.num = num
         self.den = den
 
+    def _cancel(self, num, den):
+        """The pair divided by its gcd, exactly, on primitive integer parts."""
+        g = self._gcd(num, den)
+        if g.is_constant():
+            return num, den
+        return poly2_div_exact(num, g), poly2_div_exact(den, g)
+
     def _lift(self, other):
         """`other` as a quotient of this class, or None if it is not one."""
         if isinstance(other, (int, Fraction)):
-            return self.from_fraction(Fraction(other))
+            return self.from_fraction(other)
         return other if isinstance(other, type(self)) else None
 
     def is_zero(self) -> bool:
@@ -145,7 +159,7 @@ class _Quotient:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.from_coprime(self.num * Fraction(other), self.den)
+            return self.from_coprime(self.num * other, self.den)
         if not isinstance(other, type(self)):
             return NotImplemented
         return type(self)(self.num * other.num, self.den * other.den)
@@ -161,22 +175,12 @@ class _Quotient:
         return type(self)(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return self.from_fraction(Fraction(other)) / self
+        return self.from_fraction(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a rational function")
         return self.from_coprime(self.num**k, self.den**k)
-
-
-def _ring_terms(p: Poly | Poly2) -> dict:
-    """{power of x: coefficient} of a canonical polynomial, whose
-    coefficients are integral: ints for a Poly in x, Polys in n with int
-    coefficients for a Poly2, so the chains that read them never touch a
-    Fraction."""
-    if isinstance(p, Poly2):
-        return {e: row._map(lambda v: v.numerator) for e, row in p._c.items()}
-    return {e: v.numerator for e, v in p.items()}
 
 
 def _series_numerators(num: dict, den: dict, kmax: int, content=None) -> list:
@@ -185,8 +189,8 @@ def _series_numerators(num: dict, den: dict, kmax: int, content=None) -> list:
     window of the last deg(den) numerators shares one scale, multiplied by d0
     per step, so coefficient k is over d0^(k+1); a `content` (ring gcd) also
     divides window and scale by their common part, keeping numerators small.
-    The scale starts from the int 1, so over int rows (see ``_ring_terms``)
-    every numerator and factor has int coefficients.
+    The scale starts from the int 1, so over the int rows of canonical
+    fields every numerator and factor has int coefficients.
     """
     d0 = den.get(0)
     if not d0:
@@ -211,7 +215,7 @@ def _series(self, kmax: int) -> list:
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    terms = _series_numerators(_ring_terms(self.num), _ring_terms(self.den), kmax, self._content)
+    terms = _series_numerators(self.num._c, self.den._c, kmax, self._content)
     return [self._x_free(c, den) for c, den in terms]
 
 
@@ -222,14 +226,12 @@ class RatFunc(_Quotient):
     _ring = Poly
 
     @staticmethod
-    def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        g = poly_gcd(num, den)
-        if g.is_constant():
-            return num, den
-        return poly2_div_exact(num, g), poly2_div_exact(den, g)
+    def _gcd(a: Poly, b: Poly) -> Poly:
+        # Looked up at call time, so a wrapper on ratfuncs.poly_gcd sees it.
+        return poly_gcd(a, b)
 
     @staticmethod
-    def _anchor(den: Poly) -> Fraction:
+    def _anchor(den: Poly) -> int:
         # The head term of a polynomial in x is its lowest power.
         return den.coeff(den.min_exponent())
 
@@ -266,14 +268,11 @@ class RatFunc2(_Quotient):
     _ring = Poly2
 
     @staticmethod
-    def _cancel(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
-        g = poly2_gcd(num, den)
-        if g.is_constant():
-            return num, den
-        return poly2_div_exact(num, g), poly2_div_exact(den, g)
+    def _gcd(a: Poly2, b: Poly2) -> Poly2:
+        return poly2_gcd(a, b)
 
     @staticmethod
-    def _anchor(den: Poly2) -> Fraction:
+    def _anchor(den: Poly2) -> int:
         return den.head_coeff()
 
     @staticmethod
@@ -294,8 +293,9 @@ class RatFunc2(_Quotient):
                 num, out = int_div_exact(num, g), out * int_div_exact(f, g)
                 m -= 1
             out = out * f**m
-        num, out = Poly2.from_poly_in_n(num) * scale, Poly2.from_poly_in_n(out).fractions()
-        return RatFunc2.from_coprime(num, out)
+        return RatFunc2.from_coprime(
+            Poly2.from_poly_in_n(num) * scale.numerator, Poly2.from_poly_in_n(out) * scale.denominator
+        )
 
     @classmethod
     def n(cls) -> "RatFunc2":
@@ -317,7 +317,7 @@ class RatFunc2(_Quotient):
         d = self.den.eval(n0, x0)
         if d == 0:
             raise ZeroDivisionError(f"pole at (n, x) = ({n0}, {x0})")
-        return self.num.eval(n0, x0) / d
+        return Fraction(self.num.eval(n0, x0), d)
 
     series = _series
 
@@ -434,7 +434,7 @@ def poly2_to_json(p: Poly2) -> list:
 def poly2_from_json(data) -> Poly2:
     out = {}
     for (dn, dx), v in ((tuple(k), v) for k, v in data):
-        out[(int(dn), int(dx))] = out.get((int(dn), int(dx)), Q0) + parse_rational(v)
+        out[(int(dn), int(dx))] = out.get((int(dn), int(dx)), 0) + parse_rational(v)
     return Poly2(out)
 
 

@@ -46,9 +46,14 @@ def _primitive(cls, c: dict):
     return _poly(cls, {k: v // g for k, v in c.items()}) if g else cls.zero()
 
 
+def _fractions(p):
+    """The same polynomial with every coefficient a Fraction."""
+    return type(p)({k: Fraction(v) for k, v in p.items()})
+
+
 def _by_fractions(p, d):
     """p/d over Q, or ValueError when d does not divide p there."""
-    return div_exact_over_q(p.fractions(), d.fractions())
+    return div_exact_over_q(_fractions(p), _fractions(d))
 
 
 def _check(p, d):

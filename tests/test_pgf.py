@@ -218,16 +218,17 @@ def _coefficients(p):
     return [v for _, v in p.items()]
 
 
-def test_public_coefficients_are_fractions():
+def test_public_coefficients_are_ints():
+    # Canonical fields and table factors hold ints, never a Fraction.
     for r in range(0, 10):
         funcs = [pgf_symbolic(r).func] + [pgf_numeric(r, n).func for n in range(1, 7)]
         polys = [p for f in funcs for p in (f.num, f.den)]
         polys += symbolic_den_factors(r)
         polys += [p for t in range(r + 1) for f in [transition_prob_symbolic(r, t)] for p in (f.num, f.den)]
-        assert all(type(v) is Fraction for p in polys for v in _coefficients(p)), r
+        assert all(type(v) is int for p in polys for v in _coefficients(p)), r
     for levels in pgf._LEVELS.values():
         for _, _, func in levels:
-            assert all(type(v) is Fraction for p in (func.num, func.den) for v in _coefficients(p))
+            assert all(type(v) is int for p in (func.num, func.den) for v in _coefficients(p))
 
 
 def test_cached_table_holds_ints():
@@ -512,15 +513,15 @@ def test_symbolic_moments_match_field_arithmetic_reference():
 
 
 def test_symbolic_moment_chain_runs_over_int_coefficients():
-    # d1 and the raw and central numerators are Polys in n over Z; the
-    # reported moments are the reduced Fraction forms _x_free builds.
+    # d1 and the raw and central numerators are Polys in n over Z, and so
+    # are the canonical fields of the reduced moments _x_free builds.
     d1, raw, central = pgf._moment_numerators(pgf_symbolic(5).func, 4)
     assert len(raw) == 4 and len(central) == 3
     for p in (d1, *raw, *central):
         assert isinstance(p, Poly) and all(type(v) is int for _, v in p.items())
     rep = moments_symbolic(5, 4)
     for f in (*rep.raw, *rep.central, *rep.scaled_squared):
-        assert all(type(v) is Fraction for p in (f.num, f.den) for _, v in p.items())
+        assert all(type(v) is int for p in (f.num, f.den) for _, v in p.items())
 
 
 def test_symbolic_moments_specialize_to_numeric_moments():

@@ -123,20 +123,18 @@ def test_pow_matches_repeated_product():
         p ** (-1)
 
 
-def test_pow_zero_keeps_the_coefficient_type():
-    # p**0 is the unit over p's coefficients: an int polynomial stays over Z
-    int_poly = Poly({0: 2, 1: -1}).primitive()[1]
-    int_poly2 = Poly2({(1, 0): 3, (0, 2): -1, (2, 1): 5}).primitive()[1]
-    for p in (int_poly, int_poly2):
+def test_pow_zero_is_the_int_unit():
+    # p**0 is const(1), whose coefficient is the int 1, over any coefficients;
+    # multiplying by it keeps the type of every coefficient of p
+    int_poly = Poly({0: 2, 1: -1})
+    int_poly2 = Poly2({(1, 0): 3, (0, 2): -1, (2, 1): 5})
+    fraction_polys = (Poly({0: Fraction(1, 2)}), Poly2({(1, 1): Fraction(2, 3)}))
+    for p in (int_poly, int_poly2, *fraction_polys, Poly.zero(), Poly2.zero()):
         unit = p**0
-        assert unit == 1 and type(unit) is type(p)
-        assert all(type(v) is int for _, v in unit.items())
-        assert all(type(v) is int for _, v in (p * unit).items())
-    # the zero polynomial and Fraction polynomials keep const(1)
-    for p in (Poly({0: Fraction(1, 2)}), Poly2({(1, 1): Fraction(2, 3)}), Poly.zero(), Poly2.zero()):
-        unit = p**0
-        assert unit == type(p).const(1)
-        assert all(type(v) is Fraction for _, v in unit.items())
+        assert unit == type(p).const(1) and type(unit) is type(p)
+        assert [type(v) for _, v in unit.items()] == [int]
+        assert {k: type(v) for k, v in (p * unit).items()} == {k: type(v) for k, v in p.items()}
+    assert all(type(v) is int for p in (int_poly, int_poly2) for _, v in p.items())
 
 
 def test_derivative_and_eval():
@@ -158,6 +156,22 @@ def test_monic_and_content():
     assert p.content() == 2
     assert Poly({1: Fraction(2, 3), 0: 4}).content() == Fraction(2, 3)
     assert Poly.zero().content() == 0
+
+
+def test_division_of_int_polys_is_exact():
+    # Int operands divide over Q with Fraction quotients, never floats: int
+    # true division would give 1/3 as 0.333... here.
+    p = Poly({0: 2, 1: 6}).primitive()[1]
+    assert p.monic() == Poly({0: Fraction(1, 3), 1: 1})
+    assert [type(v) for _, v in sorted(p.monic().items())] == [Fraction, Fraction]
+    a = Poly({0: 5, 1: -3, 2: 6, 3: 7}).primitive()[1]
+    b = Poly({0: 3, 1: 4}).primitive()[1]
+    q, r = divmod(a, b)
+    assert q * b + r == a and r.degree() < b.degree()
+    assert q == Poly({0: Fraction(-57, 64), 1: Fraction(3, 16), 2: Fraction(7, 4)})
+    assert r == Poly({0: Fraction(491, 64)})
+    assert a // b == q and a % b == r
+    assert all(type(v) is Fraction for s in (q, r, a // b, a % b) for _, v in s.items())
 
 
 def test_poly_gcd():
@@ -339,7 +353,8 @@ def test_poly2_layout_invariants():
             assert dict(q.items()) == terms
             assert p == q and hash(p) == hash(q)
             assert repr(p) == f"Poly2({dict(sorted(terms.items()))!r})"
-            assert repr(p.fractions()) == repr(q)
+            # the rebuild keeps every coefficient's type
+            assert repr(q) == repr(p)
             for dn in range(6):
                 for dx in range(6):
                     assert p.coeff(dn, dx) == terms.get((dn, dx), 0)

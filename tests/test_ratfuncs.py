@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from ballcell.pgf import pgf_symbolic
+from ballcell import reference
+from ballcell.geometric import StepSequence, chain_pgf
+from ballcell.pgf import pgf_numeric, pgf_symbolic
 from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import (
     RatFunc,
     RatFunc2,
-    _ring_terms,
     _series_numerators,
     poly2_from_json,
     poly2_to_json,
@@ -297,7 +298,7 @@ def test_ratfunc2_series_with_non_monomial_constant_term():
 def test_series_windows_have_int_coefficients():
     # The recurrence reads the canonical rows as Polys in n over Z and starts
     # its scale from the int 1, so every numerator and denominator factor it
-    # yields is over Z; only _x_free builds Fractions, once per coefficient.
+    # yields is over Z, and so is every coefficient _x_free reduces.
     cases = [
         pgf_symbolic(6).func,
         RatFunc2(X2 * (N2 - 1), N2 - X2),
@@ -305,12 +306,48 @@ def test_series_windows_have_int_coefficients():
         RatFunc2(N2 - 1, (N2 - 1) ** 2 - X2),
     ]
     for f in cases:
-        terms = _series_numerators(_ring_terms(f.num), _ring_terms(f.den), 6)
+        terms = _series_numerators(f.num._c, f.den._c, 6)
         for num, den in terms:
             for p in (num, *den):
                 assert isinstance(p, Poly) and all(type(v) is int for _, v in p.items()), f
         for c in f.series(6):
-            assert all(type(v) is Fraction for p in (c.num, c.den) for _, v in p.items())
+            assert all(type(v) is int for p in (c.num, c.den) for _, v in p.items())
+
+
+def _over_q(p, scale):
+    """p times a rational scale, with every coefficient a Fraction."""
+    return type(p)({k: Fraction(v) * scale for k, v in p.items()})
+
+
+def _assert_same_key(f, g):
+    """f and g are one function in one canonical form, with int fields."""
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert {f: "f"}[g] == "f" and len({f, g}) == 1
+    assert all(type(v) is int for h in (f, g) for p in (h.num, h.den) for _, v in p.items())
+
+
+def test_fraction_inputs_settle_into_the_table_form():
+    scale = Fraction(3, 7)
+    for r in range(1, 6):
+        table = pgf_symbolic(r).func
+        golden = reference.symbolic_pgf(r)
+        _assert_same_key(table, golden)
+        _assert_same_key(table, RatFunc2(_over_q(golden.num, scale), _over_q(golden.den, scale)))
+        _assert_same_key(table, ratfunc2_from_json(json.loads(json.dumps(ratfunc_to_json(table)))))
+    # the descent PGF for alpha = 2/3, built from the Fraction steps
+    # a_i = (2/3)^i, against the same product over ints:
+    # 2^i x / (3^i - (3^i - 2^i) x) per step
+    x = Poly.var()
+    for r in range(0, 6):
+        num, den = Poly.const(1), Poly.const(1)
+        for i in range(1, r + 1):
+            num, den = num * (2**i * x), den * (3**i - (3**i - 2**i) * x)
+        _assert_same_key(chain_pgf(r, StepSequence.power(Fraction(2, 3))), RatFunc(num, den))
+    for f in (pgf_numeric(4, 3).func, pgf_symbolic(4).func):
+        third = f * Fraction(1, 3)
+        _assert_same_key(third, type(f)(f.num, f.den * 3))
+        _assert_same_key(third, type(f)(_over_q(f.num, Fraction(1, 3)), _over_q(f.den, Fraction(1))))
+        _assert_same_key(third * 3, f)
 
 
 def test_polynomial_text_ordering():
