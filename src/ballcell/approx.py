@@ -14,7 +14,8 @@ numerators pass a digit budget, at a working precision wide enough to absorb
 the cancellation.  The partial sums and the limit's exact phase are Horner
 passes over integer numerators with known denominators: lcm(1..r) (n-1)^(r-1)
 for the sums, the product Q_k of `pgf`'s nested mean recurrence for the limit.
-Each result is reduced once, not term by term.
+Each result is reduced once, not term by term, and the long exact quotients
+become Decimals through `scalars.decimal_quotient`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import ceil, lcm, log10
+from math import ceil, gcd, lcm, log10
 
 # transition_row is no longer called here, but perfbench/tracer.py wraps
 # approx.transition_row by name, so the attribute stays.
 from .game import _row_numerators, transition_row  # noqa: F401
 from .pgf import duration_variance, expected_duration
-from .scalars import default_precision, to_decimal
+from .scalars import decimal_quotient, default_precision, to_decimal
 
 DEFAULT_LIMIT_ROUNDS = 400
 DEFAULT_DIGIT_BUDGET = 10**4
@@ -97,11 +98,16 @@ def approx_mean(n: int, r: int) -> Fraction:
     return Fraction(*_harmonic_sum(n, r, 1))
 
 
+def _variance_over(n: int, r: int, total: int, den: int) -> Fraction:
+    """approx_variance from the mean sum total / den = _harmonic_sum(n, r, 1);
+    the squares share its L."""
+    squares, _ = _harmonic_sum(n, r, 2)
+    return Fraction(squares - total * den, den * den)
+
+
 def approx_variance(n: int, r: int) -> Fraction:
     """Partial sum sum_{j=1}^r (1/j^2)(n/(n-1))^(2j-2) minus the mean sum."""
-    squares, den = _harmonic_sum(n, r, 2)
-    total, _ = _harmonic_sum(n, r, 1)
-    return Fraction(squares - total * den, den * den)
+    return _variance_over(n, r, *_harmonic_sum(n, r, 1))
 
 
 def error_term(n: int, r: int) -> Fraction:
@@ -112,8 +118,9 @@ def error_term(n: int, r: int) -> Fraction:
 
 def approx_report(n: int, r: int) -> ApproxReport:
     """Approximation against exact values, with error and convergence ratios."""
-    a_mean = approx_mean(n, r)
-    a_var = approx_variance(n, r)
+    total, den = _harmonic_sum(n, r, 1)
+    a_mean = Fraction(total, den)
+    a_var = _variance_over(n, r, total, den)
     e_mean = expected_duration(r, n)
     e_var = duration_variance(r, n)
     ratio_mean = to_decimal(e_mean / a_mean) if a_mean else None
@@ -125,12 +132,36 @@ def _digits(value: int) -> int:
     return (value.bit_length() * 30103) // 100000 + 1
 
 
+def _fits(p: int, q: int, budget: int) -> bool:
+    return _digits(p) <= budget and _digits(q) <= budget
+
+
+def _reduced_fits(p: int, q: int, g: int, budget: int) -> tuple[bool, int]:
+    """(whether the reduced p/q has at most `budget` digits in numerator and
+    denominator, the last full gcd), for g a divisor of q: the last full gcd
+    so far, returned as it is unless gcd(p, q) had to be taken.
+
+    A reduced fraction is never longer than p/q, so p/q fitting settles it.
+    Else any common divisor h of p and q bounds the reduced form by p/h and
+    q/h, so h = gcd(p, g) proves the fit when those fit; it is cheap while g
+    is far shorter than q.  Only when neither does is gcd(p, q) taken, and it
+    decides.
+    """
+    if _fits(p, q, budget):
+        return True, g
+    h = gcd(p, g)
+    if _fits(p // h, q // h, budget):
+        return True, g
+    g = gcd(p, q)
+    return _fits(p // g, q // g, budget), g
+
+
 def _minus(p, q: int, a: Fraction, exact: bool) -> Decimal:
     """p/q - a in the exact phase (p an integer), p - a in the Decimal phase,
     as a Decimal at the active precision."""
     if exact:
-        return Decimal(p * a.denominator - a.numerator * q) / Decimal(q * a.denominator)
-    return p - Decimal(a.numerator) / Decimal(a.denominator)
+        return decimal_quotient(p * a.denominator - a.numerator * q, q * a.denominator)
+    return p - decimal_quotient(a.numerator, a.denominator)
 
 
 def error_limit(
@@ -142,11 +173,20 @@ def error_limit(
     """Estimate lim_r E_n(r) as E_n(rmax), with the half-horizon gap.
 
     The mean recurrence runs exactly, as integer numerators P_k over Q_k,
-    until the reduced P_k/Q_k passes `digit_budget` digits (the gcd is taken
-    only once the unreduced P_k or Q_k does); it then continues in Decimal at
-    working precision digits + ceil(rmax log10(n/(n-1))) + 10: the extra term
-    covers the magnitude of the two nearly-cancelling quantities, so the final
-    difference still carries the requested number of correct digits.
+    until the reduced P_k/Q_k passes `digit_budget` digits; it then continues
+    in Decimal at working precision digits + ceil(rmax log10(n/(n-1))) + 10:
+    the extra term covers the magnitude of the two nearly-cancelling
+    quantities, so the final difference still carries the requested number of
+    correct digits.  The window of exact means is handed to the Decimal phase
+    through `decimal_quotient`, which equals Decimal(P) / Decimal(Q) and so
+    the Decimal of the reduced mean.
+
+    Each exact step asks `_reduced_fits` with g the last full gcd
+    gcd(P_j, Q_j) it took (1 before the first): g divides Q_j, and Q_j
+    divides Q_k for j < k, so gcd(P_k, g) is a common divisor of P_k and Q_k
+    and certifies most steps past the budget without a full gcd.  The switch
+    falls at the first step where the reduced P_k/Q_k passes the budget, as
+    if every step were reduced.
     """
     if n < 3:
         raise ValueError(f"limit estimation needs cells >= 3 (the n = 2 error is identically 0), got {n}")
@@ -162,10 +202,11 @@ def error_limit(
 
     # Rolling windows of the last n steps of pgf's nested integer mean
     # recurrence (M(k) = P_k/Q_k over D_k = n^k - a_0(k)); rows put no mass on
-    # t > n.  Decimal(a) / Decimal(b) is correctly rounded, so it equals
-    # to_decimal of the reduced a/b: how a value is held does not change it.
+    # t > n.  A correctly rounded quotient does not depend on how the value is
+    # held, so the unreduced P_k/Q_k converts as the reduced one would.
     ps, qs, ds = [0], [1], [1]
     q = 1
+    g = 1
     exact = True
     e_half: Decimal | None = None
     with localcontext() as ctx:
@@ -180,14 +221,10 @@ def error_limit(
                     p = p * ds[-t] + row[t] * ps[-t]
                 p += nk * q
                 q *= d
-                # a reduced fraction is never longer than its unreduced form,
-                # so the reduced test (one gcd) is needed only past the budget
-                if _digits(p) > digit_budget or _digits(q) > digit_budget:
-                    m = Fraction(p, q)
-                    if _digits(m.numerator) > digit_budget or _digits(m.denominator) > digit_budget:
-                        ps = [Decimal(v) / Decimal(u) for v, u in zip(ps, qs)]
-                        p = Decimal(p) / Decimal(q)
-                        exact = False
+                exact, g = _reduced_fits(p, q, g, digit_budget)
+                if not exact:
+                    ps = [decimal_quotient(v, u) for v, u in zip(ps, qs)]
+                    p = decimal_quotient(p, q)
             else:
                 p = Decimal(1)
                 for t in range(1, len(row)):

@@ -9,9 +9,18 @@ sole occupants:
                     (n-j)^(r-j) / n^r
 
 with the convention 0^0 = 1 so the j = r term survives when all balls land
-alone.  The module provides that law exactly for numeric n, symbolically with
-n left as a variable, and through an independent brute-force enumeration used
-as the oracle in tests.  Everything here is a pure function of its arguments.
+alone.  For numeric n the numerators come from counting instead: choose the
+t lone balls and their cells, and place the other r - t balls in the other
+n - t cells so that none is alone,
+
+    A_t = n^r P[t captured] = C(n,t) r!/(r-t)! a(n-t, r-t),
+
+where a(m, k) = k! [x^k] (e^x - x)^m counts the placements of k balls in m
+cells with no lone ball.  One table of these, grown by the recurrence in
+`_no_capture`, serves every row.  The module provides the law exactly for
+numeric n, symbolically with n left as a variable (by the inclusion-exclusion
+sum), and through an independent brute-force enumeration used as the oracle
+in tests.  Every function here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -67,18 +76,51 @@ def _inverse_binomial(terms: list) -> list:
     return terms
 
 
-@lru_cache(maxsize=4096)
+# Column m holds a(m, k) for k = 0, 1, ...; only _no_capture grows it, from
+# the lowest column up, so a column of length L always has one of length at
+# least L - 1 below it.
+_NO_CAPTURE: dict[int, list[int]] = {}
+
+
+def _no_capture(n: int, r: int) -> dict[int, list[int]]:
+    """The no-lone-ball table, grown to hold a(n-t, r-t) for t <= min(n, r).
+
+    Differentiating (e^x - x)^m gives, with a(m, 0) = 1,
+
+        a(m, k+1) = m (a(m, k) + k a(m-1, k-1) - a(m-1, k)),
+
+    so column m to length L needs column m - 1 to length L - 1.  The columns
+    grown are m = n - j to length r + 1 - j for j <= min(n, r): a triangle
+    that stops at column n - r when r < n, however large n is.
+    """
+    if len(_NO_CAPTURE.get(n, ())) > r:
+        return _NO_CAPTURE
+    below: list[int] = []
+    for j in range(min(n, r), -1, -1):
+        m = n - j
+        col = _NO_CAPTURE.setdefault(m, [1])
+        for k in range(len(col), r + 1 - j):
+            # column 0 is 1, 0, 0, ...; at k = 1 the middle term is 0 * below[-1]
+            col.append(m and m * (col[-1] + (k - 1) * below[k - 2] - below[k - 1]))
+        below = col
+    return _NO_CAPTURE
+
+
 def _row_numerators(n: int, r: int) -> tuple[int, ...]:
     """Integer numerators of the capture distribution over the common
-    denominator n^r, for t = 0..min(n, r); every later entry is zero."""
-    # term[j] = C(n,j) C(r,j) j! (n-j)^(r-j); 0**0 == 1 natively.  The
-    # first three factors are built up from j - 1: (n-j+1)(r-j+1)/j times it.
-    terms = [n**r]
+    denominator n^r, for t = 0..min(n, r); every later entry is zero.
+
+    A_t = c_t a(n-t, r-t) with c_t = C(n,t) r!/(r-t)!, which is
+    (n-t+1)(r-t+1)/t times c_{t-1}: min(n, r) products once the table holds
+    the row's triangle.
+    """
+    table = _no_capture(n, r)
+    row = [table[n][r]]
     c = 1
-    for j in range(1, min(n, r) + 1):
-        c = c * (n - j + 1) * (r - j + 1) // j
-        terms.append(c * (n - j) ** (r - j))
-    return tuple(_inverse_binomial(terms))
+    for t in range(1, min(n, r) + 1):
+        c = c * (n - t + 1) * (r - t + 1) // t
+        row.append(c * table[n - t][r - t])
+    return tuple(row)
 
 
 def transition_row(n: int, r: int) -> TransitionRow:
@@ -105,7 +147,8 @@ def _symbolic_row_numerators(r: int) -> tuple[Poly, ...]:
 
     The j-terms C(n,j) j! C(r,j) (n-j)^(r-j) are built once per r, the
     falling factorial C(n,j) j! = n(n-1)...(n-j+1) one factor at a time, and
-    the row is their inverse binomial transform, as for numeric n.
+    the row is their inverse binomial transform: the inclusion-exclusion sum
+    of the module docstring.
     """
     terms = []
     falling = Poly._adopt({0: 1})

@@ -48,7 +48,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, islice
-from math import comb, gcd, inf, log, log1p, log10, prod
+from math import comb, gcd, inf, lgamma, log, log1p, log10, prod
 from operator import mul
 
 from .errors import BudgetExceededError, DivergentDurationError
@@ -80,6 +80,13 @@ MIN_COVERAGE = Fraction(10**9 - 1, 10**9)
 # 9.7k; each walks in 11-12 s (2-vCPU Xeon), while (12, 2), at 12.7k, is
 # refused.  The --gof states of the benchmark estimate at most 1k digits.
 LAW_DIGITS_DIVISOR = 1000
+
+# expected_duration and duration_variance refuse a mean table whose build is
+# estimated past enum_budget() * MEAN_WORK_SCALE digit products: 3·10^9 at the
+# default budget, about 11 s on a 2-vCPU Xeon VM.  (150, 150) estimates
+# 5.9·10^8, (180, 180) 1.3·10^9 (3.4-4.7 s) and (3, 800) 1.9·10^9 (5-7 s);
+# (3, 1000) at 4.6·10^9 (19 s) and (250, 250) at 5.0·10^9 (23 s) are refused.
+MEAN_WORK_SCALE = 300
 
 # exact_distribution always walks the first LAW_MIN_TERMS terms (rounds 0..32),
 # so its estimate takes a horizon of at least LAW_MIN_TERMS - 1 rounds: a
@@ -532,12 +539,38 @@ def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILI
 _MEAN_TABLES: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
 
 
+def _check_mean_budget(n: int, r: int) -> None:
+    """Refuse a table to r whose build passes the budget, before building it.
+
+    Q_r has at most digits = min(r(r+1)/2 log10 n, log10 r! + r log10 n +
+    r(r-1)/2 log10(n-1)), since D_k <= n^k and D_k <= k n (n-1)^(k-1) (count
+    the placements with a lone ball by that ball), and the other entries are
+    no longer than Q_r^2.  A step makes about w = min(n, r) row-by-table
+    products and one table-by-table one, the cross term, which costs about
+    digits^0.585 / 40 row products (Karatsuba), so the build is estimated at
+    r digits (w + digits^0.585 / 40) digit products.  Fitted to cold builds
+    from (10, 200) to (300, 300), the estimate is within a factor of 3.
+    """
+    digits = r * (r + 1) / 2 * log10(n)
+    if n > 1:
+        digits = min(digits, lgamma(r + 1) / log(10) + r * log10(n) + r * (r - 1) / 2 * log10(n - 1))
+    work = r * digits * (min(n, r) + digits**0.585 / 40)
+    budget = enum_budget() * MEAN_WORK_SCALE
+    if work > budget:
+        raise BudgetExceededError(
+            f"the mean table of ({r} balls, {n} cells) holds integers of about {digits:.3g} digits over rows "
+            f"of {min(n, r)} entries, about {work:.3g} digit products to build; the budget is {budget:.3g} "
+            f"({BUDGET_ENV} * {MEAN_WORK_SCALE})"
+        )
+
+
 def _mean_tables(n: int, rmax: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """Integer lists P, R, Q, D for k = 0..rmax (at least), as defined above,
     so that M(k) = P_k/Q_k and S(k) = R_k/Q_k^2."""
     cached = _MEAN_TABLES.get(n)
     if cached is not None and len(cached[0]) > rmax:
         return cached
+    _check_mean_budget(n, rmax)
     ps, rs, qs, ds = ([0], [0], [1], [1]) if cached is None else map(list, cached)
     for k in range(len(ps), rmax + 1):
         row = _row_numerators(n, k)
@@ -562,9 +595,11 @@ def _mean_tables(n: int, rmax: int) -> tuple[list[int], list[int], list[int], li
 
 def expected_duration(r: int, n: int) -> Fraction:
     """Mean duration, exact.  The table's integers reach about r^2/2 log10(n)
-    digits, so a cold build grows fast: on a 2-vCPU Xeon VM, 0.8 s at n = 2,
-    r = 2000 and 2 s at n = r = 150, but 20 s at n = 3, r = 1000 and 27 s at
-    n = r = 250."""
+    digits, so a cold build grows fast: on a 2-vCPU Xeon VM, 0.45 s at n = 2,
+    r = 2000, 1.1-1.5 s at n = r = 150, 3.4-4.7 s at n = r = 180 and 5-7 s
+    at n = 3, r = 800.  Past the budget of _check_mean_budget, such as
+    n = 3, r = 1000 (19 s) or n = r = 250 (23 s), it raises
+    BudgetExceededError before building."""
     _check_state(n, r)
     ps, _, qs, _ = _mean_tables(n, r)
     return Fraction(ps[r], qs[r])

@@ -6,16 +6,27 @@ always reduced, denominator positive, value equality, exact arithmetic, and a
 rest of the package needs around that: the "p/q" wire format used by the CLI,
 conversion to fixed-precision decimals (round-half-even), and the two
 environment-configurable knobs (decimal precision, enumeration budget).
+
+Every exact-to-decimal conversion goes through `decimal_quotient`, which gives
+``Decimal(p) / Decimal(q)`` bit for bit.  The decimal module converts an int
+in time quadratic in its length (4.1 ms for a quotient of two 10k-digit
+ints), so past INT_ROUTE_BITS the quotient is taken by one integer long
+division to a few more digits than the context keeps, and the context rounds
+that.
 """
 
 from __future__ import annotations
 
 import os
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
+from math import floor, log10
 
 DEFAULT_PRECISION = 50
 DEFAULT_ENUM_BUDGET = 10**7
+
+# decimal_quotient divides with ints once an operand has more bits than this.
+INT_ROUTE_BITS = 1500
 
 PRECISION_ENV = "BALLCELL_PRECISION"
 BUDGET_ENV = "BALLCELL_BUDGET"
@@ -66,7 +77,36 @@ def to_decimal(q: Fraction, digits: int | None = None) -> Decimal:
         digits = default_precision()
     with localcontext() as ctx:
         ctx.prec = digits
-        return Decimal(q.numerator) / Decimal(q.denominator)
+        return decimal_quotient(q.numerator, q.denominator)
+
+
+def decimal_quotient(p: int, q: int) -> Decimal:
+    """Decimal(p) / Decimal(q) under the active context: same as_tuple(),
+    same signals.
+
+    Past INT_ROUTE_BITS, |p| 10^s // |q| is taken with s chosen so that it
+    has at least prec + 2 digits.  A nonzero remainder makes the quotient
+    inexact, and a last digit 1 appended for it keeps the discarded tail on
+    the same side of every rounding boundary as the true one, so `scaleb`
+    rounds the signed digits exactly as the division would, in any rounding
+    mode.  An exact quotient is left to the division, whose exponent follows
+    the operands'.
+    """
+    if max(p.bit_length(), q.bit_length()) <= INT_ROUTE_BITS or not p or not q:
+        return Decimal(p) / Decimal(q)
+    # |p/q| > 2^(bits(p) - 1 - bits(q)); the floor may err by one digit in
+    # float, which the margin of two absorbs.
+    shift = getcontext().prec + 2 - floor((p.bit_length() - 1 - q.bit_length()) * log10(2))
+    num, den = abs(p), abs(q)
+    if shift > 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    digits, rem = divmod(num, den)
+    if not rem:
+        return Decimal(p) / Decimal(q)
+    digits = 10 * digits + 1
+    return Decimal(digits if (p < 0) == (q < 0) else -digits).scaleb(-shift - 1)
 
 
 def decimal_sqrt(q: Fraction, digits: int | None = None) -> Decimal:
@@ -78,6 +118,6 @@ def decimal_sqrt(q: Fraction, digits: int | None = None) -> Decimal:
     with localcontext() as ctx:
         # Two guard digits so the final quantity is good to `digits`.
         ctx.prec = digits + 2
-        root = (Decimal(q.numerator) / Decimal(q.denominator)).sqrt()
+        root = decimal_quotient(q.numerator, q.denominator).sqrt()
         ctx.prec = digits
         return +root

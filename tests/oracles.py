@@ -9,9 +9,14 @@ through either of them.
 ``duration_law_over_q`` walks the ball-count chain with Fraction masses and
 the Fraction rows of ``transition_row``, so it checks the integer walk of
 ``pgf._duration_law`` (numerators over n^(r·k)) without sharing its scaling.
+
+``row_by_inclusion_exclusion`` sums the capture law's inclusion-exclusion
+formula term by term, so it checks ``game._row_numerators``, which counts
+through the table of no-lone-ball placements instead.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 from ballcell.game import transition_row
 from ballcell.polys import Poly, Poly2
@@ -36,6 +41,21 @@ def duration_law_over_q(r, n):
                     if row[t]:
                         nxt[i - t] += w * row[t]
         state = nxt
+
+
+def row_by_inclusion_exclusion(n, r):
+    """Numerators over n^r of P[t captured] for t = 0..r, each summed
+    directly: sum_{j=t}^{min(n,r)} (-1)^(j-t) C(j,t) C(n,j) C(r,j) j! (n-j)^(r-j)."""
+    top = min(n, r)
+    terms = [comb(n, j) * comb(r, j) * factorial(j) * (n - j) ** (r - j) for j in range(top + 1)]
+    row = []
+    for t in range(r + 1):
+        total = 0
+        for j in range(t, top + 1):
+            s = comb(j, t) * terms[j]
+            total = total - s if (j - t) & 1 else total + s
+        row.append(total)
+    return row
 
 
 def div_exact_over_q(p, d):

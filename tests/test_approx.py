@@ -4,10 +4,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, log10
 
+import random
+from math import gcd
+
 import pytest
 
+from ballcell import approx
 from ballcell.approx import (
     _digits,
+    _reduced_fits,
     approx_mean,
     approx_report,
     approx_variance,
@@ -153,9 +158,10 @@ def test_partial_sums_match_term_by_term_loop():
             assert approx_variance(n, r) == _reference_partial_sum(n, r, 2) - mean, (n, r)
 
 
-def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4):
+def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4, switched=None):
     """error_limit with the mean recurrence held as reduced Fractions until
-    one passes `digit_budget` digits, then in Decimal from the Fraction rows."""
+    one passes `digit_budget` digits, then in Decimal from the Fraction rows.
+    The step of the switch is appended to `switched` when one is given."""
     if digits is None:
         digits = default_precision()
     half = rmax // 2
@@ -176,6 +182,8 @@ def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4):
                         acc += probs[t] * window[-t]
                 m = acc / (1 - stay)
                 if max(_digits(m.numerator), _digits(m.denominator)) > digit_budget:
+                    if switched is not None:
+                        switched.append(k)
                     window = [to_decimal(v, wp) for v in window]
                     m = to_decimal(m, wp)
                     exact = False
@@ -195,12 +203,87 @@ def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4):
         return str(+e_full), str(+gap_wide), +gap_wide < Decimal(1).scaleb(-(digits + 2))
 
 
-@pytest.mark.parametrize(
-    "args",
-    [(3, 60, 30, 200), (7, 150, 40, 500), (6, 300, 80, 10**4), (9, 50), (3, 1000)],
-)
+# The digit-budget switch falls at different steps here, and never at
+# (9, 50).  In every other case the switch test certifies some steps past the
+# budget with gcd(P_k, g) and has to take the full gcd at others.
+LIMIT_CASES = [
+    (3, 60, 30, 200),
+    (7, 150, 40, 500),
+    (6, 300, 80, 10**4),
+    (9, 50),
+    (3, 1000),
+    (4, 300, 50, 5000),
+    (5, 400, 20, 3000),
+    (3, 400, 60, 20000),
+]
+
+
+@pytest.mark.parametrize("args", LIMIT_CASES)
 def test_limit_matches_fraction_reference(args):
-    # The digit-budget switch falls at different steps here, and never at
-    # (9, 50); either way the integer recurrence must give the same digits.
+    # Wherever the switch falls, the integer recurrence must give the same
+    # digits as reduced Fractions.
     est = error_limit(*args)
     assert (str(est.estimate), str(est.gap), est.stabilized) == _reference_error_limit(*args)
+
+
+@pytest.mark.parametrize("args", LIMIT_CASES)
+def test_switch_falls_where_the_reduced_mean_passes_the_budget(args, monkeypatch):
+    # The switch is asked once per exact step, and the reference reduces every
+    # step and records where it switches.  A gcd whose second operand is the
+    # last full gcd (1 before the first) is a certificate; every other one is
+    # a full gcd, taken only when the certificate before it failed.
+    verdicts, gcds = [], {"certificates": 0, "full": 0, "g": 1}
+    real_fits, real_gcd = approx._reduced_fits, approx.gcd
+
+    def recording_fits(p, q, g, budget):
+        fits, g = real_fits(p, q, g, budget)
+        verdicts.append(fits)
+        return fits, g
+
+    def counting_gcd(a, b):
+        result = real_gcd(a, b)
+        if b == gcds["g"]:
+            gcds["certificates"] += 1
+        else:
+            gcds["full"] += 1
+            gcds["g"] = result
+        return result
+
+    monkeypatch.setattr(approx, "_reduced_fits", recording_fits)
+    monkeypatch.setattr(approx, "gcd", counting_gcd)
+    error_limit(*args)
+    switched = []
+    _reference_error_limit(*args, switched=switched)
+    assert switched == ([verdicts.index(False) + 1] if False in verdicts else []), args
+    if args != (9, 50):
+        proved = gcds["certificates"] - gcds["full"]
+        assert proved > 0 and gcds["full"] > 0, (args, gcds)
+
+
+def test_reduced_fits_agrees_with_the_reduced_fraction():
+    # g runs over divisors of q, as in error_limit; the three ways out (the
+    # unreduced form fits, gcd(p, g) certifies, the full gcd decides) all
+    # occur.
+    rng = random.Random(5)
+    ways = {"unreduced": 0, "certified": 0, "full": 0}
+    for _ in range(600):
+        common = rng.randrange(1, 10 ** rng.randrange(1, 60))
+        p = common * rng.randrange(1, 10 ** rng.randrange(1, 60))
+        q = common * rng.randrange(1, 10 ** rng.randrange(1, 60))
+        g = rng.choice([1, gcd(p, q), gcd(q, rng.randrange(1, 10**30)), gcd(q, common * rng.randrange(1, 100))])
+        budget = rng.randrange(1, 80)
+        m = Fraction(p, q)
+        want = _digits(m.numerator) <= budget and _digits(m.denominator) <= budget
+        fits, g_out = _reduced_fits(p, q, g, budget)
+        assert fits == want, (p, q, g, budget)
+        h = gcd(p, g)
+        if max(_digits(p), _digits(q)) <= budget:
+            ways["unreduced"] += 1
+        elif max(_digits(p // h), _digits(q // h)) <= budget:
+            ways["certified"] += 1
+        else:
+            ways["full"] += 1
+            assert g_out == gcd(p, q)
+            continue
+        assert g_out == g
+    assert min(ways.values()) > 30, ways

@@ -1,5 +1,6 @@
 """One-round capture law against hand counts, enumeration, and the symbolic path."""
 
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,6 +8,9 @@ import pytest
 
 from ballcell.errors import BudgetExceededError
 from ballcell.game import (
+    _NO_CAPTURE,
+    _row_numerators,
+    _symbolic_row_numerators,
     brute_force_row,
     transition_prob,
     transition_prob_symbolic,
@@ -14,6 +18,7 @@ from ballcell.game import (
 )
 from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import RatFunc2
+from oracles import row_by_inclusion_exclusion
 
 N = Poly2.var_n()
 
@@ -153,19 +158,46 @@ def _inclusion_exclusion(top: int, t: int, term) -> object:
     return total
 
 
+def _assert_row(n, r, want):
+    top = min(n, r)
+    assert list(_row_numerators(n, r)) == want[: top + 1], (n, r)
+    assert not any(want[top + 1 :]), (n, r)
+
+
 def test_rows_match_direct_inclusion_exclusion_sum():
-    # The rows come from a Taylor shift of the j-terms; the module docstring's
-    # sum, evaluated term by term, must give the same numerators.
-    for n in range(1, 30):
-        for r in range(0, 40):
-            row = transition_row(n, r).probs
-            assert len(row) == r + 1
-            for t in range(r + 1):
-                want = _inclusion_exclusion(
-                    min(n, r), t, lambda j: comb(n, j) * comb(r, j) * factorial(j) * (n - j) ** (r - j)
-                )
-                assert row[t] == Fraction(want, n**r), (n, r, t)
+    # The rows are counted through the no-lone-ball table; the module
+    # docstring's sum, evaluated term by term, must give the same numerators
+    # on square-ish states, where rows are wide, and on long sweeps at small
+    # n, where the table's columns are long.
+    states = [(n, r) for n in range(1, 61) for r in range(71)]
+    states += [(n, r) for n in range(2, 6) for r in range(71, 421)]
+    for n, r in states:
+        want = row_by_inclusion_exclusion(n, r)
+        _assert_row(n, r, want)
+        if n < 30 and r < 40:
+            assert transition_row(n, r).probs == tuple(Fraction(a, n**r) for a in want), (n, r)
     assert transition_prob(3, 10, 7) == 0
+
+
+def test_rows_at_huge_n_grow_only_their_triangle():
+    # A row of r balls reads columns n - r..n only, so a huge n builds a
+    # triangle of (r + 1)(r + 2)/2 entries and never walks down toward 0.
+    n = 1000003
+    for m in range(n - 10, n + 1):
+        _NO_CAPTURE.pop(m, None)
+    started = time.perf_counter()
+    for r in range(7):
+        _assert_row(n, r, row_by_inclusion_exclusion(n, r))
+    assert time.perf_counter() - started < 1
+    grown = {m: len(col) for m, col in _NO_CAPTURE.items() if m > n - 1000}
+    assert grown == {n - j: 7 - j for j in range(7)}
+
+
+def test_numeric_rows_are_symbolic_rows_at_n():
+    for r in range(13):
+        sym = _symbolic_row_numerators(r)
+        for n in range(1, 25):
+            _assert_row(n, r, [p.eval(n) for p in sym])
 
 
 def test_symbolic_rows_match_direct_inclusion_exclusion_sum():

@@ -5,6 +5,7 @@ recurrence, the transition-matrix powering in duration_distribution, and the
 differentiated mean/variance recurrences.
 """
 
+import hashlib
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -34,7 +35,7 @@ from ballcell.pgf import (
 )
 from ballcell.polys import Poly, Poly2
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
-from ballcell.scalars import to_decimal
+from ballcell.scalars import BUDGET_ENV, to_decimal
 from oracles import div_exact_over_q, duration_law_over_q
 
 X = Poly.var()
@@ -451,6 +452,112 @@ def test_fresh_diagonal_mean_table_budget():
     assert elapsed < 10, f"mean and variance at (150, 150) took {elapsed:.1f}s, budget 10s"
     assert to_decimal(mean, 30) == Decimal("4.33838798686955435760977883231")
     assert to_decimal(variance, 30) == Decimal("0.248478514154298415926856736095")
+
+
+# First 16 hex digits of the sha256 of the P, R, Q and D lists (hex ints,
+# comma-joined) of each cell count's mean table, to the largest r that the
+# mean_tables benchmark asks of it: the diagonal to 52 and the sweeps of
+# MEAN_TABLE_TOPS.  Every table the benchmark reads is a prefix of one of
+# these.  Recorded with the Taylor-shift capture rows.
+MEAN_TABLE_TOPS = {2: 400, 3: 120, 4: 90, 6: 76, 8: 68, 10: 64}
+MEAN_TABLE_DIGESTS = {
+    2: ('9f763d79fad449df', '8e57458531e71960', '98a82c49b3bf5da7', 'fd3a7c9629be10ee'),
+    3: ('75e5840a6ee4bc4f', 'fae472453ef2f291', '3b4182504ee671b9', '872aed546144f384'),
+    4: ('5366762b20ed154c', 'a2196921dc5ed7f3', '8096fc1939b289a0', 'b1fe7472db027bb2'),
+    5: ('3b2e714c56c3bd54', '0b14f595d95682fe', 'ea6f43175efe3cfe', '6ae6d3d8ba181dc2'),
+    6: ('71260b5b2da0240d', '85903b23df54a3a6', 'de0f8084a05c9036', 'fcdc96a667a3730e'),
+    7: ('53a5182fdaf1c4a1', 'e861eed50e8202fa', '423b3d171df9180b', 'd97a6f94d113ad78'),
+    8: ('1377c6e3f4a7b846', 'c09a1f3ccc11a40e', 'bc3047c6abbccb18', '4e3a5fe52610e7b3'),
+    9: ('4c1af2f1ff184b94', 'eb05a05f6fc7cace', '8dff56977cabb597', 'b5505eb29a3cc44c'),
+    10: ('13b34deefa088040', '894318e9cfbf7005', 'b9389dc05b0b6bb6', 'e12bd1d8dfc1750d'),
+    11: ('7b02ed831aab8359', '71f19932d7723f18', '7caf9b36cf63e330', '4852f1801514b916'),
+    12: ('227998162113dee9', 'd83120dc5fea2377', '1faa30e84f827d17', '601cd668dbac7bea'),
+    13: ('e4254df01e442c01', '1f0c5ac9fb2e0d7a', '076430a4cb7ecb17', '2ce5b7bb6c31cb51'),
+    14: ('b7a92a9718f0bcdb', '412d433ef4a71be0', '1c597ce3d4e95f7c', '825bdec222392d74'),
+    15: ('26adae30f45f2d60', '54326b6f10aa8054', 'ee88f46ba50375e3', '12f65e32e9e8a66e'),
+    16: ('52731e79d3fee797', '1178a862e6a66dd6', '755677003e26fe52', '8f60ae169a29dff1'),
+    17: ('3fe01ada6e6d394b', '063cd738f331031d', '53e33ad5450e2aea', 'bbce50ce9398db76'),
+    18: ('a05250a66521989d', 'dddabda9c297f956', '948338677e07e7db', 'c7854f161e143039'),
+    19: ('97df01abd872e04e', 'ec1e4b0c3261cb3e', 'd73a54899bd2a2e9', '600435343344c06a'),
+    20: ('47e5cb089042c776', '9cb2cb212de7b05e', '8540420d9ea3f070', 'dab578de0fbaec9a'),
+    21: ('c6daaab1d7ae3d48', 'dec9104d8cecd4e0', '9e8bf86539eda03b', 'c72053bcad8dcbdc'),
+    22: ('cf9ff7a612fdd84d', 'af9b82a55d2b1f43', '653871257bd55164', '89fe6eb855ef1e72'),
+    23: ('8b12fc7a79152470', '783b61c6b2dc11b1', '78b7fda6d8fad94c', '191de8819da0b1b7'),
+    24: ('c09142d1c9352366', 'a64f5da8fe698feb', 'af3d3de05e6b36b7', '23928552fcd527b8'),
+    25: ('c3b6915b8cc7bc91', '91c9e49cf29a29ca', '13fe515df637edfb', 'a512f7dfa3debab1'),
+    26: ('bb5ca1774a22e568', '8b66e5cdf51a85a6', 'cd4800fc63f322b9', '06d3564ac09c7950'),
+    27: ('2056172d66e2b6cf', '175d8245bc5ec13a', 'e6772143080984b2', '2199c7e105d4bdf4'),
+    28: ('df55c117f0326c75', 'fa792ad1055ff918', '20f1cf47783a46ff', '74a3b9a15a56e0d2'),
+    29: ('9ca5e8e07856fe7c', '5f8e2ef894537a36', '37bf50dca9b42a44', '3356c70c2bebd247'),
+    30: ('ba07f16f00cdb3a3', '9a1aa5e6d8a4e611', '3f83a2c99ad2880d', '9d13d5a47c4d2b0c'),
+    31: ('55a6f793e7ea6f97', '8c6e3f56bee479c3', '2ab79eacbacdb183', '7b7fd362ee25fe33'),
+    32: ('3443d887f142d2d2', '1f16dc606ecdcdf5', '1f74dd247ba68749', '2ae8e96d6b30f7de'),
+    33: ('d900e29006f29841', '38115d33d3855007', 'cd840c926472b5df', '67f1b89136105542'),
+    34: ('3cc975b1733ac13c', '065e1aa16b6568a3', '9918aec255991b4d', '94b5f9fc0db19866'),
+    35: ('7217dbba69e107af', '87aadc3a1cdb5aa0', 'a216fa1de67941ef', '20507f2fb812676b'),
+    36: ('5171e9ba8cd0f6ae', '6e0671251dc69c3e', '121f3ac825923acc', '01c5d67e2f69a1ce'),
+    37: ('a0b4571f4417787d', 'de9a1e70c39917f5', 'd5a4cbfe2cd9ee24', '74059aef15b3304c'),
+    38: ('f7cfd8d5d8e21410', '327325f1eb632bad', '923b016d8ca807c6', 'd28bbb0c13c5696d'),
+    39: ('19c9d35c11c8f60a', '21485dd193b7ef0b', '813ec5371bdbf99a', '5fed4c36501a8785'),
+    40: ('47096fba8e3e83a2', 'd06c2a09ff542918', '555f78678c6fd4d5', '37c78c6bc9228a3d'),
+    41: ('76caf889456f8078', '8c30349e219326a6', 'fc4c3594b41249be', '38823adc15d50e60'),
+    42: ('af1d10f54cb314ea', '6440055d01b72d14', '5b7a5198b978ff8b', '0cefd02ffffce178'),
+    43: ('bf89e94e2090d9fe', '2c31c1c53a86c8f9', '42c5e0cb2b30ee31', 'd23818f2ed17f4e2'),
+    44: ('35f7ddd45a539785', '41c4f2912c8f0897', '45c6fda9412a1d2f', 'd5a9aa706e3e542f'),
+    45: ('1e38c41471e2ff05', '8e5fb95e1a993997', '615fc69158d95fe3', '294ba12cf0012e71'),
+    46: ('bd05e590f67441e7', '7eb0785847f50b4e', 'f020b028112b7df4', 'a0b0ee5aeedb922e'),
+    47: ('924a740d6c97556f', 'db2bae2ecdd821a5', '17a6fb63aebdd1ad', '9a7c054620452d3c'),
+    48: ('a1d8874ae414eedd', 'f53262405a66e84c', 'c8a2c6cfc8af1534', 'e597dd8062a5ec1a'),
+    49: ('e1c986ea6ac59da2', '713f7ad79dee1e0b', 'fef5ab2f1926e790', 'aecacdb2e913a617'),
+    50: ('05b602d614463aee', '53df9ddae16f5bb5', 'baf22e06531d5c54', 'b125a4a8c6d4cec1'),
+    51: ('896652b3d812468a', '9b5e9522306ee8ec', 'c9a4b1f141a0aa50', '6e1820d91f439d49'),
+    52: ('81eab7d5a5c452e4', 'ce70d24d34f2a986', 'c979e236c60128a7', '4781224a2269b08d'),
+}
+
+
+def _list_digest(values):
+    return hashlib.sha256(",".join(map(hex, values)).encode()).hexdigest()[:16]
+
+
+def test_mean_table_lists_are_unchanged():
+    for n, want in MEAN_TABLE_DIGESTS.items():
+        r = max(n, MEAN_TABLE_TOPS.get(n, 0))
+        got = tuple(_list_digest(values[: r + 1]) for values in pgf._mean_tables(n, r))
+        assert got == want, n
+
+
+def test_over_budget_mean_table_is_refused_before_it_is_built():
+    # (2000, 3) ran for minutes; its Q_r has about 6.08e5 digits.
+    before = pgf._MEAN_TABLES.get(3)
+    started = time.perf_counter()
+    for query in (expected_duration, duration_variance):
+        with pytest.raises(BudgetExceededError, match=r"about 6\.08e\+05 digits over rows of 3 entries"):
+            query(2000, 3)
+    assert time.perf_counter() - started < 1
+    assert pgf._MEAN_TABLES.get(3) is before
+
+
+def test_tested_and_benchmarked_states_are_under_the_mean_budget():
+    # The diagonal of diagonal_sequence(100), the (150, 150) budget test, the
+    # benchmark's sweeps and the three known-defect probes, which must keep
+    # reaching the int-to-str limit rather than the budget.
+    states = [(r, r) for r in range(1, 101)] + [(150, 150), (60, 60), (80, 80), (3, 200)]
+    states += list(MEAN_TABLE_TOPS.items())
+    for n, r in states:
+        pgf._check_mean_budget(n, r)
+
+
+def test_mean_budget_scales_with_the_enumeration_budget(monkeypatch):
+    pgf._MEAN_TABLES.pop(21, None)
+    monkeypatch.setenv(BUDGET_ENV, "100")
+    with pytest.raises(BudgetExceededError, match=BUDGET_ENV):
+        expected_duration(21, 21)
+    assert 21 not in pgf._MEAN_TABLES
+    monkeypatch.delenv(BUDGET_ENV)
+    mean = expected_duration(21, 21)
+    # a table already built answers without a new estimate
+    monkeypatch.setenv(BUDGET_ENV, "100")
+    assert expected_duration(21, 21) == mean
 
 
 def test_symbolic_moments_specialize():
