@@ -15,7 +15,8 @@ the cancellation.  The partial sums and the limit's exact phase are Horner
 passes over integer numerators with known denominators: lcm(1..r) (n-1)^(r-1)
 for the sums, the product Q_k of `pgf`'s nested mean recurrence for the limit.
 Each result is reduced once, not term by term, and the long exact quotients
-become Decimals through `scalars.decimal_quotient`.
+become Decimals through `scalars.decimal_quotient`.  A limit request whose
+Decimal phase is estimated past the budget is refused before it runs.
 """
 
 from __future__ import annotations
@@ -27,12 +28,19 @@ from math import ceil, gcd, lcm, log10
 
 # transition_row is no longer called here, but perfbench/tracer.py wraps
 # approx.transition_row by name, so the attribute stays.
+from .errors import BudgetExceededError
 from .game import _row_numerators, transition_row  # noqa: F401
 from .pgf import duration_variance, expected_duration
-from .scalars import decimal_quotient, default_precision, to_decimal
+from .scalars import BUDGET_ENV, decimal_quotient, default_precision, enum_budget, to_decimal
 
 DEFAULT_LIMIT_ROUNDS = 400
 DEFAULT_DIGIT_BUDGET = 10**4
+
+# error_limit refuses a request whose Decimal phase is estimated past
+# enum_budget() * LIMIT_WORK_SCALE digit products: 10^10 at the default
+# budget, about 10 s on a 2-vCPU Xeon VM.  n = 3 runs to R = 8000 (6.9·10^9,
+# 7.9 s); R = 100000 (4.6·10^12, over an hour) is refused.
+LIMIT_WORK_SCALE = 1000
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,34 @@ def _minus(p, q: int, a: Fraction, exact: bool) -> Decimal:
     return p - decimal_quotient(a.numerator, a.denominator)
 
 
+def _check_limit_budget(n: int, rmax: int, wp: int) -> None:
+    """Refuse an error_limit request whose Decimal phase passes the budget,
+    before it runs.
+
+    Step k of that phase turns min(n, k) + 1 capture numerators and n^k,
+    ints of about D_k = k log10(n) digits, into Decimals, and takes as many
+    quotients and products at wp digits.  Each is taken as D^1.585 digit
+    products (Karatsuba), D the longer of its operands, so the phase is
+    estimated at sum_k min(n, k) (D_k^1.585 + wp^1.585), summed in closed
+    form; the exact phase, which stops at the digit budget, is left out.  On
+    a 2-vCPU Xeon VM a digit product of this estimate took 0.9-1.4 ns from
+    (3, 2000) to (400, 200), more on small requests, where fixed costs
+    weigh; at n = 3 the phase grows as about R^2.6 (0.21, 1.26 and 7.9 s at
+    R = 2000, 4000 and 8000), and working precisions of a few thousand
+    digits run 2-3 times faster than estimated.
+    """
+    a, m = 1.585, min(n, rmax)
+    conversions = log10(n) ** a * (m ** (a + 2) / (a + 2) + n * (rmax ** (a + 1) - m ** (a + 1)) / (a + 1))
+    work = conversions + wp**a * (m * (m + 1) / 2 + n * (rmax - m))
+    budget = enum_budget() * LIMIT_WORK_SCALE
+    if work > budget:
+        raise BudgetExceededError(
+            f"the error limit of {n} cells to {rmax} rounds runs its Decimal phase at {wp} digits on "
+            f"integers of up to {rmax * log10(n):.3g} digits, about {work:.3g} digit products; the budget "
+            f"is {budget:.3g} ({BUDGET_ENV} * {LIMIT_WORK_SCALE})"
+        )
+
+
 def error_limit(
     n: int,
     rmax: int = DEFAULT_LIMIT_ROUNDS,
@@ -187,6 +223,9 @@ def error_limit(
     and certifies most steps past the budget without a full gcd.  The switch
     falls at the first step where the reduced P_k/Q_k passes the budget, as
     if every step were reduced.
+
+    Raises BudgetExceededError before any step when `_check_limit_budget`
+    estimates the Decimal phase past enum_budget() * LIMIT_WORK_SCALE.
     """
     if n < 3:
         raise ValueError(f"limit estimation needs cells >= 3 (the n = 2 error is identically 0), got {n}")
@@ -196,6 +235,7 @@ def error_limit(
         digits = default_precision()
     half = rmax // 2
     wp = digits + max(0, ceil(rmax * log10(n / (n - 1)))) + 10
+    _check_limit_budget(n, rmax, wp)
 
     a_half = approx_mean(n, half)
     a_full = approx_mean(n, rmax)

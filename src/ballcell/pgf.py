@@ -168,64 +168,76 @@ def _check_symbolic(r: int, max_balls: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The PGF table, grown bottom-up and cached per context.  Keyed by cell count,
-# None standing for symbolic n; each level is (numerator, {factor: power},
-# reduced function), with the denominator factored as the module docstring
-# describes.  All three have int coefficients.  Factors are primitive with a
+# The PGF table, grown bottom-up and cached per context, keyed as the module
+# docstring says.  Each level is (numerator, {factor: power}, reduced
+# function), all with int coefficients.  Factors are primitive with a
 # positive head term, so associate factors meet as equal keys and the merge
-# never needs a gcd.
-# Entries are replaced wholesale (never mutated in place) so completed levels
-# are always safe to read from other threads.
+# never needs a gcd.  A power of the monomial n is multiplied and divided out
+# by a shift; linear factors keep the trial division that proves them coprime.
+# Entries are replaced wholesale, never mutated, so any thread may read them.
 
 _LEVELS: dict[int | None, list[tuple]] = {}
+_VAR_N = Poly2.var_n()
+
+
+def _times(p, f, m: int):
+    """p * f^m; for the monomial n a shift by m, which may be negative."""
+    if f == _VAR_N:
+        return p._adopt({dx: row._adopt({e + m: v for e, v in row._c.items()}) for dx, row in p._c.items()})
+    return p * f**m
 
 
 def _merge_terms(terms: list, x, stay) -> tuple:
     """Numerator and factored denominator of x/(1 - p_0 x) * sum(terms).
 
     Each term is (numerator, {factor: power}); the sum runs over the common
-    denominator, which takes the largest power of each factor.  `stay`
-    writes 1/(1 - p_0 x) as scale/factor, or is None when p_0 = 0.
+    denominator, the largest power of each factor.  Folded from the lowest
+    level up, as Horner's rule nests a sum (Knuth, TAOCP vol. 2, 4.6.4), a
+    factor power multiplies the running sum once, where it first appears, and
+    each term only by the powers it lacks.  `stay` writes 1/(1 - p_0 x) as
+    scale/factor, or is None when p_0 = 0.
     """
-    den: dict = {}
-    for _, own in terms:
+    total, den = x.zero(), {}
+    for num, own in reversed(terms):
         for f, m in own.items():
-            if m > den.get(f, 0):
-                den[f] = m
-    total = x.zero()
-    for num, own in terms:
+            extra = m - den.get(f, 0)
+            if extra > 0:
+                total, den[f] = _times(total, f, extra), m
         for f, m in den.items():
             extra = m - own.get(f, 0)
             if extra:
-                num = num * f**extra
+                num = _times(num, f, extra)
         total = num + total
-    num = x * total
     if stay is not None:
         scale, factor = stay
-        num = num * scale
-        den[factor] = den.get(factor, 0) + 1
-    return num, den
+        total, den[factor] = total * scale, den.get(factor, 0) + 1
+    return x * total, den
 
 
 def _cancel_factors(num, den: dict, div_exact) -> tuple:
     """Divide out every denominator factor that exactly divides the numerator.
 
     Each factor is n (the monomial, or for numeric n a constant, a unit) or
-    irreducible, linear and primitive in x, so repeated exact division is a
-    complete reduction: what survives is provably coprime to the numerator.
-    A zero numerator returns at once over the empty denominator, since every
-    division would succeed.
+    irreducible, linear and primitive in x, so taking each out as often as it
+    divides reduces completely.  The monomial n comes off by one shift, as
+    far as its multiplicity and num's least n-exponent allow; any other
+    factor by trial division, whose failure proves it coprime (Gauss's
+    lemma).  A zero numerator returns at once, over {}.
     """
     if num.is_zero():
         return num, {}
     out = {}
     for f, mult in den.items():
-        while mult > 0:
-            try:
-                num = div_exact(num, f)
-            except ValueError:
-                break
-            mult -= 1
+        if f == _VAR_N:
+            j = min(mult, *(row.min_exponent() for row in num._c.values()))
+            num, mult = _times(num, f, -j), mult - j
+        else:
+            while mult:
+                try:
+                    num = div_exact(num, f)
+                except ValueError:
+                    break
+                mult -= 1
         if mult:
             out[f] = mult
     return num, out
@@ -235,31 +247,25 @@ def _expand(den: dict, one):
     """Multiply out a factored denominator; `one` is the ring's unit."""
     out = one
     for f, m in den.items():
-        out = out * f**m
+        out = _times(out, f, m)
     return out
-
-
-# Ring adapter: all that depends on whether n is a number or a symbol.
 
 
 def _ring(n: int | None) -> tuple:
     """Unit, x, the factor n, the capture row of r balls and the quotient
-    class of the table for n.  Both rings are polynomials in x; they differ
-    in the coefficient ring, Z for a number n and Z[n] for the symbol."""
+    class of the table for n: all that depends on whether n is a number
+    (polynomials in x over Z) or a symbol (over Z[n])."""
     if n is None:
-        ring, unit, var_n = Poly2, Poly._adopt({0: 1}), Poly._adopt({1: 1})
-        row, quotient = _symbolic_row, RatFunc2
-    else:
-        ring, unit, var_n, row, quotient = Poly, 1, n, partial(_numeric_row, n), RatFunc
-    return ring._adopt({0: unit}), ring._adopt({1: unit}), ring._adopt({0: var_n}), row, quotient
+        return Poly2.const(1), Poly2.var_x(), _VAR_N, _symbolic_row, RatFunc2
+    return Poly.const(1), Poly.var(), Poly.const(n), partial(_numeric_row, n), RatFunc
 
 
-def _numeric_row(n: int, r: int) -> list[Poly]:
-    """a, b and A_1..A_r as constants: p_0 = a/b reduced, p_t = A_t/n^r."""
+def _numeric_row(n: int, r: int) -> list[int]:
+    """a, b and A_1..A_r as ints, which scale a Poly without a product:
+    p_0 = a/b reduced, p_t = A_t/n^r."""
     a, *caps = _row_numerators(n, r)
-    b = n**r
-    g = gcd(a, b)
-    return [Poly._adopt({0: v} if v else {}) for v in (a // g, b // g, *caps)]
+    g = gcd(a, n**r)
+    return [a // g, n**r // g, *caps]
 
 
 def _symbolic_row(r: int) -> list[Poly2]:
@@ -272,11 +278,7 @@ def _symbolic_row(r: int) -> list[Poly2]:
 
 
 def _levels(n: int | None, rmax: int) -> list[tuple]:
-    """Levels 0..rmax (at least) of the table for n, grown as needed.
-
-    The stay factor b - a*x of the reduced p_0 = a/b is primitive and linear
-    in x; the capture probabilities add only powers of n.
-    """
+    """Levels 0..rmax (at least) of the table for n, grown as needed."""
     levels = _LEVELS.get(n)
     if levels is not None and len(levels) > rmax:
         return levels
@@ -284,15 +286,12 @@ def _levels(n: int | None, rmax: int) -> list[tuple]:
     levels = list(levels or [(one, {}, quotient.from_fraction(1))])
     for r in range(len(levels), rmax + 1):
         a, b, *caps = row(r)
-        terms = []
-        for t, scale in enumerate(caps, 1):
-            if scale:
-                num, den = levels[r - t][:2]
-                terms.append((scale * num, {**den, var_n: den.get(var_n, 0) + r}))
+        # Term t scales level r - t by p_t = A_t / n^r.
+        terms = [(scale * num, {**den, var_n: den.get(var_n, 0) + r})
+                 for scale, (num, den, _) in zip(caps, reversed(levels)) if scale]
         stay = (b, b - a * x) if a else None
         num, den = _cancel_factors(*_merge_terms(terms, x, stay), int_div_exact)
-        func = quotient.from_coprime(num, _expand(den, one))
-        levels.append((num, den, func))
+        levels.append((num, den, quotient.from_coprime(num, _expand(den, one))))
     _LEVELS[n] = levels
     return levels
 

@@ -35,10 +35,18 @@ the CLI ("p/q" strings, never floats).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact, poly2_gcd, poly_gcd
 from .scalars import parse_rational
+
+
+def _over(p, k: Fraction):
+    """p / k in one map, for a k that leaves int coefficients; p itself when
+    k is 1 and p holds ints."""
+    if k == 1 and all(type(v) is int for _, v in p.items()):
+        return p
+    return p._map(lambda v: v.numerator * k.denominator // (v.denominator * k.numerator))
 
 
 class _Quotient:
@@ -85,9 +93,10 @@ class _Quotient:
 
     def _settle(self, num, den, cancel: bool) -> None:
         """Set the canonical fields of num/den, dividing by the gcd first
-        when `cancel` is set: the primitive parts of the pair, scaled by the
-        reduced ratio a/b of their contents (num by a, den by b), so the
-        fields are jointly primitive with int coefficients."""
+        when `cancel` is set: each field divided once by k, the gcd of the
+        two contents (a Fraction when a content is one), so the fields are
+        jointly primitive with int coefficients.  A field of ints is kept as
+        it is when k is 1."""
         num = self._coerce(num)
         den = self._coerce(den)
         if den.is_zero():
@@ -97,13 +106,9 @@ class _Quotient:
             return
         if cancel:
             num, den = self._cancel(num, den)
-        cn, num = num.primitive()
-        cd, den = den.primitive()
-        ratio = cn / cd
-        if ratio.numerator != 1:
-            num = num * ratio.numerator
-        if ratio.denominator != 1:
-            den = den * ratio.denominator
+        cn, cd = num.content(), den.content()
+        k = Fraction(gcd(cn.numerator, cd.numerator), lcm(cn.denominator, cd.denominator))
+        num, den = _over(num, k), _over(den, k)
         if self._anchor(den) < 0:
             num, den = -num, -den
         self.num = num

@@ -13,6 +13,14 @@ the Fraction rows of ``transition_row``, so it checks the integer walk of
 ``row_by_inclusion_exclusion`` sums the capture law's inclusion-exclusion
 formula term by term, so it checks ``game._row_numerators``, which counts
 through the table of no-lone-ball placements instead.
+
+``cancel_by_trial_division`` takes every factor out of a PGF level, the
+monomial n too, by repeated exact division, so it checks
+``pgf._cancel_factors``, which takes the power of n off by an exponent
+shift.  ``settle_by_primitive_parts`` settles a quotient from the primitive
+parts of its fields scaled back by the reduced ratio of their contents, so
+it checks ``_Quotient._settle``, which divides each field once by the gcd
+of the contents.
 """
 
 from fractions import Fraction
@@ -88,3 +96,43 @@ def div_exact_over_q(p, d):
             else:
                 pc[e] = s
     return Poly2({(dn, dx): v for dx, c in q.items() for dn, v in c.items()})
+
+
+def cancel_by_trial_division(num, den, div_exact):
+    """num over {factor: power} with every factor divided out as often as
+    `div_exact` divides it exactly; the zero numerator over {}."""
+    if num.is_zero():
+        return num, {}
+    out = {}
+    for f, mult in den.items():
+        while mult > 0:
+            try:
+                num = div_exact(num, f)
+            except ValueError:
+                break
+            mult -= 1
+        if mult:
+            out[f] = mult
+    return num, out
+
+
+def settle_by_primitive_parts(cls, num, den, cancel=True):
+    """num/den as a canonical quotient of `cls` (RatFunc or RatFunc2),
+    divided by the gcd first when `cancel` is set: the primitive parts of
+    the pair, num scaled by a and den by b for a/b the reduced ratio of
+    their contents, and the signs turned so the anchor is positive."""
+    q = object.__new__(cls)
+    num, den = q._coerce(num), q._coerce(den)
+    if num.is_zero():
+        q.num, q.den = num, cls._ring.const(1)
+        return q
+    if cancel:
+        num, den = q._cancel(num, den)
+    cn, num = num.primitive()
+    cd, den = den.primitive()
+    ratio = cn / cd
+    num, den = num * ratio.numerator, den * ratio.denominator
+    if q._anchor(den) < 0:
+        num, den = -num, -den
+    q.num, q.den = num, den
+    return q

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import ceil, log10
 
 import random
+import time
 from math import gcd
 
 import pytest
@@ -19,9 +20,10 @@ from ballcell.approx import (
     error_limit,
     error_term,
 )
+from ballcell.errors import BudgetExceededError
 from ballcell.game import transition_row
 from ballcell.pgf import duration_variance, expected_duration
-from ballcell.scalars import PRECISION_ENV, default_precision, to_decimal
+from ballcell.scalars import BUDGET_ENV, PRECISION_ENV, default_precision, to_decimal
 
 # E_3(10), frozen output of the exact pipeline.
 E3_AT_10 = Fraction(-141488086213, 8824570191360)
@@ -121,6 +123,32 @@ def test_limit_golden_at_defaults(n, monkeypatch):
     est = error_limit(n)
     assert (est.cells, est.rmax, est.digits) == (n, 400, 50)
     assert (str(est.estimate), str(est.gap), est.stabilized) == LIMIT_GOLDEN[n]
+
+
+def test_over_budget_limit_is_refused_before_it_runs(monkeypatch):
+    # (3, 100000) ran for over an hour; its Decimal phase is estimated at
+    # 4.64e12 digit products against 1e10 at the default budget.
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    monkeypatch.delenv(PRECISION_ENV, raising=False)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"about 4\.64e\+12 digit products; the budget is 1e\+10"):
+        error_limit(3, rmax=100000)
+    assert time.perf_counter() - started < 1
+
+
+def test_limit_budget_follows_the_enumeration_budget(monkeypatch):
+    # (3, 8000) runs in about 8 s at the default budget (6.9e9 of 1e10);
+    # a budget a tenth as large refuses it, and the default requests stay
+    # far inside one a hundredth as large.
+    monkeypatch.delenv(PRECISION_ENV, raising=False)
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    approx._check_limit_budget(3, 8000, 50 + ceil(8000 * log10(1.5)) + 10)
+    monkeypatch.setenv(BUDGET_ENV, str(10**6))
+    with pytest.raises(BudgetExceededError, match=r"about 6\.92e\+09 digit products"):
+        error_limit(3, rmax=8000)
+    monkeypatch.setenv(BUDGET_ENV, str(10**5))
+    for n in (3, 4, 5, 100):
+        error_limit(n, rmax=approx.DEFAULT_LIMIT_ROUNDS if n < 100 else 60)
 
 
 def test_limit_validation():

@@ -280,6 +280,15 @@ def test_approx_refuses_an_over_budget_mean_table(capsys):
     assert "about 6.08e+05 digits" in err and "BALLCELL_BUDGET" in err
 
 
+def test_approx_refuses_an_over_budget_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "approx", "--cells", "3", "--limit", "--rmax", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert "about 4.64e+12 digit products" in err and "BALLCELL_BUDGET" in err
+
+
 def test_gof_refuses_a_long_law_before_play(capsys):
     # (30, 2) averages about 10^8 rounds a game and its law about 3.7e8 rounds
     # of horizon: the estimate refuses before a single game is played.

@@ -6,11 +6,13 @@ differentiated mean/variance recurrences.
 """
 
 import hashlib
+import json
 import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +35,10 @@ from ballcell.pgf import (
     pgf_symbolic,
     symbolic_den_factors,
 )
-from ballcell.polys import Poly, Poly2
+from ballcell.polys import Poly, Poly2, int_div_exact
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
 from ballcell.scalars import BUDGET_ENV, to_decimal
-from oracles import div_exact_over_q, duration_law_over_q
+from oracles import cancel_by_trial_division, div_exact_over_q, duration_law_over_q
 
 X = Poly.var()
 
@@ -213,6 +215,68 @@ def test_integer_table_matches_fraction_table():
             assert num == ref_num * n**k, n
             assert {f: m for f, m in den.items() if f != var_n} == ref_den, n
     assert _int_levels(1, 5)[5][0].is_zero() and pgf_numeric(5, 1).func.is_zero()
+
+
+# First 16 hex digits of the sha256 of each level of the table for symbolic
+# n (to r = 16) and n = 3, 10 and 50 (to r = 50): the repr of (numerator,
+# factor map, function), the factor map as sorted (repr, power) pairs, since
+# the order in which the merge meets the factors is no part of the level.
+# Recorded when every term was raised to the full common denominator and n
+# came off by trial division.
+LEVEL_DIGESTS = json.loads((Path(__file__).parent / "pgf_level_digests.json").read_text())
+
+
+def _level_digest(level):
+    num, den, func = level
+    factors = sorted((repr(f), m) for f, m in den.items())
+    return hashlib.sha256(repr((num, factors, func)).encode()).hexdigest()[:16]
+
+
+def test_table_levels_are_unchanged():
+    for key, want in LEVEL_DIGESTS.items():
+        n = None if key == "symbolic" else int(key)
+        assert [_level_digest(level) for level in _int_levels(n, len(want) - 1)] == want, key
+
+
+def test_cancel_factors_matches_trial_division(monkeypatch):
+    # Every level's pre-cancel pair, then planted numerators whose power of
+    # n is below, equal to and above its multiplicity, times a stay factor.
+    pairs = []
+    cancel = pgf._cancel_factors
+
+    def recording(num, den, div_exact):
+        pairs.append((num, dict(den)))
+        return cancel(num, den, div_exact)
+
+    monkeypatch.setattr(pgf, "_cancel_factors", recording)
+    for n in (None, 2, 3, 7):
+        _int_levels(n, 12)
+    monkeypatch.undo()
+    var_n = Poly2.var_n()
+    num, den = pgf._levels(None, 6)[6][:2]
+    stay = next(f for f in den if f != var_n)
+    low = min(row.min_exponent() for row in num.as_x_coeffs().values())
+    den = {**den, var_n: low + 3}
+    pairs += [(num * stay * var_n**j, den) for j in (2, 3, 4)] + [(Poly2.zero(), den)]
+    shifted = 0
+    for num, den in pairs:
+        got = _cancel_factors(num, den, int_div_exact)
+        assert got == cancel_by_trial_division(num, den, int_div_exact)
+        shifted += got[1].get(var_n, 0) < den.get(var_n, 0)
+    assert len(pairs) == 4 * 12 + 4 and shifted >= 12
+
+
+@pytest.mark.parametrize("n, r, seconds", [(None, 16, 2), (50, 50, 2)])
+def test_fresh_table_budget(n, r, seconds):
+    # A fresh symbolic table to r = 16 takes 0.11-0.19 s and a numeric one to
+    # (50, 50) 0.21-0.37 s on a 2-vCPU Xeon VM.  With every term raised to
+    # the full common denominator and n divided out by trial division, they
+    # took 0.53-0.60 s and 2.1-2.2 s.
+    pgf._LEVELS.pop(n, None)
+    started = time.perf_counter()
+    pgf._levels(n, r)
+    elapsed = time.perf_counter() - started
+    assert elapsed < seconds, f"a fresh table to ({r}, {n}) took {elapsed:.1f}s, budget {seconds}s"
 
 
 def _coefficients(p):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ballcell.polys import Poly, Poly2  # noqa: E402
 from ballcell.ratfuncs import RatFunc, RatFunc2  # noqa: E402
+from oracles import settle_by_primitive_parts  # noqa: E402
 
 SCALARS = st.one_of(
     st.integers(min_value=-30, max_value=30),
@@ -99,3 +100,17 @@ def test_ratfunc2_arithmetic_never_gives_floats(a, b, c, d, s, k):
     if f.den.subs_n(s):
         results.append(f.subs_n(s))
     _check(results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([(RatFunc, POLYS), (RatFunc2, POLYS2)]), st.booleans())
+def test_settle_matches_primitive_parts_oracle(data, case, cancel):
+    # Each field is divided once by the gcd of the two contents; the oracle
+    # takes primitive parts and scales them back by the contents' ratio.
+    cls, polys = case
+    num, den = data.draw(st.one_of(polys, SCALARS)), data.draw(st.one_of(polys, SCALARS))
+    assume(den)
+    got = cls(num, den) if cancel else cls.from_coprime(num, den)
+    want = settle_by_primitive_parts(cls, num, den, cancel)
+    assert repr(got) == repr(want) and got == want and hash(got) == hash(want)
+    _check([got])
