@@ -20,13 +20,24 @@ the scalar stream word for word, so every duration, trace and batch is the
 one the per-ball loop gives.
 
 Captures are counted SIMD-within-a-register (Lamport, "Multiple byte
-processing with full-word instructions", CACM 18(8), 1975): a game's
-occupancy is one int of n lanes of w = r.bit_length() + 1 bits, the sum of
-its balls' entries 1 << (w·cell) in a one-hot table, and a lane-wise test
-that no carry can cross counts the lanes holding exactly one ball.  While n·w
-is at most _LANE_BITS; past it, the table would cost O(n²·w) bits and each
-sum O(n·w), so a round counts its captures with a Counter over keys
-game·n + cell instead.
+processing with full-word instructions", CACM 18(8), 1975), for all games of
+a round at once where that pays.  With n <= 127 the round's cells are one
+byte each of one int, and step d of top - 1 compares every ball with the
+ball d places on in eight big-int operations, top the largest game's
+balls; a ball is captured when no ball of its game shares its cell.  The
+steps cost about top operations on the round's bytes, so this pairwise count
+is taken while top is at most _PAIR_BALLS and at most twice the round's
+games.  Other rounds, such as the first rounds of games of more than
+_PAIR_BALLS balls, count per game: its occupancy is one int of n lanes of
+w = r.bit_length() + 1 bits, the sum of its balls' entries 1 << (w·cell) in
+a one-hot table, and a lane-wise test that no carry can cross counts the
+lanes holding exactly one ball.  This costs one add a ball, of an n·w-bit
+int, and beats the pairs from top = _PAIR_BALLS up at small n.  Past n·w =
+_LANE_BITS, the table would cost O(n²·w) bits and each sum O(n·w), so such a
+round counts its captures with a Counter over keys game·n + cell instead.
+
+A batch whose words drawn are estimated past the budget is refused before
+it plays: see _log_words.
 
 The standard library is used and not numpy: importing numpy after ballcell
 raises the interpreter's peak RSS from 16.6 to 28.1 MB (numpy 2.4, Python
@@ -43,12 +54,13 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
+from math import exp, expm1, fsum, log
 from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
 
 from .errors import BudgetExceededError, DivergentDurationError
 from .pgf import MIN_COVERAGE, exact_distribution
-from .scalars import enum_budget, to_decimal
+from .scalars import BUDGET_ENV, enum_budget, to_decimal
 
 MASK64 = (1 << 64) - 1
 
@@ -68,6 +80,23 @@ _LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
 # its time for r >= 8 and 0.85-1.0 for r = 2..5; they break even near 1536
 # bits for small r and near 3072 for r >= 24.
 _LANE_BITS = 1024
+# simulate refuses a request whose estimated words drawn pass
+# enum_budget() * PLAY_WORDS_SCALE: 2·10^7 at the default budget, about 10 s
+# at the 2·10^6 words a second that batches draw on a 2-vCPU Xeon VM (0.6-5
+# million measured, the fewest for one long game with n = 2).  The stats
+# gate's (10, 10) × 10^5 estimates 4.0·10^6 words and (11, 2) × 2000 4.7·10^6;
+# one game of (40, 2) 1.1·10^12.
+PLAY_WORDS_SCALE = 2
+# Largest game, in balls, of a round that _play counts pairwise.  Measured
+# against the lanes on full rounds of one draw (2-vCPU Xeon, Python 3.11),
+# as lanes time over pairs time: at top = 24 1.25 for n = 3 and 1.7-2.3 for
+# n >= 10; at 32 0.7 for n = 3, 1.1-1.7 for n >= 10; at 48 0.5-0.95 for all
+# n.  So the lanes keep larger games even though they lose to the pairs up
+# to top = 40 for n >= 40.  Correct for any top <= 128 (see _left_by_pairs).
+_PAIR_BALLS = 24
+# _AFTER[b] holds the starting lanes of _left_by_pairs for a game of b <= 128
+# balls: "balls after this one" + 127.
+_AFTER = [bytes(range(126 + b, 126, -1)) for b in range(129)]
 
 
 def _mix64(z: int) -> int:
@@ -138,6 +167,42 @@ def _check_sim_state(r: int, n: int) -> None:
     if r > budget or n > budget:
         raise BudgetExceededError(
             f"simulation state ({r} balls, {n} cells) exceeds the budget of {budget}"
+        )
+
+
+def _log_words(r: int, n: int, trials: int) -> float:
+    """Natural log of trials · (1 + r·A_n(r)): the trial seeds, and r
+    words a round for A_n(r) = sum_{j<=r} (1/j) (n/(n-1))^(j-1) rounds, the
+    paper's harmonic-geometric mean, exact for n = 2.
+
+    Terms j >= 64 are taken in blocks j..j + j//64 at the 1/j of their first
+    term, a geometric sum each, so A_n(r) is over by at most 1/64 and takes
+    under a thousand blocks for any r.  n = 1 admits r <= 1 only, whose one
+    term is 1.
+    """
+    a = log(n / (n - 1)) if n > 1 else 0.0
+    terms = []
+    j = 1
+    while j <= r:
+        size = min(r + 1 - j, 1 + j // 64)
+        geometric = log(expm1(-size * a) / expm1(-a)) if size > 1 else 0.0
+        terms.append((j + size - 2) * a + geometric - log(j))
+        j += size
+    top = max(terms, default=0.0)
+    per_game = log(r) + top + log(fsum(exp(t - top) for t in terms)) if r else float("-inf")
+    return log(trials) + max(0.0, per_game) + log(1 + exp(-abs(per_game)))
+
+
+def _check_play_budget(r: int, n: int, trials: int) -> None:
+    """Refuse a request whose estimated words drawn, _log_words, pass
+    enum_budget() * PLAY_WORDS_SCALE, before any game is played."""
+    budget = enum_budget() * PLAY_WORDS_SCALE
+    words = _log_words(r, n, trials)
+    if words > log(budget):
+        digits = words / log(10)
+        raise BudgetExceededError(
+            f"{trials} trial(s) of ({r} balls, {n} cells) would draw about {10 ** (digits % 1):.3g}e+{int(digits):02d} "
+            f"random words; the budget is {budget:.3g} ({BUDGET_ENV} * {PLAY_WORDS_SCALE})"
         )
 
 
@@ -245,6 +310,38 @@ def _left_by_counter(n: int, balls: Sequence[int], cells) -> list[int]:
     return list(map(sub, balls, map(captured.get, range(len(balls)), repeat(0))))
 
 
+def _left_by_pairs(balls: Sequence[int], top: int, cells: bytes) -> list[int]:
+    """As _left_by_lanes, for n <= 127 and games of at most top <= 128
+    balls, comparing the round's cells pairwise on one int c of byte lanes.
+
+    Lane l of v starts at "balls after l in its game" + 127, so its top bit
+    says whether ball l + d is in the same game while it counts down once a
+    step d = 1..top-1.  Cells are below 128, so lane l of
+    high - (c ^ (c >> 8d)) keeps its top bit exactly where balls l and l + d
+    share a cell; no lane borrows or carries into the next.  A ball is left
+    when its lane is hit by any such pair.  When every game holds top balls,
+    the hits times the repunit of top lanes sum each game's hits into the
+    game's last lane.
+    """
+    total = len(cells)
+    uniform = len(balls) * top == total
+    c = int.from_bytes(cells, "little")
+    v = int.from_bytes(_AFTER[top] * len(balls) if uniform else b"".join(map(_AFTER.__getitem__, balls)), "little")
+    ones = int.from_bytes(b"\x01" * total, "little")
+    high = ones << 7
+    hit = 0
+    for d in range(8, 8 * top, 8):
+        e = v & (high - (c ^ (c >> d)))
+        hit |= e | e << d
+        v -= ones
+    hit &= high
+    if uniform:
+        sums = (hit >> 7) * int.from_bytes(b"\x01" * top, "little")
+        return list(sums.to_bytes(total + top, "little")[top - 1:total:top])
+    flags = hit.to_bytes(total, "little")
+    return list(map(flags.count, repeat(b"\x80"), accumulate(balls, initial=0), accumulate(balls)))
+
+
 def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     """Durations of the games with r balls on n cells that start at each
     stream state, and with `record` the rounds of each game.
@@ -252,8 +349,14 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     Every round of all live games is one packed draw: each game's balls take
     the next words of its stream in order, ball j of a game with b balls the
     word mix(s + (j+1)·γ), and its cell is word % n, exactly as b calls of
-    ``SplitMix64.below`` would give unless a word is rejected.  Captures are
-    counted in lanes while n·w is at most _LANE_BITS, else by a Counter.
+    ``SplitMix64.below`` would give unless a word is rejected.  A round
+    with n <= 127 whose largest game holds top <= _PAIR_BALLS balls, and at
+    most twice as many balls as the round has games, counts its captures
+    pairwise on one int of its cell bytes: the top - 1 steps cost about as
+    much for a few games as for many, and few games do not repay them.
+    Other rounds count in lanes per game while n·w is at most _LANE_BITS,
+    else by a Counter.  A recorded round's traces read the cells its count
+    read.
     """
     durations = [0] * len(states)
     traces = [[] for _ in states] if record else []
@@ -274,9 +377,14 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
         else:
             cells = map(mod, words, repeat(n))
             states = list(map(and_, map(add, states, map(mul, balls, repeat(_GAMMA))), repeat(MASK64)))
-        if record:
-            cells = list(cells)
-        left = _left_by_lanes(lanes, balls, cells) if lanes else _left_by_counter(n, balls, cells)
+        top = max(balls)
+        pairs = n < 128 and top <= min(_PAIR_BALLS, 2 * len(balls))
+        if pairs or record:
+            cells = bytes(cells) if n < 128 else list(cells)
+        if pairs:
+            left = _left_by_pairs(balls, top, cells)
+        else:
+            left = _left_by_lanes(lanes, balls, cells) if lanes else _left_by_counter(n, balls, cells)
         if record:
             start = 0
             for i, b, rest in zip(live, balls, left):
@@ -299,6 +407,7 @@ def simulate_game(r: int, n: int, stream_seed: int) -> int:
     single cell).
     """
     _check_sim_state(r, n)
+    _check_play_budget(r, n, 1)
     (duration,), _ = _play(r, n, [stream_seed & MASK64])
     return duration
 
@@ -310,6 +419,7 @@ def simulate_game_verbose(r: int, n: int, stream_seed: int) -> tuple[int, tuple[
     draw sequence does not depend on whether it is being recorded.
     """
     _check_sim_state(r, n)
+    _check_play_budget(r, n, 1)
     (duration,), (traces,) = _play(r, n, [stream_seed & MASK64], record=True)
     return duration, traces
 
@@ -348,6 +458,7 @@ def _simulate_batch(r: int, n: int, trials: int, seed: int, record: bool = False
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_sim_state(r, n)
+    _check_play_budget(r, n, trials)
     chunk = max(1, _LANES // max(r, 1))
     durations: list[int] = []
     traces: list[tuple[RoundTrace, ...]] = []

@@ -302,6 +302,16 @@ def test_gof_refuses_a_long_law_before_play(capsys):
     assert "about 3.71e+08 rounds" in err and "BALLCELL_BUDGET" in err
 
 
+def test_simulate_refuses_a_long_game_before_play(capsys):
+    # One game of (40, 2) averages 2.8e10 rounds: the word estimate refuses it.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--balls", "40", "--cells", "2", "--trials", "1", "--seed", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert "about 1.13e+12 random words" in err and "BALLCELL_BUDGET" in err
+
+
 def test_gof_refuses_a_short_horizon_that_walks_32_rounds(capsys, monkeypatch):
     # (100, 150) covers its mass in about 4 rounds, but the law always walks
     # 32, over terms of about 7k digits: past a budget of 5000 digits.

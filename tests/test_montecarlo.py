@@ -6,6 +6,7 @@ published output stream for its mixing constants before anything built on
 top of it is trusted.
 """
 
+import math
 import random
 import subprocess
 import sys
@@ -26,6 +27,8 @@ from ballcell.montecarlo import (
     MASK64,
     MIN_COVERAGE,
     DurationLaw,
+    _check_play_budget,
+    _log_words,
     _simulate_batch,
     RoundTrace,
     SimBatch,
@@ -36,8 +39,8 @@ from ballcell.montecarlo import (
     simulate_game_verbose,
     trial_seed,
 )
-from ballcell.pgf import exact_distribution
-from ballcell.scalars import to_decimal
+from ballcell.pgf import exact_distribution, expected_duration
+from ballcell.scalars import BUDGET_ENV, to_decimal
 
 # First outputs of the reference stream for two seeds.
 STREAM_SEED_0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -424,3 +427,55 @@ def test_large_round_budget():
     elapsed = time.perf_counter() - start
     assert batch.durations == tuple(_reference_game(5000, 10000, trial_seed(31, i)) for i in range(3))
     assert elapsed < 3
+
+
+def test_long_requests_are_refused_before_play(monkeypatch):
+    # One game of (40, 2) averages 28,233,101,920 rounds of up to 40 words.
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=rf"about 1\.13e\+12 random words; the budget is 2e\+07 \({BUDGET_ENV} \* 2\)"):
+        simulate_game(40, 2, 1)
+    for refused in (lambda: simulate_game_verbose(40, 2, 1), lambda: simulate_batch(40, 2, 1, 1),
+                    lambda: _simulate_batch(40, 2, 1, 1, record=True), lambda: simulate_batch(2, 3, 10**8, 1)):
+        with pytest.raises(BudgetExceededError, match="random words"):
+            refused()
+    assert time.perf_counter() - start < 1
+    # The state checks come first and keep their own errors.
+    with pytest.raises(BudgetExceededError, match="exceeds the budget of"):
+        simulate_game(10**7 + 1, 2, 0)
+    with pytest.raises(DivergentDurationError):
+        simulate_batch(2, 1, 10**9, 1)
+    with pytest.raises(ValueError, match="trials"):
+        simulate_batch(40, 2, 0, 1)
+    # The largest requests the tests and the stats gate make stay well inside,
+    # and the budget follows BALLCELL_BUDGET.
+    for r, n, trials in ((10, 10, 10**5), (11, 2, 2000), (5000, 10000, 3), (_LANES + 5, 4099, 2)):
+        _check_play_budget(r, n, trials)
+    monkeypatch.setenv(BUDGET_ENV, str(10**6))
+    with pytest.raises(BudgetExceededError, match=rf"about 4\.66e\+06 random words; the budget is 2e\+06"):
+        simulate_batch(11, 2, 2000, 1)
+
+
+def test_word_estimate():
+    # trials · (1 + r·A_n(r)): A_2(r) is the exact mean duration at n = 2.
+    for r in (1, 2, 5, 20, 40, 63):
+        want = 3 * (1 + r * expected_duration(r, 2))
+        assert math.exp(_log_words(r, 2, 3)) == pytest.approx(want, rel=1e-12)
+    assert math.exp(_log_words(0, 5, 7)) == pytest.approx(7)
+    assert math.exp(_log_words(1, 1, 1)) == pytest.approx(2)
+    # From j = 64 on, blocks of terms are taken at their first 1/j: at most
+    # 1/64 over the sum.
+    for r, n in ((64, 2), (100, 150), (1000, 1000), (5000, 10000), (3000, 7)):
+        q = n / (n - 1)
+        exact = 1 + r * math.fsum(math.exp((j - 1) * math.log(q) - math.log(j)) for j in range(1, r + 1))
+        assert exact * (1 - 1e-12) <= math.exp(_log_words(r, n, 1)) <= exact * (1 + 1 / 64)
+    # It decides in well under 10 ms for every state the state checks admit.
+    for r, n, trials in ((10**7, 10**7, 1), (10**7, 2, 1), (10**6, 3, 10**9), (10**5, 10**7, 10**4)):
+        best = min(_timed(_log_words, r, n, trials) for _ in range(3))
+        assert best < 0.01
+
+
+def _timed(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
