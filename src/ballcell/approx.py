@@ -31,7 +31,7 @@ from math import ceil, gcd, lcm, log10
 from .errors import BudgetExceededError
 from .game import _row_numerators, transition_row  # noqa: F401
 from .pgf import duration_variance, expected_duration
-from .scalars import BUDGET_ENV, decimal_quotient, default_precision, enum_budget, to_decimal
+from .scalars import BUDGET_ENV, check_precision, decimal_quotient, enum_budget, to_decimal
 
 DEFAULT_LIMIT_ROUNDS = 400
 DEFAULT_DIGIT_BUDGET = 10**4
@@ -186,7 +186,8 @@ def _check_limit_budget(n: int, rmax: int, wp: int) -> None:
     (3, 2000) to (400, 200), more on small requests, where fixed costs
     weigh; at n = 3 the phase grows as about R^2.6 (0.21, 1.26 and 7.9 s at
     R = 2000, 4000 and 8000), and working precisions of a few thousand
-    digits run 2-3 times faster than estimated.
+    digits run 2-3 times faster than estimated.  Those times were taken while
+    n^k became a Decimal once a term, not once a step: the estimate runs over.
     """
     a, m = 1.585, min(n, rmax)
     conversions = log10(n) ** a * (m ** (a + 2) / (a + 2) + n * (rmax ** (a + 1) - m ** (a + 1)) / (a + 1))
@@ -231,8 +232,7 @@ def error_limit(
         raise ValueError(f"limit estimation needs cells >= 3 (the n = 2 error is identically 0), got {n}")
     if rmax < 2:
         raise ValueError(f"rmax must be >= 2, got {rmax}")
-    if digits is None:
-        digits = default_precision()
+    digits = check_precision(digits)
     half = rmax // 2
     wp = digits + max(0, ceil(rmax * log10(n / (n - 1)))) + 10
     _check_limit_budget(n, rmax, wp)
@@ -266,11 +266,12 @@ def error_limit(
                     ps = [decimal_quotient(v, u) for v, u in zip(ps, qs)]
                     p = decimal_quotient(p, q)
             else:
+                den = Decimal(nk)
                 p = Decimal(1)
                 for t in range(1, len(row)):
                     if row[t]:
-                        p += Decimal(row[t]) / Decimal(nk) * ps[-t]
-                p /= Decimal(d) / Decimal(nk)
+                        p += Decimal(row[t]) / den * ps[-t]
+                p /= Decimal(d) / den
             ps.append(p)
             qs.append(q)
             ds.append(d)

@@ -55,7 +55,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, compress, islice, repeat
-from math import exp, expm1, fsum, log
+from math import exp, expm1, fsum, lcm, log
 from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
 
 from .errors import BudgetExceededError, DivergentDurationError
@@ -525,50 +525,44 @@ def gof_compare(batch: SimBatch, law: DurationLaw) -> GofReport:
     with the required coverage the difference from the untruncated TV is
     below 1e-9.  The chi-square statistic pools consecutive durations left to
     right into bins of expected count >= 5, with the final bin absorbing the
-    tail; both it and the TV distance are exact rationals.
+    tail; both it and the TV distance are exact rationals.  Every mass is an
+    integer m_k = p_k·D over D, the lcm of the law's denominators, so only
+    the TV and each bin's expected count and chi-square term are Fractions.
     """
     if (batch.balls, batch.cells) != (law.balls, law.cells):
         raise ValueError(
             f"batch ran ({batch.balls} balls, {batch.cells} cells) "
             f"but the law is for ({law.balls} balls, {law.cells} cells)"
         )
-    coverage = law.coverage()
-    if coverage < MIN_COVERAGE:
+    den = lcm(*(p.denominator for p in law.probs))
+    masses = [p.numerator * (den // p.denominator) for p in law.probs]
+    covered = sum(masses)
+    if covered * MIN_COVERAGE.denominator < MIN_COVERAGE.numerator * den:
         raise ValueError(
-            f"law covers {float(coverage):.12f} of the mass, below the required {float(MIN_COVERAGE):.9f}"
+            f"law covers {float(Fraction(covered, den)):.12f} of the mass, below the required {float(MIN_COVERAGE):.9f}"
         )
     trials = batch.trials
-    kmax = len(law.probs) - 1
     hist = batch.histogram
+    tail = sum(c for k, c in hist.items() if k >= len(masses))
+    tv = sum(abs(hist.get(k, 0) * den - m * trials) for k, m in enumerate(masses))
+    tv = Fraction(tv + abs(tail * den - (den - covered) * trials), 2 * den * trials)
 
-    tv = Fraction(0)
-    for k, p in enumerate(law.probs):
-        tv += abs(Fraction(hist.get(k, 0), trials) - p)
-    emp_tail = Fraction(sum(c for k, c in hist.items() if k > kmax), trials)
-    tv = (tv + abs(emp_tail - (1 - coverage))) / 2
-
-    spans: list[tuple[int, int | None, Fraction]] = []
-    lo = 0
-    acc = Fraction(0)
-    for k, p in enumerate(law.probs):
-        acc += p
-        if acc * trials >= 5:
+    spans: list[tuple[int, int | None, int]] = []
+    lo = acc = 0
+    for k, m in enumerate(masses):
+        acc += m
+        if acc * trials >= 5 * den:
             spans.append((lo, k, acc))
-            lo = k + 1
-            acc = Fraction(0)
-    leftover = acc + (1 - coverage)
-    if spans and leftover * trials < 5:
-        prev_lo, _, prev_mass = spans.pop()
-        spans.append((prev_lo, None, prev_mass + leftover))
-    else:
-        spans.append((lo, None, leftover))
+            lo, acc = k + 1, 0
+    acc += den - covered
+    if spans and acc * trials < 5 * den:
+        lo, _, last = spans.pop()
+        acc += last
+    spans.append((lo, None, acc))
 
     bins = []
-    for span_lo, span_hi, mass in spans:
-        if span_hi is None:
-            observed = sum(c for k, c in hist.items() if k >= span_lo)
-        else:
-            observed = sum(hist.get(k, 0) for k in range(span_lo, span_hi + 1))
-        bins.append(GofBin(span_lo, span_hi, observed, mass * trials))
+    for lo, hi, mass in spans:
+        observed = sum(c for k, c in hist.items() if lo <= k and (hi is None or k <= hi))
+        bins.append(GofBin(lo, hi, observed, Fraction(mass * trials, den)))
     chi = sum(((Fraction(b.observed) - b.expected) ** 2 / b.expected for b in bins), Fraction(0))
     return GofReport(tv, chi, len(bins) - 1, tuple(bins))

@@ -53,9 +53,8 @@ from operator import mul
 
 from .errors import BudgetExceededError, DivergentDurationError
 
-# transition_prob_symbolic, transition_row and poly2_div_exact are no longer
-# called here (the exact law walks _row_numerators), but perfbench/tracer.py
-# wraps pgf.transition_prob_symbolic, pgf.transition_row and
+# transition_row and poly2_div_exact are no longer called here (the exact law
+# walks _row_numerators), but perfbench/tracer.py wraps pgf.transition_row and
 # pgf.poly2_div_exact by name, so the attributes stay.
 from .game import (  # noqa: F401
     _check_state,
@@ -77,8 +76,9 @@ MIN_COVERAGE = Fraction(10**9 - 1, 10**9)
 # exact_distribution refuses a law whose estimated horizon H gives terms over
 # n^(r·H) of more than enum_budget() // LAW_DIGITS_DIVISOR digits: 10^4 at the
 # default budget.  Just inside it, (11, 2) estimates 6.4k digits and (18, 3)
-# 9.7k; each walks in 11-12 s (2-vCPU Xeon), while (12, 2), at 12.7k, is
-# refused.  The --gof states of the benchmark estimate at most 1k digits.
+# 9.7k; each law takes 5-6 s, and law plus gof_compare 11-16 s (2-vCPU Xeon),
+# while (12, 2), at 12.7k, is refused.  The --gof states of the benchmark
+# estimate at most 1k digits.
 LAW_DIGITS_DIVISOR = 1000
 
 # expected_duration and duration_variance refuse a mean table whose build is
@@ -269,12 +269,10 @@ def _numeric_row(n: int, r: int) -> list[int]:
 
 
 def _symbolic_row(r: int) -> list[Poly2]:
-    """As _numeric_row for symbolic n.  n^r has no factor but n, so dividing
-    the lowest power of n out of A_0 reduces p_0 = A_0/n^r."""
-    a, *caps = _symbolic_row_numerators(r)
-    low = a.min_exponent() if a else r
-    a = Poly._adopt({e - low: v for e, v in a.items()})
-    return list(map(Poly2.from_poly_in_n, (a, Poly._adopt({r - low: 1}), *caps)))
+    """As _numeric_row for symbolic n, with p_0 = a/b reduced by
+    transition_prob_symbolic."""
+    stay = transition_prob_symbolic(r, 0)
+    return [stay.num, stay.den, *map(Poly2.from_poly_in_n, _symbolic_row_numerators(r)[1:])]
 
 
 def _levels(n: int | None, rmax: int) -> list[tuple]:
@@ -332,22 +330,19 @@ def pgf_symbolic(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> DurationP
 
 
 def _duration_law(r: int, n: int):
-    """Pr[duration = k] for k = 0, 1, 2, ... without end.
+    """CDF terms (c_k, n^(r·k)), c_k / n^(r·k) = Pr[duration <= k], for k >= 0.
 
     Walks the ball-count Markov chain directly (states r down to 0, one
-    capture row per state) and differences the absorption probabilities.
-    After k rounds every state's mass is an integer over n^(r·k): state i's
-    row is _row_numerators(n, i) over n^i, scaled by n^(r-i) to the common
-    n^r, so the walk runs on integers and builds one Fraction per term.
+    capture row per state); c_k is the absorbing state 0's mass.  After k
+    rounds every state's mass is an integer over n^(r·k): state i's row is
+    _row_numerators(n, i) over n^i, scaled by n^(r-i) to the common n^r.
     """
     scale = n**r
     rows = [[(t, a * n ** (r - i)) for t, a in enumerate(_row_numerators(n, i)) if a] for i in range(r + 1)]
     state = [0] * r + [1]
-    absorbed = 0
     den = 1
     while True:
-        yield Fraction(state[0] - absorbed, den)
-        absorbed = state[0] * scale
+        yield state[0], den
         den *= scale
         nxt = [0] * (r + 1)
         for i, w in enumerate(state):
@@ -355,6 +350,12 @@ def _duration_law(r: int, n: int):
                 for t, a in rows[i]:
                     nxt[i - t] += w * a
         state = nxt
+
+
+def _law_probs(cdf: list[tuple[int, int]], scale: int) -> list[Fraction]:
+    """Pr[duration = k] = (c_k - c_{k-1} n^r) / n^(r·k) from the CDF terms
+    of _duration_law, scale = n^r: one reduced Fraction per term."""
+    return [Fraction(c - b * scale, den) for (b, _), (c, den) in zip([(0, 1), *cdf], cdf)]
 
 
 def duration_distribution(r: int, n: int, kmax: int) -> list[Fraction]:
@@ -366,12 +367,13 @@ def duration_distribution(r: int, n: int, kmax: int) -> list[Fraction]:
     _check_state(n, r)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    return list(islice(_duration_law(r, n), kmax + 1))
+    return _law_probs(list(islice(_duration_law(r, n), kmax + 1)), n**r)
 
 
 def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) -> list[Fraction]:
     """Distribution to the first horizon 32 * 2^i at which its mass reaches
-    min_coverage; each doubling resumes the chain where the last one stopped.
+    min_coverage, the last CDF term; each doubling resumes the chain where
+    the last one stopped.
 
     Refuses the non-terminating state, where no horizon can cover the mass,
     and a min_coverage of 1 or more, which no finite horizon reaches once
@@ -401,10 +403,10 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) ->
             f"{digits:.3g} digits; the budget is {budget} digits ({BUDGET_ENV} / {LAW_DIGITS_DIVISOR})"
         )
     law = _duration_law(r, n)
-    probs = list(islice(law, LAW_MIN_TERMS))
-    while sum(probs) < min_coverage:
-        probs += islice(law, len(probs) - 1)
-    return probs
+    cdf = list(islice(law, LAW_MIN_TERMS))
+    while Fraction(*cdf[-1]) < min_coverage:
+        cdf += islice(law, len(cdf) - 1)
+    return _law_probs(cdf, n**r)
 
 
 # ---------------------------------------------------------------------------

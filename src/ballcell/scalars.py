@@ -35,11 +35,15 @@ BUDGET_ENV = "BALLCELL_BUDGET"
 def default_precision() -> int:
     """Active decimal precision in significant digits (>= 1)."""
     raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION
-    digits = int(raw)
+    return DEFAULT_PRECISION if raw is None else check_precision(int(raw), PRECISION_ENV)
+
+
+def check_precision(digits: int | None, name: str = "digits") -> int:
+    """`digits`, default_precision() when None; a ValueError naming `name` unless >= 1."""
+    if digits is None:
+        return default_precision()
     if digits < 1:
-        raise ValueError(f"{PRECISION_ENV} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{name} must be a positive integer, got {digits}")
     return digits
 
 
@@ -73,10 +77,8 @@ def to_decimal(q: Fraction, digits: int | None = None) -> Decimal:
 
     Rounding is round-half-even, matching the decimal module default.
     """
-    if digits is None:
-        digits = default_precision()
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = check_precision(digits)
         return decimal_quotient(q.numerator, q.denominator)
 
 
@@ -111,10 +113,9 @@ def decimal_quotient(p: int, q: int) -> Decimal:
 
 def decimal_sqrt(q: Fraction, digits: int | None = None) -> Decimal:
     """Square root of a nonnegative rational at the requested precision."""
+    digits = check_precision(digits)
     if q < 0:
         raise ValueError(f"square root of negative value {q}")
-    if digits is None:
-        digits = default_precision()
     with localcontext() as ctx:
         # Two guard digits so the final quantity is good to `digits`.
         ctx.prec = digits + 2

@@ -7,8 +7,13 @@ coefficients throughout, so it checks ``int_div_exact`` and
 through either of them.
 
 ``duration_law_over_q`` walks the ball-count chain with Fraction masses and
-the Fraction rows of ``transition_row``, so it checks the integer walk of
-``pgf._duration_law`` (numerators over n^(r·k)) without sharing its scaling.
+the Fraction rows of ``transition_row``, and differences the absorbed mass
+itself, so it checks the integer CDF walk of ``pgf._duration_law``
+(numerators over n^(r·k)) without sharing its scaling.
+
+``gof_over_q`` is ``montecarlo.gof_compare`` as it was when every mass,
+the coverage and the TV distance were sums of Fractions, so it checks the
+fit taken on integer masses over one denominator.
 
 ``row_by_inclusion_exclusion`` sums the capture law's inclusion-exclusion
 formula term by term, so it checks ``game._row_numerators``, which counts
@@ -27,6 +32,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ballcell.game import transition_row
+from ballcell.montecarlo import MIN_COVERAGE, GofBin, GofReport
 from ballcell.polys import Poly, Poly2
 
 
@@ -49,6 +55,52 @@ def duration_law_over_q(r, n):
                     if row[t]:
                         nxt[i - t] += w * row[t]
         state = nxt
+
+
+def gof_over_q(batch, law):
+    """The goodness-of-fit report of `batch` against `law`, every mass a
+    Fraction: TV on {0..kmax, tail}, chi-square over left-to-right bins of
+    expected count >= 5, the last bin open and holding the tail."""
+    coverage = sum(law.probs, Fraction(0))
+    if coverage < MIN_COVERAGE:
+        raise ValueError(
+            f"law covers {float(coverage):.12f} of the mass, below the required {float(MIN_COVERAGE):.9f}"
+        )
+    trials = batch.trials
+    kmax = len(law.probs) - 1
+    hist = batch.histogram
+
+    tv = Fraction(0)
+    for k, p in enumerate(law.probs):
+        tv += abs(Fraction(hist.get(k, 0), trials) - p)
+    emp_tail = Fraction(sum(c for k, c in hist.items() if k > kmax), trials)
+    tv = (tv + abs(emp_tail - (1 - coverage))) / 2
+
+    spans = []
+    lo = 0
+    acc = Fraction(0)
+    for k, p in enumerate(law.probs):
+        acc += p
+        if acc * trials >= 5:
+            spans.append((lo, k, acc))
+            lo = k + 1
+            acc = Fraction(0)
+    leftover = acc + (1 - coverage)
+    if spans and leftover * trials < 5:
+        prev_lo, _, prev_mass = spans.pop()
+        spans.append((prev_lo, None, prev_mass + leftover))
+    else:
+        spans.append((lo, None, leftover))
+
+    bins = []
+    for span_lo, span_hi, mass in spans:
+        if span_hi is None:
+            observed = sum(c for k, c in hist.items() if k >= span_lo)
+        else:
+            observed = sum(hist.get(k, 0) for k in range(span_lo, span_hi + 1))
+        bins.append(GofBin(span_lo, span_hi, observed, mass * trials))
+    chi = sum(((Fraction(b.observed) - b.expected) ** 2 / b.expected for b in bins), Fraction(0))
+    return GofReport(tv, chi, len(bins) - 1, tuple(bins))
 
 
 def row_by_inclusion_exclusion(n, r):

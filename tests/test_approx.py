@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from ballcell import approx
+from ballcell import approx, cli
 from ballcell.approx import (
     _digits,
     _reduced_fits,
@@ -23,7 +23,7 @@ from ballcell.approx import (
 from ballcell.errors import BudgetExceededError
 from ballcell.game import transition_row
 from ballcell.pgf import duration_variance, expected_duration
-from ballcell.scalars import BUDGET_ENV, PRECISION_ENV, default_precision, to_decimal
+from ballcell.scalars import BUDGET_ENV, PRECISION_ENV, decimal_sqrt, default_precision, to_decimal
 
 # E_3(10), frozen output of the exact pipeline.
 E3_AT_10 = Fraction(-141488086213, 8824570191360)
@@ -156,6 +156,28 @@ def test_limit_validation():
         error_limit(2)
     with pytest.raises(ValueError):
         error_limit(3, rmax=1)
+
+
+@pytest.mark.parametrize("digits", [0, -5])
+def test_digits_below_one_are_refused_up_front(digits, monkeypatch, capsys):
+    # Refused before the limit's budget estimate, let alone its recurrence,
+    # and not by decimal's own "valid range for prec" once they have run.
+    def ran(*args):
+        raise AssertionError("error_limit ran before checking digits")
+
+    monkeypatch.setattr(approx, "_check_limit_budget", ran)
+    message = f"digits must be a positive integer, got {digits}"
+    with pytest.raises(ValueError, match=message):
+        error_limit(3, digits=digits)
+    with pytest.raises(ValueError, match=message):
+        to_decimal(Fraction(1, 3), digits)
+    with pytest.raises(ValueError, match=message):
+        decimal_sqrt(Fraction(2), digits)
+    assert cli.run(["approx", "--cells", "3", "--limit", "--digits", str(digits)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setenv(PRECISION_ENV, str(digits))
+    with pytest.raises(ValueError, match=f"{PRECISION_ENV} must be a positive integer, got {digits}"):
+        default_precision()
 
 
 def test_stabilized_flag_is_conservative():

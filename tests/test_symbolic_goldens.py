@@ -11,8 +11,10 @@ wire dicts by hand; so they pin the canonical forms and the wire format
 independently of the x-major layout and of the one serializer, `cli._wire`.
 The `simulate` digests, among them states on either side of the lane-packed
 capture counts' size bound, were recorded before those counts and the
-integer exact law existed, which must reproduce them.  Never
-regenerate them from the code under test.
+integer exact law existed, which must reproduce them; the two `--gof`
+states of 2000 trials at seed 1 were recorded while the law still summed
+its Fractions at every doubling and the fit summed Fractions per term.
+Never regenerate them from the code under test.
 """
 
 import hashlib
@@ -100,6 +102,9 @@ GOLDEN = {
     "simulate --balls 7 --cells 300 --trials 10 --seed 4 --verbose": "960df39ee5a21ff540c6e0791ef0357269a73ad72cdd1bbba9f2c42ac0d8ca7d",
     "simulate --balls 40 --cells 2000 --trials 10 --seed 4 --verbose": "5082c3c778ec9c862f459d8b842b83e34fab1682821975f1fbcad4234f83fab6",
     "simulate --balls 6 --cells 5 --trials 3000 --seed 2295574122455614247 --gof": "81a9d0a2003a420204aefe8df674964a05eb82003ede4b1b63263a90acc767ed",
+    # A 257-term law that walks several horizon doublings, and a 129-term one.
+    "simulate --balls 7 --cells 2 --trials 2000 --seed 1 --gof": "33e5df04b0351512aafbac550852d83002b21d26677080c17193e8335438cf76",
+    "simulate --balls 10 --cells 3 --trials 2000 --seed 1 --gof": "469691f678b68b629478dace063e474c2ab3426e3cfe8647c3d338ce5f859081",
     "verify --suite paper --budget small": "a4a7896a706463b7ca50c78206684f7d717d48553596fc5ca245d7fea8f2716d",
 }
 
