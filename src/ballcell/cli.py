@@ -49,7 +49,7 @@ from .pgf import (
 )
 from .polys import Poly2
 from .ratfuncs import RatFunc, RatFunc2, poly2_to_json, ratfunc_latex, ratfunc_text, ratfunc_to_json
-from .scalars import parse_rational
+from .scalars import chi_square_quantile, parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -123,9 +123,13 @@ def _cmd_moments(args) -> dict:
 
 def _cmd_approx(args):
     if args.limit:
+        if args.balls is not None:
+            raise ValueError("--limit takes no --balls")
         return error_limit(args.cells, args.rmax, args.digits)
     if args.balls is None:
         raise ValueError("either --balls or --limit is required")
+    if args.digits is not None:
+        raise ValueError("--digits applies only to --limit")
     return approx_report(args.cells, args.balls)
 
 
@@ -280,8 +284,6 @@ def _suite_limits(budget: str) -> list[dict]:
 
 
 def _suite_stats(budget: str) -> list[dict]:
-    from scipy.stats import chi2
-
     checks: list[dict] = []
     states = [(3, 3)] if budget == "small" else [(3, 3), (5, 5), (10, 10)]
     trials = 10**5
@@ -298,7 +300,7 @@ def _suite_stats(budget: str) -> list[dict]:
             f"z={z:.3f}",
         )
         rep = gof_compare(batch, DurationLaw.compute(r, n))
-        threshold = chi2.ppf(0.999, rep.dof)
+        threshold = chi_square_quantile(0.999, rep.dof)
         _check(
             checks,
             f"chi-square of ({r},{n}) below the 99.9% quantile",

@@ -13,6 +13,8 @@ in time quadratic in its length (4.1 ms for a quotient of two 10k-digit
 ints), so past INT_ROUTE_BITS the quotient is taken by one integer long
 division to a few more digits than the context keeps, and the context rounds
 that.
+
+`chi_square_quantile` gives the statistical gate its threshold.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import os
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from math import floor, log10
+from math import erfc, exp, floor, fsum, lgamma, log, log10, sqrt
 
 DEFAULT_PRECISION = 50
 DEFAULT_ENUM_BUDGET = 10**7
@@ -122,3 +124,36 @@ def decimal_sqrt(q: Fraction, digits: int | None = None) -> Decimal:
         root = decimal_quotient(q.numerator, q.denominator).sqrt()
         ctx.prec = digits
         return +root
+
+
+def _chi_square_sf(x: float, dof: int) -> float:
+    """Pr[X > x] for X chi-square on an integer `dof` >= 1, at x > 0.
+
+    Abramowitz & Stegun 26.4.4 (even dof) and 26.4.5 (odd dof) in h = x/2:
+    e^-h times the sum of h^k / Gamma(k + 1) for k = dof/2 - 1, dof/2 - 2, ...
+    down to 0 or 1/2, plus erfc(sqrt(h)) for odd dof.  Each term is taken in
+    log space, because e^-h alone underflows at large dof.
+    """
+    h, half = x / 2, dof % 2 / 2
+    log_h = log(h)
+    head = erfc(sqrt(h)) if half else 0.0
+    return head + fsum([exp((j + half) * log_h - h - lgamma(j + half + 1)) for j in range(dof // 2)])
+
+
+def chi_square_quantile(p: float, dof: int) -> float:
+    """The x with Pr[X <= x] = p for X chi-square on an integer `dof` >= 1.
+
+    The root is bracketed by doubling from 1, then bisected until the midpoint
+    meets an endpoint.  1 - p is exact for p >= 1/2.
+    """
+    if dof < 1 or not 0 < p < 1:
+        raise ValueError(f"chi-square quantile needs dof >= 1 and 0 < p < 1, got dof={dof}, p={p}")
+    lo, hi = 0.0, 1.0
+    while _chi_square_sf(hi, dof) > 1 - p:
+        lo, hi = hi, 2 * hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _chi_square_sf(mid, dof) > 1 - p:
+            lo = mid
+        else:
+            hi = mid
+    return mid

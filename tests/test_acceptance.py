@@ -29,6 +29,7 @@ from ballcell.pgf import (
     pgf_numeric,
     pgf_symbolic,
 )
+from ballcell.scalars import chi_square_quantile
 
 GATE_SEED = 20260822
 
@@ -137,8 +138,6 @@ def test_criterion_08_scaled_moments_reach_limits():
 
 
 def test_criterion_09_statistical_gate():
-    from scipy.stats import chi2
-
     trials = 10**5
     with budget(120):
         for r, n in ((3, 3), (5, 5), (10, 10)):
@@ -149,7 +148,7 @@ def test_criterion_09_statistical_gate():
             z = abs(float(emp - mean)) / float(var / Fraction(trials)) ** 0.5
             assert z < 4, f"({r},{n}): mean off by {z:.2f} standard errors"
             rep = gof_compare(batch, DurationLaw.compute(r, n))
-            threshold = chi2.ppf(0.999, rep.dof)
+            threshold = chi_square_quantile(0.999, rep.dof)
             assert float(rep.chi_square) < threshold, (
                 f"({r},{n}): chi={float(rep.chi_square):.2f} "
                 f"dof={rep.dof} threshold={threshold:.2f}"

@@ -188,6 +188,15 @@ def test_geo_limits_usage_errors(capsys):
         assert "--limits takes neither --r nor --order" in err
 
 
+def test_approx_flag_usage_errors(capsys):
+    code, out, err = run_cli(capsys, "approx", "--cells", "3", "--balls", "10", "--digits", "5")
+    assert code == 2 and out == ""
+    assert "--digits applies only to --limit" in err
+    code, out, err = run_cli(capsys, "approx", "--cells", "3", "--balls", "10", "--limit")
+    assert code == 2 and out == ""
+    assert "--limit takes no --balls" in err
+
+
 def test_simulate_trivial_histogram(capsys):
     env = run_json(capsys, "simulate", "--balls", "1", "--cells", "1", "--trials", "100", "--seed", "5")
     result = env["result"]

@@ -436,6 +436,25 @@ def test_simulation_imports_no_numpy_or_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_command_runs_without_numpy_or_scipy():
+    requests = [
+        ["verify", "--suite", "stats", "--budget", "small"],
+        ["pgf", "--balls", "3", "--cells", "3", "--expand", "4"],
+        ["moments", "--balls", "4", "--cells", "3", "--order", "3"],
+        ["approx", "--cells", "3", "--balls", "10"],
+        ["geo", "--alpha", "1/2", "--r", "3"],
+        ["simulate", "--balls", "3", "--cells", "3", "--trials", "200", "--seed", "1", "--gof"],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
+        "from ballcell import cli\n"
+        f"print([cli.run(argv) for argv in {requests!r}], file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stderr.splitlines()[-1] == str([0] * len(requests)), out.stderr
+
+
 def test_batch_memory_stays_bounded():
     trials = 10**5
     tracemalloc.start()
