@@ -28,10 +28,9 @@ from math import ceil, gcd, lcm, log10
 
 # transition_row is no longer called here, but perfbench/tracer.py wraps
 # approx.transition_row by name, so the attribute stays.
-from .errors import BudgetExceededError
-from .game import _row_numerators, transition_row  # noqa: F401
+from .game import _check_state, _row_numerators, transition_row  # noqa: F401
 from .pgf import duration_variance, expected_duration
-from .scalars import BUDGET_ENV, check_precision, decimal_quotient, enum_budget, to_decimal
+from .scalars import _check_budget, check_precision, decimal_quotient, to_decimal
 
 DEFAULT_LIMIT_ROUNDS = 400
 DEFAULT_DIGIT_BUDGET = 10**4
@@ -89,8 +88,7 @@ def _harmonic_sum(n: int, r: int, p: int) -> tuple[int, int]:
     """(N, L) with sum_{j=1}^r (1/j^p)(n/(n-1))^(p(j-1)) = N / L^p, where
     L = lcm(1..r) (n-1)^(r-1); the sum is one Horner pass over integers."""
     _check_cells(n)
-    if r < 0:
-        raise ValueError(f"balls must be >= 0, got {r}")
+    _check_state(n, r)
     lcm_r = lcm(*range(1, r + 1))
     x, y = n**p, (n - 1) ** p
     total = 0
@@ -192,13 +190,9 @@ def _check_limit_budget(n: int, rmax: int, wp: int) -> None:
     a, m = 1.585, min(n, rmax)
     conversions = log10(n) ** a * (m ** (a + 2) / (a + 2) + n * (rmax ** (a + 1) - m ** (a + 1)) / (a + 1))
     work = conversions + wp**a * (m * (m + 1) / 2 + n * (rmax - m))
-    budget = enum_budget() * LIMIT_WORK_SCALE
-    if work > budget:
-        raise BudgetExceededError(
-            f"the error limit of {n} cells to {rmax} rounds runs its Decimal phase at {wp} digits on "
-            f"integers of up to {rmax * log10(n):.3g} digits, about {work:.3g} digit products; the budget "
-            f"is {budget:.3g} ({BUDGET_ENV} * {LIMIT_WORK_SCALE})"
-        )
+    reason = (f"the error limit of {n} cells to {rmax} rounds runs its Decimal phase at {wp} digits on "
+              f"integers of up to {rmax * log10(n):.3g} digits,")
+    _check_budget(reason, work, "digit products", LIMIT_WORK_SCALE)
 
 
 def error_limit(

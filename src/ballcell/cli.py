@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__, reference
 from .approx import DEFAULT_LIMIT_ROUNDS, approx_report, error_limit, error_term
 from .errors import BudgetExceededError, DivergentDurationError
-from .game import brute_force_row, transition_row
+from .game import _check_terminating, brute_force_row, transition_row
 from .geometric import (
     StepSequence,
     alpha_closed_forms,
@@ -90,11 +90,8 @@ def _cmd_pgf(args) -> dict:
         p = pgf_symbolic(args.balls)
         result = {"den_factors": symbolic_den_factors(args.balls)}
     else:
+        _check_terminating(args.cells, args.balls)
         p = pgf_numeric(args.balls, args.cells)
-        if not p.terminating:
-            raise DivergentDurationError(
-                "divergent duration: one cell can never isolate a ball"
-            )
         result = {}
     result.update(balls=p.balls, cells=p.cells, pgf=p.func, terminating=p.terminating)
     if args.expand is not None:

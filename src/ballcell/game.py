@@ -31,10 +31,10 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .errors import BudgetExceededError
+from .errors import DivergentDurationError
 from .polys import Poly, Poly2
 from .ratfuncs import RatFunc2
-from .scalars import enum_budget
+from .scalars import _check_budget
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,14 @@ def _check_state(n: int, r: int) -> None:
         raise ValueError(f"cells must be >= 1, got {n}")
     if r < 0:
         raise ValueError(f"balls must be >= 0, got {r}")
+
+
+def _check_terminating(n: int, r: int) -> None:
+    """_check_state, then the one state whose game never ends: one cell
+    and two or more balls, where no round changes the state."""
+    _check_state(n, r)
+    if n == 1 and r >= 2:
+        raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
 
 
 def _check_captured(r: int, t: int) -> None:
@@ -186,13 +194,8 @@ def brute_force_row(n: int, r: int, budget: int | None = None) -> TransitionRow:
     BALLCELL_BUDGET, 10^7).
     """
     _check_state(n, r)
-    if budget is None:
-        budget = enum_budget()
     total = n**r
-    if total > budget:
-        raise BudgetExceededError(
-            f"{n}^{r} = {total} placements exceeds budget {budget}; shrink n or r"
-        )
+    _check_budget(f"enumerating ({r} balls, {n} cells) visits {n}^{r},", total, "placements", budget=budget)
     counts = [0] * (r + 1)
     for placement in product(range(n), repeat=r):
         occupancy = [0] * n

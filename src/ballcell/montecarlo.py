@@ -58,9 +58,9 @@ from itertools import accumulate, chain, compress, islice, repeat
 from math import exp, expm1, fsum, lcm, log
 from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
 
-from .errors import BudgetExceededError, DivergentDurationError
+from .game import _check_terminating
 from .pgf import MIN_COVERAGE, exact_distribution
-from .scalars import BUDGET_ENV, enum_budget, to_decimal
+from .scalars import _check_budget, to_decimal
 
 MASK64 = (1 << 64) - 1
 
@@ -157,17 +157,11 @@ class RoundTrace:
 
 
 def _check_sim_state(r: int, n: int) -> None:
-    if r < 0:
-        raise ValueError(f"balls must be >= 0, got {r}")
-    if n < 1:
-        raise ValueError(f"cells must be >= 1, got {n}")
-    if n == 1 and r >= 2:
-        raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
-    budget = enum_budget()
-    if r > budget or n > budget:
-        raise BudgetExceededError(
-            f"simulation state ({r} balls, {n} cells) exceeds the budget of {budget}"
-        )
+    """The state checks of a game, then its size cap: neither r nor n may
+    pass enum_budget()."""
+    _check_terminating(n, r)
+    reason = f"simulation state ({r} balls, {n} cells) exceeds the budget of its larger side, with"
+    _check_budget(reason, max(r, n), "balls or cells")
 
 
 def _log_words(r: int, n: int, trials: int) -> float:
@@ -194,16 +188,11 @@ def _log_words(r: int, n: int, trials: int) -> float:
 
 
 def _check_play_budget(r: int, n: int, trials: int) -> None:
-    """Refuse a request whose estimated words drawn, _log_words, pass
-    enum_budget() * PLAY_WORDS_SCALE, before any game is played."""
-    budget = enum_budget() * PLAY_WORDS_SCALE
-    words = _log_words(r, n, trials)
-    if words > log(budget):
-        digits = words / log(10)
-        raise BudgetExceededError(
-            f"{trials} trial(s) of ({r} balls, {n} cells) would draw about {10 ** (digits % 1):.3g}e+{int(digits):02d} "
-            f"random words; the budget is {budget:.3g} ({BUDGET_ENV} * {PLAY_WORDS_SCALE})"
-        )
+    """Every refusal of play, before any game: _check_sim_state, then the
+    estimated words drawn, _log_words, past enum_budget() * PLAY_WORDS_SCALE."""
+    _check_sim_state(r, n)
+    reason = f"{trials} trial(s) of ({r} balls, {n} cells) would draw"
+    _check_budget(reason, _log_words(r, n, trials), "random words", PLAY_WORDS_SCALE, is_log=True)
 
 
 def _mix_lanes(z: int) -> int:
@@ -406,7 +395,6 @@ def simulate_game(r: int, n: int, stream_seed: int) -> int:
     Refuses the configuration that cannot terminate (two or more balls in a
     single cell).
     """
-    _check_sim_state(r, n)
     _check_play_budget(r, n, 1)
     (duration,), _ = _play(r, n, [stream_seed & MASK64])
     return duration
@@ -418,7 +406,6 @@ def simulate_game_verbose(r: int, n: int, stream_seed: int) -> tuple[int, tuple[
     The recorded game is the same one simulate_game plays for this seed: the
     draw sequence does not depend on whether it is being recorded.
     """
-    _check_sim_state(r, n)
     _check_play_budget(r, n, 1)
     (duration,), (traces,) = _play(r, n, [stream_seed & MASK64], record=True)
     return duration, traces
@@ -457,7 +444,6 @@ def _simulate_batch(r: int, n: int, trials: int, seed: int, record: bool = False
     records them."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_sim_state(r, n)
     _check_play_budget(r, n, trials)
     chunk = max(1, _LANES // max(r, 1))
     durations: list[int] = []

@@ -51,13 +51,12 @@ from itertools import accumulate, islice
 from math import comb, gcd, inf, lgamma, log, log1p, log10, prod
 from operator import mul
 
-from .errors import BudgetExceededError, DivergentDurationError
-
 # transition_row and poly2_div_exact are no longer called here (the exact law
 # walks _row_numerators), but perfbench/tracer.py wraps pgf.transition_row and
 # pgf.poly2_div_exact by name, so the attributes stay.
 from .game import (  # noqa: F401
     _check_state,
+    _check_terminating,
     _row_numerators,
     _symbolic_row_numerators,
     transition_prob_symbolic,
@@ -65,7 +64,7 @@ from .game import (  # noqa: F401
 )
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact  # noqa: F401
 from .ratfuncs import RatFunc, RatFunc2, _series_numerators
-from .scalars import BUDGET_ENV, decimal_sqrt, enum_budget
+from .scalars import _check_budget, decimal_sqrt
 
 DEFAULT_SYMBOLIC_CEILING = 40
 
@@ -161,10 +160,8 @@ class SymbolicMomentReport:
 def _check_symbolic(r: int, max_balls: int) -> None:
     if r < 0:
         raise ValueError(f"balls must be >= 0, got {r}")
-    if r > max_balls:
-        raise BudgetExceededError(
-            f"symbolic table stops at r = {max_balls}; raise max_balls to go further"
-        )
+    reason = f"the symbolic tables stop at r <= {max_balls}, the library argument max_balls; the request asks for"
+    _check_budget(reason, r, "balls", budget=max_balls)
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +380,18 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) ->
     max(H, LAW_MIN_TERMS - 1) rounds, over n^r per round, would pass
     enum_budget() // LAW_DIGITS_DIVISOR digits.
     """
-    _check_state(n, r)
+    _check_terminating(n, r)
     if min_coverage >= 1:
         raise ValueError(f"min_coverage must be below 1, got {min_coverage}")
-    if n == 1 and r >= 2:
-        raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
     # The slowest mode of the chain is its largest stay probability p, so the
     # mass left after H rounds is about p^H.  There is no such state when
     # r < 2, and p - 1 rounds to 0.0 when p is within 2^-1075 of 1.
     p = max((Fraction(_row_numerators(n, i)[0], n**i) for i in range(2, r + 1)), default=0)
     decay = -log1p(float(p - 1)) if p else inf
     horizon = max(-log(1 - min_coverage) / decay if decay else inf, LAW_MIN_TERMS - 1)
-    digits = horizon * r * log10(n)
-    budget = enum_budget() // LAW_DIGITS_DIVISOR
-    if digits > budget:
-        raise BudgetExceededError(
-            f"the exact law of ({r} balls, {n} cells) walks about {horizon:.3g} rounds (at least "
-            f"{LAW_MIN_TERMS - 1}) to cover {float(min_coverage):.9f} of its mass, with terms of about "
-            f"{digits:.3g} digits; the budget is {budget} digits ({BUDGET_ENV} / {LAW_DIGITS_DIVISOR})"
-        )
+    reason = (f"the exact law of ({r} balls, {n} cells) walks about {horizon:.3g} rounds (at least "
+              f"{LAW_MIN_TERMS - 1}) to cover {float(min_coverage):.9f} of its mass, with terms of")
+    _check_budget(reason, horizon * r * log10(n), "digits", Fraction(1, LAW_DIGITS_DIVISOR))
     law = _duration_law(r, n)
     cdf = list(islice(law, LAW_MIN_TERMS))
     while Fraction(*cdf[-1]) < min_coverage:
@@ -477,10 +467,8 @@ def moments_of(func: RatFunc, order: int) -> MomentReport:
 
 def moments(r: int, n: int, order: int) -> MomentReport:
     """Exact raw, central, and scaled duration moments up to `order`."""
-    p = pgf_numeric(r, n)
-    if not p.terminating:
-        raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
-    return moments_of(p.func, order)
+    _check_terminating(n, r)
+    return moments_of(pgf_numeric(r, n).func, order)
 
 
 def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> SymbolicMomentReport:
@@ -555,19 +543,14 @@ def _check_mean_budget(n: int, r: int) -> None:
     digits = r * (r + 1) / 2 * log10(n)
     if n > 1:
         digits = min(digits, lgamma(r + 1) / log(10) + r * log10(n) + r * (r - 1) / 2 * log10(n - 1))
-    work = r * digits * (min(n, r) + digits**0.585 / 40)
-    budget = enum_budget() * MEAN_WORK_SCALE
-    if work > budget:
-        raise BudgetExceededError(
-            f"the mean table of ({r} balls, {n} cells) holds integers of about {digits:.3g} digits over rows "
-            f"of {min(n, r)} entries, about {work:.3g} digit products to build; the budget is {budget:.3g} "
-            f"({BUDGET_ENV} * {MEAN_WORK_SCALE})"
-        )
+    reason = (f"the mean table of ({r} balls, {n} cells) holds integers of about {digits:.3g} digits over rows "
+              f"of {min(n, r)} entries; building it takes")
+    _check_budget(reason, r * digits * (min(n, r) + digits**0.585 / 40), "digit products", MEAN_WORK_SCALE)
 
 
 def _mean_tables(n: int, rmax: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """Integer lists P, R, Q, D for k = 0..rmax (at least), as defined above,
-    so that M(k) = P_k/Q_k and S(k) = R_k/Q_k^2."""
+    so that M(k) = P_k/Q_k and S(k) = R_k/Q_k^2; callers refuse n = 1, r >= 2."""
     cached = _MEAN_TABLES.get(n)
     if cached is not None and len(cached[0]) > rmax:
         return cached
@@ -577,8 +560,6 @@ def _mean_tables(n: int, rmax: int) -> tuple[list[int], list[int], list[int], li
         row = _row_numerators(n, k)
         nk = n**k
         d = nk - row[0]
-        if d == 0:
-            raise DivergentDurationError("divergent duration: one cell can never isolate a ball")
         p_acc = r_acc = 0
         for t in range(len(row) - 1, 0, -1):
             p_acc = p_acc * ds[k - t] + row[t] * ps[k - t]
@@ -601,14 +582,14 @@ def expected_duration(r: int, n: int) -> Fraction:
     at n = 3, r = 800.  Past the budget of _check_mean_budget, such as
     n = 3, r = 1000 (19 s) or n = r = 250 (23 s), it raises
     BudgetExceededError before building."""
-    _check_state(n, r)
+    _check_terminating(n, r)
     ps, _, qs, _ = _mean_tables(n, r)
     return Fraction(ps[r], qs[r])
 
 
 def duration_variance(r: int, n: int) -> Fraction:
     """Variance of the duration, exact: S + M - M^2 over Q_r^2."""
-    _check_state(n, r)
+    _check_terminating(n, r)
     ps, rs, qs, _ = _mean_tables(n, r)
     p, q = ps[r], qs[r]
     return Fraction(rs[r] + p * q - p * p, q * q)

@@ -4,8 +4,9 @@ Rationals are stdlib ``fractions.Fraction`` values throughout the package:
 always reduced, denominator positive, value equality, exact arithmetic, and a
 ``ZeroDivisionError`` on division by zero.  This module adds the pieces the
 rest of the package needs around that: the "p/q" wire format used by the CLI,
-conversion to fixed-precision decimals (round-half-even), and the two
-environment-configurable knobs (decimal precision, enumeration budget).
+conversion to fixed-precision decimals (round-half-even), the two
+environment-configurable knobs (decimal precision, budget), and
+`_check_budget`, the one refusal of every cost estimate.
 
 Every exact-to-decimal conversion goes through `decimal_quotient`, which gives
 ``Decimal(p) / Decimal(q)`` bit for bit.  The decimal module converts an int
@@ -24,6 +25,8 @@ from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from math import erfc, exp, floor, fsum, lgamma, log, log10, sqrt
 
+from .errors import BudgetExceededError
+
 DEFAULT_PRECISION = 50
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -34,30 +37,55 @@ PRECISION_ENV = "BALLCELL_PRECISION"
 BUDGET_ENV = "BALLCELL_BUDGET"
 
 
+def _env_int(name: str, default: int) -> int:
+    """The positive integer in environment variable `name`, `default` when
+    unset; a ValueError naming the variable for anything else."""
+    raw = os.environ.get(name, str(default))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw}")
+    return int(raw)
+
+
 def default_precision() -> int:
     """Active decimal precision in significant digits (>= 1)."""
-    raw = os.environ.get(PRECISION_ENV)
-    return DEFAULT_PRECISION if raw is None else check_precision(int(raw), PRECISION_ENV)
+    return _env_int(PRECISION_ENV, DEFAULT_PRECISION)
 
 
-def check_precision(digits: int | None, name: str = "digits") -> int:
-    """`digits`, default_precision() when None; a ValueError naming `name` unless >= 1."""
+def check_precision(digits: int | None) -> int:
+    """`digits`, default_precision() when None; a ValueError unless >= 1."""
     if digits is None:
         return default_precision()
     if digits < 1:
-        raise ValueError(f"{name} must be a positive integer, got {digits}")
+        raise ValueError(f"digits must be a positive integer, got {digits}")
     return digits
 
 
 def enum_budget() -> int:
-    """Maximum number of placements brute-force enumeration may visit."""
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_BUDGET
-    budget = int(raw)
-    if budget < 1:
-        raise ValueError(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
-    return budget
+    """The budget every cost refusal scales (BALLCELL_BUDGET, 10^7 by
+    default): brute-force placements, simulation state size and words drawn,
+    exact-law digits, mean-table and error-limit digit products."""
+    return _env_int(BUDGET_ENV, DEFAULT_ENUM_BUDGET)
+
+
+def _check_budget(reason: str, estimate: float, units: str, scale: int | Fraction = 1,
+                  budget: int | None = None, is_log: bool = False) -> None:
+    """Refuse an estimate past its budget with BudgetExceededError "<reason>
+    about X <units>; the budget is Y (BALLCELL_BUDGET * scale)".  The budget
+    is enum_budget() * scale rounded down, or `budget`, without the
+    parenthesis, when given.  With is_log, `estimate` is a natural log, for
+    an estimate past the float range."""
+    source = ""
+    if budget is None:
+        budget, source = enum_budget() * scale // 1, f" ({BUDGET_ENV} * {float(scale):g})"
+    if estimate <= (log(budget) if is_log else budget):
+        return
+    digits = (estimate if is_log else log(estimate)) / log(10)
+    try:
+        about = f"{10**digits:.3g}"
+    except OverflowError:
+        head, carry = f"{10 ** (digits % 1):.2e}".split("e")
+        about = f"{float(head):g}e+{int(digits) + int(carry)}"
+    raise BudgetExceededError(f"{reason} about {about} {units}; the budget is {budget:g}{source}")
 
 
 def parse_rational(text: str) -> Fraction:

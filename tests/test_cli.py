@@ -5,12 +5,15 @@ asserted directly; nothing here shells out.
 """
 
 import json
+import re
 import time
 
 import pytest
 
 from ballcell import __version__, cli
-from ballcell.montecarlo import simulate_game_verbose, trial_seed
+from ballcell.errors import DivergentDurationError
+from ballcell.montecarlo import DurationLaw, simulate_batch, simulate_game, simulate_game_verbose, trial_seed
+from ballcell.pgf import duration_variance, exact_distribution, expected_duration, moments
 
 
 def run_cli(capsys, *argv):
@@ -280,59 +283,130 @@ def test_exit_code_budget(capsys):
     assert code == 4
 
 
-def test_approx_refuses_an_over_budget_mean_table(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "approx", "--cells", "3", "--balls", "2000")
-    assert time.perf_counter() - start < 1
-    assert code == 4
-    assert out == ""
-    assert "about 6.08e+05 digits" in err and "BALLCELL_BUDGET" in err
+# Every estimate refusal ends in one tail, "about X <units>; the budget is Y",
+# with "(BALLCELL_BUDGET * s)" after it where the budget scales
+# BALLCELL_BUDGET.
+BUDGET_TAIL = re.compile(r" about [\d.e+]+ [a-z ]+; the budget is [\d.e+]+( \(BALLCELL_BUDGET \* [\d.e+-]+\))?$")
 
-
-def test_approx_refuses_an_over_budget_limit(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "approx", "--cells", "3", "--limit", "--rmax", "100000")
-    assert time.perf_counter() - start < 1
-    assert code == 4
-    assert out == ""
-    assert "about 4.64e+12 digit products" in err and "BALLCELL_BUDGET" in err
-
-
-def test_gof_refuses_a_long_law_before_play(capsys):
+REFUSALS = [
+    pytest.param(
+        ["approx", "--cells", "3", "--balls", "2000"], {},
+        ["about 6.08e+05 digits", "BALLCELL_BUDGET"], id="mean-table",
+    ),
+    pytest.param(
+        ["approx", "--cells", "3", "--limit", "--rmax", "100000"], {},
+        ["about 4.64e+12 digit products", "BALLCELL_BUDGET"], id="limit",
+    ),
     # (30, 2) averages about 10^8 rounds a game and its law about 3.7e8 rounds
     # of horizon: the estimate refuses before a single game is played.
-    start = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "simulate", "--balls", "30", "--cells", "2", "--trials", "1000", "--seed", "1", "--gof"
-    )
-    assert time.perf_counter() - start < 1
-    assert code == 4
-    assert out == ""
-    assert "about 3.71e+08 rounds" in err and "BALLCELL_BUDGET" in err
-
-
-def test_simulate_refuses_a_long_game_before_play(capsys):
+    pytest.param(
+        ["simulate", "--balls", "30", "--cells", "2", "--trials", "1000", "--seed", "1", "--gof"], {},
+        ["about 3.71e+08 rounds", "BALLCELL_BUDGET"], id="gof-long-law",
+    ),
     # One game of (40, 2) averages 2.8e10 rounds: the word estimate refuses it.
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "simulate", "--balls", "40", "--cells", "2", "--trials", "1", "--seed", "1")
-    assert time.perf_counter() - start < 1
-    assert code == 4
-    assert out == ""
-    assert "about 1.13e+12 random words" in err and "BALLCELL_BUDGET" in err
-
-
-def test_gof_refuses_a_short_horizon_that_walks_32_rounds(capsys, monkeypatch):
+    pytest.param(
+        ["simulate", "--balls", "40", "--cells", "2", "--trials", "1", "--seed", "1"], {},
+        ["about 1.13e+12 random words", "BALLCELL_BUDGET"], id="simulate-long-game",
+    ),
     # (100, 150) covers its mass in about 4 rounds, but the law always walks
     # 32, over terms of about 7k digits: past a budget of 5000 digits.
-    monkeypatch.setenv("BALLCELL_BUDGET", "5000000")
+    pytest.param(
+        ["simulate", "--balls", "100", "--cells", "150", "--trials", "10", "--seed", "1", "--gof"],
+        {"BALLCELL_BUDGET": "5000000"},
+        ["about 32 rounds", "about 6.96e+03 digits; the budget is 5000 (BALLCELL_BUDGET * 0.001)"],
+        id="gof-short-horizon-walks-32-rounds",
+    ),
+    pytest.param(
+        ["pgf", "--symbolic-n", "--balls", "41"], {},
+        ["stop at r <= 40", "library argument max_balls", "about 41 balls; the budget is 40"],
+        id="pgf-symbolic-ceiling",
+    ),
+    pytest.param(
+        ["moments", "--symbolic-n", "--balls", "41", "--order", "2"], {},
+        ["stop at r <= 40", "library argument max_balls"], id="moments-symbolic-ceiling",
+    ),
+    pytest.param(
+        ["simulate", "--balls", "2", "--cells", str(10**8), "--trials", "1", "--seed", "0"], {},
+        ["exceeds the budget of", "about 1e+08 balls or cells; the budget is 1e+07 (BALLCELL_BUDGET * 1)"],
+        id="simulate-size-cap",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,env,substrings", REFUSALS)
+def test_over_budget_requests_are_refused_before_any_work(argv, env, substrings, capsys, monkeypatch):
+    monkeypatch.delenv("BALLCELL_BUDGET", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     start = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "simulate", "--balls", "100", "--cells", "150", "--trials", "10", "--seed", "1", "--gof"
-    )
+    code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 4
     assert out == ""
-    assert "about 32 rounds" in err and "budget is 5000 digits" in err
+    assert err.startswith("error: ")
+    for text in substrings:
+        assert text in err
+    assert BUDGET_TAIL.search(err.rstrip("\n")), err
+
+
+DIVERGENT = "divergent duration: one cell can never isolate a ball"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pgf", "--balls", "2", "--cells", "1"],
+        ["moments", "--balls", "3", "--cells", "1", "--order", "2"],
+        ["simulate", "--balls", "2", "--cells", "1", "--trials", "10", "--seed", "1"],
+        ["simulate", "--balls", "2", "--cells", "1", "--trials", "10", "--seed", "1", "--gof"],
+    ],
+    ids=["pgf", "moments", "simulate", "simulate-gof"],
+)
+def test_divergent_commands_exit_3_with_the_one_message(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {DIVERGENT}\n"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_distribution(2, 1),
+        lambda: expected_duration(2, 1),
+        lambda: duration_variance(5, 1),
+        lambda: moments(2, 1, 2),
+        lambda: simulate_batch(2, 1, 10, 1),
+        lambda: simulate_game(3, 1, 0),
+        lambda: simulate_game_verbose(3, 1, 0),
+        lambda: DurationLaw.compute(2, 1),
+    ],
+    ids=[
+        "exact_distribution", "expected_duration", "duration_variance", "moments",
+        "simulate_batch", "simulate_game", "simulate_game_verbose", "DurationLaw.compute",
+    ],
+)
+def test_divergent_library_calls_raise_the_one_message(call):
+    with pytest.raises(DivergentDurationError) as info:
+        call()
+    assert str(info.value) == DIVERGENT
+
+
+@pytest.mark.parametrize(
+    "name,value,argv",
+    [
+        ("BALLCELL_BUDGET", "abc", ["simulate", "--balls", "2", "--cells", "2", "--trials", "1", "--seed", "1"]),
+        ("BALLCELL_BUDGET", "1e7", ["approx", "--cells", "3", "--limit"]),
+        ("BALLCELL_BUDGET", "0", ["simulate", "--balls", "2", "--cells", "2", "--trials", "1", "--seed", "1"]),
+        ("BALLCELL_PRECISION", "x", ["approx", "--cells", "3", "--balls", "10"]),
+    ],
+)
+def test_bad_environment_values_name_their_variable(name, value, argv, capsys, monkeypatch):
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} must be a positive integer, got {value}\n"
 
 
 def test_exit_code_usage_from_values(capsys):

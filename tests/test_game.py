@@ -116,6 +116,14 @@ def test_enumeration_budget():
         brute_force_row(2, 3, budget=7)
 
 
+def test_enumeration_refusal_reads_past_the_float_range(monkeypatch):
+    # 10^400 placements is past the float range; the estimate still reads to
+    # three digits, with the rounding carried into the exponent.
+    monkeypatch.delenv("BALLCELL_BUDGET", raising=False)
+    with pytest.raises(BudgetExceededError, match=r"visits 10\^400, about 1e\+400 placements; the budget is 1e\+07 "):
+        brute_force_row(10, 400)
+
+
 def test_symbolic_two_ball_forms():
     assert transition_prob_symbolic(2, 0) == RatFunc2(Poly2.const(1), N)
     assert transition_prob_symbolic(2, 1) == 0

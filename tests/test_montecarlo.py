@@ -503,6 +503,16 @@ def test_long_requests_are_refused_before_play(monkeypatch):
         simulate_batch(11, 2, 2000, 1)
 
 
+def test_word_estimate_past_the_float_range_is_refused(monkeypatch):
+    # 10^7 balls on 2 cells pass the size cap, and their words drawn, about
+    # 2^(10^7), overflow a float: the estimate is compared and read as a log.
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"about \d\.\d+e\+30\d{5} random words; the budget is 2e\+07"):
+        simulate_batch(10**7, 2, 1, 1)
+    assert time.perf_counter() - start < 1
+
+
 def test_word_estimate():
     # trials · (1 + r·A_n(r)): A_2(r) is the exact mean duration at n = 2.
     for r in (1, 2, 5, 20, 40, 63):

@@ -366,7 +366,7 @@ def test_exact_distribution_refuses_long_horizons(monkeypatch):
     # The budget scales with BALLCELL_BUDGET: (8, 2) estimates 773 digits.
     assert exact_distribution(8, 2)
     monkeypatch.setenv("BALLCELL_BUDGET", str(10**5))
-    with pytest.raises(BudgetExceededError, match="budget is 100 digits"):
+    with pytest.raises(BudgetExceededError, match=r"about 773 digits; the budget is 100 \(BALLCELL_BUDGET \* 0\.001\)"):
         exact_distribution(8, 2)
     assert exact_distribution(3, 3) == _law_over_q(3, 3)
     # The walk takes at least LAW_MIN_TERMS terms, which the estimate counts:
