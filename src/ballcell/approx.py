@@ -21,10 +21,10 @@ Decimal phase is estimated past the budget is refused before it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, gcd, lcm, log10
+from typing import NamedTuple
 
 # transition_row is no longer called here, but perfbench/tracer.py wraps
 # approx.transition_row by name, so the attribute stays.
@@ -42,8 +42,7 @@ DEFAULT_DIGIT_BUDGET = 10**4
 LIMIT_WORK_SCALE = 1000
 
 
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """Approximate vs exact mean and variance for one (n, r).
 
     `error` is exact_mean - approx_mean, exact.  Ratios are exact/approx at
@@ -62,8 +61,7 @@ class ApproxReport:
     ratio_variance: Decimal | None
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(NamedTuple):
     """E_n(rmax) in decimals, with the gap to the half-horizon value.
 
     `stabilized` records whether the gap beat 10^-(digits+2); with many

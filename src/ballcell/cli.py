@@ -17,11 +17,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from . import __version__, reference
+from . import __version__
 from .approx import DEFAULT_LIMIT_ROUNDS, approx_report, error_limit, error_term
 from .errors import BudgetExceededError, DivergentDurationError
 from .game import _check_terminating, brute_force_row, transition_row
@@ -63,16 +62,16 @@ _GATE_SEED = 20260822
 def _wire(value):
     """The wire form of a library value, and the one place it is written:
     rational functions as term lists plus their text, Poly2 as term lists,
-    Fraction and Decimal as strings, dataclasses as their fields, dict keys
-    as strings (before json sorts them), tuples as lists."""
+    Fraction and Decimal as strings, records as their fields, dict keys
+    as strings (before json sorts them), other tuples as lists."""
     if isinstance(value, (RatFunc, RatFunc2)):
         return {**ratfunc_to_json(value), "text": ratfunc_text(value)}
     if isinstance(value, Poly2):
         return poly2_to_json(value)
     if isinstance(value, (Fraction, Decimal)):
         return str(value)
-    if is_dataclass(value):
-        return {f.name: _wire(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_fields"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {str(k): _wire(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -115,7 +114,7 @@ def _cmd_moments(args) -> dict:
         rep = moments_symbolic(args.balls, args.order)
     else:
         rep = moments(args.balls, args.cells, args.order)
-    return {"balls": args.balls, "cells": args.cells, **vars(rep)}
+    return {"balls": args.balls, "cells": args.cells, **rep._asdict()}
 
 
 def _cmd_approx(args):
@@ -226,6 +225,8 @@ def _cross_equal(got, want) -> bool:
 
 
 def _suite_paper(budget: str) -> list[dict]:
+    from . import reference
+
     checks: list[dict] = []
     for r in range(1, 6):
         same = _cross_equal(pgf_numeric(r, r).func, reference.diagonal_pgf(r))
@@ -246,6 +247,8 @@ def _suite_paper(budget: str) -> list[dict]:
 
 
 def _suite_limits(budget: str) -> list[dict]:
+    from . import reference
+
     checks: list[dict] = []
     top_r = 50 if budget == "small" else 200
     ok = all(error_term(2, r) == 0 for r in range(1, top_r + 1))

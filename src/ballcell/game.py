@@ -25,11 +25,11 @@ in tests.  Every function here is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
+from typing import NamedTuple
 
 from .errors import DivergentDurationError
 from .polys import Poly, Poly2
@@ -37,8 +37,7 @@ from .ratfuncs import RatFunc2
 from .scalars import _check_budget
 
 
-@dataclass(frozen=True)
-class TransitionRow:
+class TransitionRow(NamedTuple):
     """Exact distribution of the number of balls captured in one round.
 
     probs[t] is the probability that exactly t of the `balls` are captured

@@ -17,10 +17,9 @@ sums only need positivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .pgf import MomentReport, moments_of
 from .polys import Poly
@@ -72,8 +71,7 @@ class StepSequence:
         return self._fn(i)
 
 
-@dataclass(frozen=True)
-class LimitingMoments:
+class LimitingMoments(NamedTuple):
     """Limiting scaled moments of the power-law chain as r grows.
 
     Squared quantities are exact; cv, skewness and the fifth moment are surds,

@@ -50,13 +50,13 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import exp, expm1, fsum, lcm, log
 from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
+from typing import NamedTuple
 
 from .game import _check_terminating
 from .pgf import MIN_COVERAGE, exact_distribution
@@ -146,8 +146,7 @@ def trial_seed(seed: int, index: int) -> int:
     return _mix64((seed + (index + 1) * _GAMMA) & MASK64)
 
 
-@dataclass(frozen=True)
-class RoundTrace:
+class RoundTrace(NamedTuple):
     """One recorded round: who landed where and how many were captured."""
 
     round_index: int
@@ -411,8 +410,7 @@ def simulate_game_verbose(r: int, n: int, stream_seed: int) -> tuple[int, tuple[
     return duration, traces
 
 
-@dataclass(frozen=True)
-class SimBatch:
+class SimBatch(NamedTuple):
     """Durations of `trials` independent games at one (balls, cells) state.
 
     mean and variance are decimal renderings of the exact sample mean and the
@@ -468,8 +466,7 @@ def _simulate_batch(r: int, n: int, trials: int, seed: int, record: bool = False
     ), traces
 
 
-@dataclass(frozen=True)
-class DurationLaw:
+class DurationLaw(NamedTuple):
     """Exact duration distribution pinned to the state it was computed for."""
 
     balls: int
@@ -485,8 +482,7 @@ class DurationLaw:
         return sum(self.probs, Fraction(0))
 
 
-@dataclass(frozen=True)
-class GofBin:
+class GofBin(NamedTuple):
     """Chi-square cell: durations lo..hi, hi None for the open tail bin."""
 
     lo: int
@@ -495,8 +491,7 @@ class GofBin:
     expected: Fraction
 
 
-@dataclass(frozen=True)
-class GofReport:
+class GofReport(NamedTuple):
     tv_distance: Fraction
     chi_square: Fraction
     dof: int

@@ -43,13 +43,13 @@ operations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, islice
 from math import comb, gcd, inf, lgamma, log, log1p, log10, prod
 from operator import mul
+from typing import NamedTuple
 
 # transition_row and poly2_div_exact are no longer called here (the exact law
 # walks _row_numerators), but perfbench/tracer.py wraps pgf.transition_row and
@@ -90,11 +90,13 @@ MEAN_WORK_SCALE = 300
 # exact_distribution always walks the first LAW_MIN_TERMS terms (rounds 0..32),
 # so its estimate takes a horizon of at least LAW_MIN_TERMS - 1 rounds: a
 # short horizon at large r, such as (100, 150) at H = 4.1, still walks 32
-# rounds of terms over n^(32·r).
+# rounds of terms over n^(32·r).  That floor is checked against the budget
+# on its own first, before any stay probability is built, so (30000, 2),
+# whose 32 rounds need 2.9·10^5 digits, is refused at once.
 LAW_MIN_TERMS = 33
 
-@dataclass(frozen=True)
-class DurationPGF:
+
+class DurationPGF(NamedTuple):
     """The duration's generating function; cells is None on the symbolic path.
 
     `terminating` is False exactly in the degenerate one-cell multi-ball case,
@@ -107,8 +109,7 @@ class DurationPGF:
     terminating: bool
 
 
-@dataclass(frozen=True)
-class ScaledMoment:
+class ScaledMoment(NamedTuple):
     """Central moment m_i divided by m_2^(i/2).
 
     Odd i leaves the rational field, so the exact content is the squared value
@@ -123,8 +124,7 @@ class ScaledMoment:
     exact: Fraction | None
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Exact moments of an integer-valued variable given by its PGF.
 
     raw[i-1] = E[X^i] for i = 1..order; central[i-2] = m_i for i = 2..order;
@@ -140,8 +140,7 @@ class MomentReport:
     variance: Fraction | None
 
 
-@dataclass(frozen=True)
-class SymbolicMomentReport:
+class SymbolicMomentReport(NamedTuple):
     """Moments as rational functions of the cell count n.
 
     Scaled moments of odd order are not rational functions of n, so the
@@ -374,24 +373,32 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) ->
 
     Refuses the non-terminating state, where no horizon can cover the mass,
     and a min_coverage of 1 or more, which no finite horizon reaches once
-    r >= 2.  Before walking, it estimates the horizon H as
-    log(1 - min_coverage) / log(p), p the largest stay probability of the
-    states 2..r, and refuses with BudgetExceededError when the terms after
-    max(H, LAW_MIN_TERMS - 1) rounds, over n^r per round, would pass
-    enum_budget() // LAW_DIGITS_DIVISOR digits.
+    r >= 2.  Refuses with BudgetExceededError when the terms after H rounds,
+    over n^r per round, would pass enum_budget() // LAW_DIGITS_DIVISOR
+    digits: first for the floor H = LAW_MIN_TERMS - 1, which costs nothing
+    to check, then for H = max(log(1 - min_coverage) / log(p), the floor),
+    p the largest stay probability of the states 2..r.
     """
     _check_terminating(n, r)
     if min_coverage >= 1:
         raise ValueError(f"min_coverage must be below 1, got {min_coverage}")
+
+    def refuse_past(horizon: float, rounds: str) -> None:
+        reason = (f"the exact law of ({r} balls, {n} cells) walks about {rounds} to cover "
+                  f"{float(min_coverage):.9f} of its mass, with terms of")
+        _check_budget(reason, horizon * r * log10(n), "digits", Fraction(1, LAW_DIGITS_DIVISOR))
+
+    # The floor goes first: the stay probabilities below are r - 1 exact
+    # fractions over n^i, seconds of work at 30000 balls.
+    floor = LAW_MIN_TERMS - 1
+    refuse_past(floor, f"{floor} rounds or more")
     # The slowest mode of the chain is its largest stay probability p, so the
     # mass left after H rounds is about p^H.  There is no such state when
     # r < 2, and p - 1 rounds to 0.0 when p is within 2^-1075 of 1.
     p = max((Fraction(_row_numerators(n, i)[0], n**i) for i in range(2, r + 1)), default=0)
     decay = -log1p(float(p - 1)) if p else inf
-    horizon = max(-log(1 - min_coverage) / decay if decay else inf, LAW_MIN_TERMS - 1)
-    reason = (f"the exact law of ({r} balls, {n} cells) walks about {horizon:.3g} rounds (at least "
-              f"{LAW_MIN_TERMS - 1}) to cover {float(min_coverage):.9f} of its mass, with terms of")
-    _check_budget(reason, horizon * r * log10(n), "digits", Fraction(1, LAW_DIGITS_DIVISOR))
+    horizon = max(-log(1 - min_coverage) / decay if decay else inf, floor)
+    refuse_past(horizon, f"{horizon:.3g} rounds (at least {floor})")
     law = _duration_law(r, n)
     cdf = list(islice(law, LAW_MIN_TERMS))
     while Fraction(*cdf[-1]) < min_coverage:

@@ -316,6 +316,13 @@ REFUSALS = [
         ["about 32 rounds", "about 6.96e+03 digits; the budget is 5000 (BALLCELL_BUDGET * 0.001)"],
         id="gof-short-horizon-walks-32-rounds",
     ),
+    # The first 32 rounds of (30000, 2) alone need terms of about 2.9e5
+    # digits: refused before the stay probabilities of its states are built.
+    pytest.param(
+        ["simulate", "--balls", "30000", "--cells", "2", "--trials", "1", "--seed", "0", "--gof"], {},
+        ["about 32 rounds or more", "about 2.89e+05 digits", "BALLCELL_BUDGET"],
+        id="gof-floor-before-any-work",
+    ),
     pytest.param(
         ["pgf", "--symbolic-n", "--balls", "41"], {},
         ["stop at r <= 40", "library argument max_balls", "about 41 balls; the budget is 40"],
@@ -347,6 +354,7 @@ def test_over_budget_requests_are_refused_before_any_work(argv, env, substrings,
     for text in substrings:
         assert text in err
     assert BUDGET_TAIL.search(err.rstrip("\n")), err
+    assert not re.search(r"\binf\b", err), err
 
 
 DIVERGENT = "divergent duration: one cell can never isolate a ball"

@@ -381,6 +381,18 @@ def test_exact_distribution_refuses_long_horizons(monkeypatch):
         exact_distribution(30, 2, Fraction(1))
 
 
+def test_exact_distribution_refuses_its_floor_before_any_work(monkeypatch):
+    # The first 32 rounds of (10^7, 2) alone run to terms of about 9.6·10^7
+    # digits, which is refused before the stay probabilities of 10^7 - 1
+    # states are built.
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"about 32 rounds or more .* about 9\.63e\+07 digits") as caught:
+        exact_distribution(10**7, 2)
+    assert time.perf_counter() - start < 1
+    assert "inf" not in str(caught.value)
+
+
 def test_two_ball_moments_by_hand():
     # (2, 2) is a round-by-round coin flip: duration is geometric with p = 1/2
     rep = moments(2, 2, 6)
