@@ -8,13 +8,15 @@ in n or symbolically with n left as a variable), along with moments, a
 harmonic-sum approximation of the mean with error tracking, the limiting
 moment profile of related down-or-stay chains, and a seeded Monte Carlo
 simulator with goodness-of-fit checks against the exact law.
+
+`import ballcell` loads the core chain only: errors, scalars, polys,
+ratfuncs, game and pgf.  The names of the leaf modules (approx, geometric,
+montecarlo) resolve on first access, which imports their module then, so a
+process pays to load only the parts it uses.
 """
 
-from .approx import approx_report, error_limit, error_term
 from .errors import BudgetExceededError, DivergentDurationError
 from .game import brute_force_row, transition_prob, transition_row
-from .geometric import StepSequence, alpha_closed_forms, alpha_limits, alpha_moments
-from .montecarlo import DurationLaw, gof_compare, simulate_batch, simulate_game
 from .pgf import (
     diagonal_sequence,
     duration_variance,
@@ -27,6 +29,34 @@ from .pgf import (
 )
 from .polys import Poly, Poly2, poly2_gcd, poly_gcd
 from .ratfuncs import RatFunc, RatFunc2, polynomial_text, ratfunc_latex, ratfunc_text
+
+# Names of the leaf modules, which load on first access (PEP 562).
+_LAZY = {
+    "approx_report": "approx",
+    "error_limit": "approx",
+    "error_term": "approx",
+    "StepSequence": "geometric",
+    "alpha_closed_forms": "geometric",
+    "alpha_limits": "geometric",
+    "alpha_moments": "geometric",
+    "DurationLaw": "montecarlo",
+    "gof_compare": "montecarlo",
+    "simulate_batch": "montecarlo",
+    "simulate_game": "montecarlo",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from .leaf import name`, spelled so that -X importtime lists it.
+    value = globals()[name] = getattr(__import__(f"{__name__}.{_LAZY[name]}", fromlist=[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

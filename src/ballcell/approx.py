@@ -30,9 +30,8 @@ from typing import NamedTuple
 # approx.transition_row by name, so the attribute stays.
 from .game import _check_state, _row_numerators, transition_row  # noqa: F401
 from .pgf import duration_variance, expected_duration
-from .scalars import _check_budget, check_precision, decimal_quotient, to_decimal
+from .scalars import DEFAULT_LIMIT_ROUNDS, _check_budget, check_precision, decimal_quotient, to_decimal
 
-DEFAULT_LIMIT_ROUNDS = 400
 DEFAULT_DIGIT_BUDGET = 10**4
 
 # error_limit refuses a request whose Decimal phase is estimated past

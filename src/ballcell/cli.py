@@ -7,6 +7,12 @@ place the wire format is written: exact values as "p/q" strings, never as
 floats, so any JSON parser round-trips them losslessly, and rational
 functions as term lists plus their text.
 
+Importing this module loads only the core chain (errors, scalars, polys,
+ratfuncs, game, pgf), since every command pays for the import first.  The
+leaf modules load with the first command that needs them: approx with
+`approx`, geometric with `geo`, montecarlo with `simulate`, and the suites
+of `ballcell.verify` with `verify`.
+
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 configuration
 that never terminates, 4 compute budget exceeded.
 """
@@ -19,44 +25,58 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
-from .approx import DEFAULT_LIMIT_ROUNDS, approx_report, error_limit, error_term
 from .errors import BudgetExceededError, DivergentDurationError
-from .game import _check_terminating, brute_force_row, transition_row
-from .geometric import (
-    StepSequence,
-    alpha_closed_forms,
-    alpha_limits,
-    alpha_moments,
-    chain_mean,
-    chain_variance,
-)
-
-# simulate_game_verbose is no longer called here, but perfbench/tracer.py
-# wraps cli.simulate_game_verbose by name, so the attribute stays.
-from .montecarlo import DurationLaw, _simulate_batch, gof_compare, simulate_batch, simulate_game_verbose  # noqa: F401
-from .pgf import (
-    duration_distribution,
-    duration_variance,
-    expected_duration,
-    moments,
-    moments_symbolic,
-    pgf_numeric,
-    pgf_symbolic,
-    symbolic_den_factors,
-)
+from .game import _check_terminating
+from .pgf import moments, moments_symbolic, pgf_numeric, pgf_symbolic, symbolic_den_factors
 from .polys import Poly2
 from .ratfuncs import RatFunc, RatFunc2, poly2_to_json, ratfunc_latex, ratfunc_text, ratfunc_to_json
-from .scalars import chi_square_quantile, parse_rational
+from .scalars import DEFAULT_LIMIT_ROUNDS, parse_rational
+
+# The leaf modules and the names read from each.  A leaf loads when a handler
+# that needs it runs, or when one of its names is read from this module (PEP
+# 562).  Either way its names are bound in these globals, which the handlers
+# call through, and a name bound already, such as a tracer's wrapper, is
+# kept.  perfbench/tracer.py wraps simulate_batch and simulate_game_verbose by
+# name, though no handler calls them.
+_LEAVES = {
+    "approx": ("approx_report", "error_limit", "error_term"),
+    "geometric": (
+        "StepSequence", "alpha_closed_forms", "alpha_limits", "alpha_moments", "chain_mean", "chain_variance",
+    ),
+    "montecarlo": ("DurationLaw", "_simulate_batch", "gof_compare", "simulate_batch", "simulate_game_verbose"),
+}
+
+# The names of the suites in ballcell.verify, which loads when one runs.
+_SUITES = ("limits", "oracle", "paper", "stats")
+
+
+def _load(leaf: str) -> None:
+    # `from .leaf import names`, spelled so that -X importtime lists it.
+    module = __import__(f"{__package__}.{leaf}", fromlist=_LEAVES[leaf])
+    for name in _LEAVES[leaf]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for leaf, names in _LEAVES.items():
+        if name in names:
+            _load(leaf)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *chain(*_LEAVES.values())})
+
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
-
-_GATE_SEED = 20260822
 
 
 def _wire(value):
@@ -118,6 +138,7 @@ def _cmd_moments(args) -> dict:
 
 
 def _cmd_approx(args):
+    _load("approx")
     if args.limit:
         if args.balls is not None:
             raise ValueError("--limit takes no --balls")
@@ -142,6 +163,7 @@ def _read_step_table(path: str) -> list[Fraction]:
 
 
 def _cmd_geo(args):
+    _load("geometric")
     if args.table is not None:
         if args.limits or args.order is not None:
             raise ValueError("--limits and --order apply only to --alpha")
@@ -169,6 +191,7 @@ def _cmd_geo(args):
 
 
 def _cmd_simulate(args) -> dict:
+    _load("montecarlo")
     # The exact law comes first, so that its cost estimate refuses before play.
     law = DurationLaw.compute(args.balls, args.cells) if args.gof else None
     batch, traces = _simulate_batch(args.balls, args.cells, args.trials, args.seed, record=args.verbose)
@@ -191,135 +214,10 @@ def _cmd_simulate(args) -> dict:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Verification suites.
-
-
-def _check(checks: list, name: str, passed: bool, detail: str = "") -> None:
-    checks.append({"name": name, "passed": bool(passed), "detail": detail})
-    print(("ok   " if passed else "FAIL ") + name, file=sys.stderr)
-
-
-def _suite_oracle(budget: str) -> list[dict]:
-    top = 4 if budget == "small" else 6
-    checks: list[dict] = []
-    for n in range(1, top + 1):
-        for r in range(top + 1):
-            got = transition_row(n, r).probs
-            want = brute_force_row(n, r).probs
-            _check(checks, f"capture row n={n} r={r} matches enumeration", got == want)
-    for n in range(2, top + 1):
-        for r in range(2, top + 1):
-            dist = duration_distribution(r, n, 25)
-            series = pgf_numeric(r, n).func.series(25)
-            _check(
-                checks,
-                f"distribution of ({r} balls, {n} cells) matches its generating function",
-                dist == series,
-            )
-    return checks
-
-
-def _cross_equal(got, want) -> bool:
-    return got.num * want.den == want.num * got.den
-
-
-def _suite_paper(budget: str) -> list[dict]:
-    from . import reference
-
-    checks: list[dict] = []
-    for r in range(1, 6):
-        same = _cross_equal(pgf_numeric(r, r).func, reference.diagonal_pgf(r))
-        _check(checks, f"diagonal duration function r={r} matches its golden form", same)
-    for r in range(1, 6):
-        same = _cross_equal(pgf_symbolic(r).func, reference.symbolic_pgf(r))
-        _check(checks, f"symbolic duration function r={r} matches its golden form", same)
-    for r in range(1, 6):
-        mean = moments_symbolic(r, 1).mean
-        same = _cross_equal(mean, reference.symbolic_mean(r))
-        _check(
-            checks,
-            f"symbolic mean r={r} matches its golden form",
-            same,
-            ratfunc_text(mean),
-        )
-    return checks
-
-
-def _suite_limits(budget: str) -> list[dict]:
-    from . import reference
-
-    checks: list[dict] = []
-    top_r = 50 if budget == "small" else 200
-    ok = all(error_term(2, r) == 0 for r in range(1, top_r + 1))
-    _check(checks, f"two-cell error vanishes for r <= {top_r}", ok)
-    for n in (3, 4, 5, 6):
-        ok = all(abs(error_term(n, r)) < 1 for r in range(1, 5 * n + 1))
-        _check(checks, f"error magnitude stays below 1 for n={n}, r <= {5 * n}", ok)
-    cells = (3,) if budget == "small" else (3, 4, 5)
-    for n in cells:
-        est = error_limit(n)
-        target, tol = reference.LIMIT_TARGETS[n]
-        got = Fraction(str(est.estimate))
-        _check(
-            checks,
-            f"error limit for n={n} lands within {float(tol):g} of its target",
-            abs(got - target) <= tol,
-            str(est.estimate),
-        )
-    alphas = (Fraction(1, 2),) if budget == "small" else (Fraction(1, 2), Fraction(1, 3))
-    for alpha in alphas:
-        rep = alpha_moments(alpha, 40, order=6)
-        lim = alpha_limits(alpha)
-        pairs = [
-            (rep.variance / rep.mean**2, lim.cv_squared),
-            (rep.scaled[0].squared, lim.skewness_squared),
-            (rep.scaled[1].exact, lim.kurtosis),
-            (rep.scaled[2].squared, lim.m5_scaled_squared),
-            (rep.scaled[3].exact, lim.m6_scaled),
-        ]
-        ok = all(abs(got - want) / abs(want) < Fraction(1, 10**6) for got, want in pairs)
-        _check(checks, f"scaled moments at r=40 approach the alpha={alpha} limits", ok)
-    return checks
-
-
-def _suite_stats(budget: str) -> list[dict]:
-    checks: list[dict] = []
-    states = [(3, 3)] if budget == "small" else [(3, 3), (5, 5), (10, 10)]
-    trials = 10**5
-    for r, n in states:
-        batch = simulate_batch(r, n, trials, _GATE_SEED)
-        mean = expected_duration(r, n)
-        var = duration_variance(r, n)
-        emp = Fraction(sum(batch.durations), trials)
-        z = abs(float(emp - mean)) / float(var / trials) ** 0.5
-        _check(
-            checks,
-            f"simulated mean of ({r},{n}) within 4 standard errors",
-            z < 4,
-            f"z={z:.3f}",
-        )
-        rep = gof_compare(batch, DurationLaw.compute(r, n))
-        threshold = chi_square_quantile(0.999, rep.dof)
-        _check(
-            checks,
-            f"chi-square of ({r},{n}) below the 99.9% quantile",
-            float(rep.chi_square) < threshold,
-            f"chi={float(rep.chi_square):.2f} dof={rep.dof} threshold={threshold:.2f}",
-        )
-    return checks
-
-
-_SUITES = {
-    "oracle": _suite_oracle,
-    "paper": _suite_paper,
-    "limits": _suite_limits,
-    "stats": _suite_stats,
-}
-
-
 def _cmd_verify(args) -> dict:
-    checks = _SUITES[args.suite](args.budget)
+    from .verify import SUITES
+
+    checks = SUITES[args.suite](args.budget)
     return {
         "suite": args.suite,
         "budget": args.budget,
@@ -387,7 +285,7 @@ def _add_simulate(sub) -> None:
 
 def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run a built-in verification suite")
-    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    p.add_argument("--suite", choices=_SUITES, required=True)
     p.add_argument("--budget", choices=("small", "full"), default="full")
     p.set_defaults(handler=_cmd_verify)
 

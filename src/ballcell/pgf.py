@@ -47,7 +47,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, islice
-from math import comb, gcd, inf, lgamma, log, log1p, log10, prod
+from math import comb, gcd, lgamma, log, log1p, log10, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -64,7 +64,7 @@ from .game import (  # noqa: F401
 )
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact  # noqa: F401
 from .ratfuncs import RatFunc, RatFunc2, _series_numerators
-from .scalars import _check_budget, decimal_sqrt
+from .scalars import _about, _check_budget, decimal_sqrt
 
 DEFAULT_SYMBOLIC_CEILING = 40
 
@@ -216,7 +216,8 @@ def _cancel_factors(num, den: dict, div_exact) -> tuple:
     Each factor is n (the monomial, or for numeric n a constant, a unit) or
     irreducible, linear and primitive in x, so taking each out as often as it
     divides reduces completely.  The monomial n comes off by one shift, as
-    far as its multiplicity and num's least n-exponent allow; any other
+    far as its multiplicity and num's least n-exponent allow; a numeric n by
+    one division by n^j, j <= mult its valuation in num's content; any other
     factor by trial division, whose failure proves it coprime (Gauss's
     lemma).  A zero numerator returns at once, over {}.
     """
@@ -227,6 +228,12 @@ def _cancel_factors(num, den: dict, div_exact) -> tuple:
         if f == _VAR_N:
             j = min(mult, *(row.min_exponent() for row in num._c.values()))
             num, mult = _times(num, f, -j), mult - j
+        elif f.is_constant():
+            n, j = f.leading_coeff(), 0
+            g = gcd(n**mult, *num._c.values())
+            while j < mult and g % n == 0:
+                g, j = g // n, j + 1
+            num, mult = div_exact(num, f**j) if j else num, mult - j
         else:
             while mult:
                 try:
@@ -377,28 +384,33 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) ->
     over n^r per round, would pass enum_budget() // LAW_DIGITS_DIVISOR
     digits: first for the floor H = LAW_MIN_TERMS - 1, which costs nothing
     to check, then for H = max(log(1 - min_coverage) / log(p), the floor),
-    p the largest stay probability of the states 2..r.
+    p the largest stay probability of the states 2..r, taken in log form so
+    that the estimate stays finite however close p is to 1.
     """
     _check_terminating(n, r)
     if min_coverage >= 1:
         raise ValueError(f"min_coverage must be below 1, got {min_coverage}")
 
-    def refuse_past(horizon: float, rounds: str) -> None:
+    def refuse_past(digits: float, rounds: str, is_log: bool = False) -> None:
         reason = (f"the exact law of ({r} balls, {n} cells) walks about {rounds} to cover "
                   f"{float(min_coverage):.9f} of its mass, with terms of")
-        _check_budget(reason, horizon * r * log10(n), "digits", Fraction(1, LAW_DIGITS_DIVISOR))
+        _check_budget(reason, digits, "digits", Fraction(1, LAW_DIGITS_DIVISOR), is_log=is_log)
 
     # The floor goes first: the stay probabilities below are r - 1 exact
     # fractions over n^i, seconds of work at 30000 balls.
     floor = LAW_MIN_TERMS - 1
-    refuse_past(floor, f"{floor} rounds or more")
+    refuse_past(floor * r * log10(n), f"{floor} rounds or more")
     # The slowest mode of the chain is its largest stay probability p, so the
-    # mass left after H rounds is about p^H.  There is no such state when
-    # r < 2, and p - 1 rounds to 0.0 when p is within 2^-1075 of 1.
-    p = max((Fraction(_row_numerators(n, i)[0], n**i) for i in range(2, r + 1)), default=0)
-    decay = -log1p(float(p - 1)) if p else inf
-    horizon = max(-log(1 - min_coverage) / decay if decay else inf, floor)
-    refuse_past(horizon, f"{horizon:.3g} rounds (at least {floor})")
+    # mass left after H rounds is about p^H.  H is taken in log form from the
+    # exact q = 1 - p, since -log(p) underflows a float when p is within
+    # 2^-1075 of 1; below 2^-52, -log(p) is q to double precision.  No state
+    # stays put when r < 2, and no mass needs covering when `need` is 0.
+    need = -log(1 - min_coverage)
+    if r >= 2 and need > 0:
+        q = min(Fraction(n**i - _row_numerators(n, i)[0], n**i) for i in range(2, r + 1))
+        log_decay = log(-log1p(-float(q))) if q > 2**-52 else log(q.numerator) - log(q.denominator)
+        log_h = max(log(need) - log_decay, log(floor))
+        refuse_past(log_h + log(r * log10(n)), f"{_about(log_h)} rounds (at least {floor})", is_log=True)
     law = _duration_law(r, n)
     cdf = list(islice(law, LAW_MIN_TERMS))
     while Fraction(*cdf[-1]) < min_coverage:

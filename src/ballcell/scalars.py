@@ -30,6 +30,10 @@ from .errors import BudgetExceededError
 DEFAULT_PRECISION = 50
 DEFAULT_ENUM_BUDGET = 10**7
 
+# Rounds of approx.error_limit by default.  It sits here, with the other
+# defaults, so that building the command-line parser imports no approx.
+DEFAULT_LIMIT_ROUNDS = 400
+
 # decimal_quotient divides with ints once an operand has more bits than this.
 INT_ROUTE_BITS = 1500
 
@@ -79,13 +83,18 @@ def _check_budget(reason: str, estimate: float, units: str, scale: int | Fractio
         budget, source = enum_budget() * scale // 1, f" ({BUDGET_ENV} * {float(scale):g})"
     if estimate <= (log(budget) if is_log else budget):
         return
-    digits = (estimate if is_log else log(estimate)) / log(10)
+    about = _about(estimate if is_log else log(estimate))
+    raise BudgetExceededError(f"{reason} about {about} {units}; the budget is {budget:g}{source}")
+
+
+def _about(log_value: float) -> str:
+    """exp(log_value) to 3 significant digits, also past the float range."""
+    digits = log_value / log(10)
     try:
-        about = f"{10**digits:.3g}"
+        return f"{10**digits:.3g}"
     except OverflowError:
         head, carry = f"{10 ** (digits % 1):.2e}".split("e")
-        about = f"{float(head):g}e+{int(digits) + int(carry)}"
-    raise BudgetExceededError(f"{reason} about {about} {units}; the budget is {budget:g}{source}")
+        return f"{float(head):g}e+{int(digits) + int(carry)}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -323,6 +323,15 @@ REFUSALS = [
         ["about 32 rounds or more", "about 2.89e+05 digits", "BALLCELL_BUDGET"],
         id="gof-floor-before-any-work",
     ),
+    # Under a larger budget (3000, 2) passes its floor, and its slowest state
+    # stays put with probability 1 - 6000/2^3000, within 2^-1075 of 1: the
+    # horizon, taken in log form, is finite past the float range.
+    pytest.param(
+        ["simulate", "--balls", "3000", "--cells", "2", "--trials", "1", "--seed", "0", "--gof"],
+        {"BALLCELL_BUDGET": "1000000000"},
+        ["about 4.25e+900 rounds (at least 32)", "about 3.84e+903 digits; the budget is 1e+06"],
+        id="gof-horizon-past-the-float-range",
+    ),
     pytest.param(
         ["pgf", "--symbolic-n", "--balls", "41"], {},
         ["stop at r <= 40", "library argument max_balls", "about 41 balls; the budget is 40"],
