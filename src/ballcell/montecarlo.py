@@ -10,14 +10,21 @@ SplitMix64 is counter-based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC 2011): word m of the stream at state s is mix(s + m·γ), so a
 whole round can be drawn at once.  Each draw packs its words into 128-bit
 lanes of one Python int (the state of every lane from a byte join, plus the
-offsets m·γ from a prefix table: entry k of ``_steps()`` holds the first k
-offsets, so a game's offsets cost one list index), runs the mix lane-wise as
-a dozen big-int operations, and unpacks the low half of each lane through
-``array``.  A batch plays its trials in chunks of _LANES // r games, one draw
-per round of a chunk; a word that ``below`` would reject sends only the games
-that drew it back to the scalar generator for that round.  The draw equals
-the scalar stream word for word, so every duration, trace and batch is the
-one the per-ball loop gives.
+offsets m·γ: a game drawing k words takes the first k lanes of one buffer,
+sliced once per count, and the first round of a chunk, where every game
+draws r words, reuses one int of offsets across the chunks of a batch) and
+runs the mix lane-wise as a dozen big-int operations.  With n <= 127 the
+round's cells come straight from the mixed int: each word folds to below
+2^39 and is reduced mod n by a precomputed reciprocal, exactly and in every
+lane at once (Lemire, Kaser and Kurz 2019, after Barrett 1986 and Granlund
+and Montgomery 1994), so no word becomes a Python int; adding 2^64 mod n to
+every lane flags a word that ``below`` would reject.  The words are unpacked
+through ``array`` only where they are needed: rounds holding such a word,
+n >= 128, rounds longer than one draw, and the trial seeds.  A batch plays
+its trials in chunks of _LANES // r games, one draw per round of a chunk; a
+rejected word sends only the games that drew it back to the scalar generator
+for that round.  The draw equals the scalar stream word for word, so every
+duration, trace and batch is the one the per-ball loop gives.
 
 Captures are counted SIMD-within-a-register (Lamport, "Multiple byte
 processing with full-word instructions", CACM 18(8), 1975), for all games of
@@ -52,7 +59,7 @@ from collections import Counter
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import exp, expm1, fsum, lcm, log
 from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
@@ -209,38 +216,91 @@ def _mix_lanes(z: int) -> int:
 
 
 @cache
-def _steps() -> list[memoryview]:
-    """Entry k holds the stream offsets 1·γ, ..., k·γ of one draw as
-    consecutive 16-byte lanes, for k = 0.._LANES: prefixes of one buffer,
-    built on first use so that importing the package stays cheap."""
-    offsets = memoryview(b"".join((j * _GAMMA & MASK64).to_bytes(16, "little") for j in range(1, _LANES + 1)))
-    return [offsets[:16 * k] for k in range(_LANES + 1)]
+def _offsets() -> bytes:
+    """The stream offsets 1·γ, ..., _LANES·γ of one draw as consecutive
+    16-byte lanes, built on first use so that importing the package stays
+    cheap."""
+    return b"".join((j * _GAMMA & MASK64).to_bytes(16, "little") for j in range(1, _LANES + 1))
 
 
-def _packed_words(states: Sequence[int], counts: Sequence[int]) -> array:
+@cache
+def _prefix(k: int) -> memoryview:
+    """The offsets of a game that draws k words: the first k lanes of
+    _offsets(), built on first use for each count."""
+    return memoryview(_offsets())[:16 * k]
+
+
+@lru_cache(maxsize=4)
+def _uniform_steps(k: int, games: int) -> int:
+    """The offsets of a round in which each of `games` streams draws k
+    words, as one int: the first round of every chunk of a batch is such a
+    round, and the chunks reuse it."""
+    return int.from_bytes(_prefix(k).tobytes() * games, "little")
+
+
+@cache
+def _lane_constants() -> tuple[int, int, int, int]:
+    """Lane masks of _lane_cells, built on first use: 1 in every lane, the
+    lane ones each shifted to bit 64, and the low 32 and low 48 bits of every
+    lane.  The first has one lane more than a draw, so a right shift trims it
+    to any draw's lanes."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * (_LANES + 1), "little")
+    return ones, ones << 64, ones * ((1 << 32) - 1), ones * ((1 << 48) - 1)
+
+
+@lru_cache(maxsize=1)
+def _spares(n: int) -> int:
+    """2^64 mod n in every lane of _lane_constants()'s ones, kept for the
+    next round: every round of a game or batch has the same n."""
+    return (1 << 64) % n * _lane_constants()[0]
+
+
+def _mixed(states: Sequence[int], counts: Sequence[int], uniform: bool = False) -> int:
     """The next counts[i] words of the stream at states[i], for every i in
-    order, drawn by one packed mix; sum(counts) is at most _LANES."""
-    total = sum(counts)
+    order, as one packed mix: word j in the low half of 128-bit lane j.
+    sum(counts) is at most _LANES; `uniform` says that all counts are equal."""
     lanes = b"".join(map(bytes.__mul__, map(int.to_bytes, states, repeat(16), repeat("little")), counts))
-    steps = b"".join(map(_steps().__getitem__, counts))
-    z = (int.from_bytes(lanes, "little") + int.from_bytes(steps, "little")) & _LANE_MASK
-    words = array("Q", _mix_lanes(z).to_bytes(16 * total, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words[::2]
+    if uniform:
+        steps = _uniform_steps(counts[0], len(counts))
+    else:
+        steps = int.from_bytes(b"".join(map(_prefix, counts)), "little")
+    return _mix_lanes((int.from_bytes(lanes, "little") + steps) & _LANE_MASK)
+
+
+def _lane_cells(z: int, total: int, n: int) -> bytes | None:
+    """word % n for each of the `total` words of the packed mix z, for
+    n <= 127, or None when some word is at least the limit 2^64 - spare
+    that ``below`` rejects, spare = 2^64 mod n.
+
+    Adding spare to every lane carries into bit 64 exactly in the lanes
+    holding a word >= limit.  Else each word w folds to x = hi·(2^32 mod n)
+    + lo < 2^39 from its 32-bit halves, x ≡ w (mod n), and x mod n is
+    ((x·c mod 2^48)·n) >> 48 for c = ceil(2^48 / n) (Lemire, Kaser and Kurz,
+    "Faster remainder by direct computation", SPE 49(6), 2019: exact since
+    48 >= 39 + 7 and n <= 2^7).  No lane's product reaches 2^128, and the
+    cell is byte 6 of its lane.
+    """
+    _, carries, low32, low48 = _lane_constants()
+    if ((z & _LANE_MASK) + (_spares(n) >> 128 * (_LANES + 1 - total))) & carries:
+        return None
+    x = (z >> 32 & low32) * ((1 << 32) % n) + (z & low32)
+    return ((x * -(-(1 << 48) // n) & low48) * n).to_bytes(16 * total, "little")[6::16]
 
 
 def _draw(states: Sequence[int], counts: Sequence[int]) -> array:
-    """As _packed_words for any total.  Only a single stream can need more
-    than _LANES words, since a batch chunk holds _LANES // r games; its words
-    are drawn in pieces that start at states s + j·_LANES·γ."""
-    if sum(counts) <= _LANES:
-        return _packed_words(states, counts)
-    (s,), (count,) = states, counts
-    words = array("Q")
-    for j in range(0, count, _LANES):
-        words += _packed_words([(s + j * _GAMMA) & MASK64], [min(_LANES, count - j)])
-    return words
+    """The next counts[i] words of the stream at states[i], for every i in
+    order, one array item each.  Only a single stream can need more than
+    _LANES words, since a batch chunk holds _LANES // r games; its words are
+    drawn in pieces that start at states s + j·_LANES·γ."""
+    total = sum(counts)
+    if total > _LANES:
+        (s,), (count,) = states, counts
+        pieces = (_draw([(s + j * _GAMMA) & MASK64], [min(_LANES, count - j)]) for j in range(0, count, _LANES))
+        return sum(pieces, array("Q"))
+    words = array("Q", _mixed(states, counts).to_bytes(16 * total, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]
 
 
 def _replay_rejected(states: Sequence[int], balls: Sequence[int], n: int, words: array, limit: int):
@@ -337,7 +397,8 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     Every round of all live games is one packed draw: each game's balls take
     the next words of its stream in order, ball j of a game with b balls the
     word mix(s + (j+1)·γ), and its cell is word % n, exactly as b calls of
-    ``SplitMix64.below`` would give unless a word is rejected.  A round
+    ``SplitMix64.below`` would give unless a word is rejected; with n <= 127
+    _lane_cells reads the cells off the mixed int.  A round
     with n <= 127 whose largest game holds top <= _PAIR_BALLS balls, and at
     most twice as many balls as the round has games, counts its captures
     pairwise on one int of its cell bytes: the top - 1 steps cost about as
@@ -359,12 +420,19 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
     rounds = 0
     while live:
         rounds += 1
-        words = _draw(states, balls)
-        if spare and marker in words.tobytes() and max(words) >= limit:
-            cells, states = _replay_rejected(states, balls, n, words, limit)
-        else:
-            cells = map(mod, words, repeat(n))
-            states = list(map(and_, map(add, states, map(mul, balls, repeat(_GAMMA))), repeat(MASK64)))
+        total = sum(balls)
+        cells = _lane_cells(_mixed(states, balls, rounds == 1), total, n) if n < 128 and total <= _LANES else None
+        moved = None
+        if cells is None:
+            # Rounds that hold a rejected word (drawn again here), and rounds
+            # of n >= 128 or longer than one draw, take their cells from the
+            # words.
+            words = _draw(states, balls)
+            if spare and marker in words.tobytes() and max(words) >= limit:
+                cells, moved = _replay_rejected(states, balls, n, words, limit)
+            else:
+                cells = map(mod, words, repeat(n))
+        states = moved or list(map(and_, map(add, states, map(mul, balls, repeat(_GAMMA))), repeat(MASK64)))
         top = max(balls)
         pairs = n < 128 and top <= min(_PAIR_BALLS, 2 * len(balls))
         if pairs or record:
@@ -508,7 +576,13 @@ def gof_compare(batch: SimBatch, law: DurationLaw) -> GofReport:
     right into bins of expected count >= 5, with the final bin absorbing the
     tail; both it and the TV distance are exact rationals.  Every mass is an
     integer m_k = p_k·D over D, the lcm of the law's denominators, so only
-    the TV and each bin's expected count and chi-square term are Fractions.
+    the TV, each bin's expected count e_b = m_b·T/D and the chi-square are
+    Fractions.  Since the e_b sum to the trials T, the chi-square sum of
+    (o_b - e_b)^2/e_b is (D/T)·sum o_b^2/m_b + T - 2·sum o_b, which is
+    (D/T)·sum o_b^2/m_b - T when the histogram holds every trial.  Its terms
+    are added as a balanced tree, so that each addition meets operands of
+    like size (Bernstein, "Fast multiplication and its applications", 2008,
+    section 12).
     """
     if (batch.balls, batch.cells) != (law.balls, law.cells):
         raise ValueError(
@@ -542,8 +616,12 @@ def gof_compare(batch: SimBatch, law: DurationLaw) -> GofReport:
     spans.append((lo, None, acc))
 
     bins = []
+    terms = []
     for lo, hi, mass in spans:
         observed = sum(c for k, c in hist.items() if lo <= k and (hi is None or k <= hi))
         bins.append(GofBin(lo, hi, observed, Fraction(mass * trials, den)))
-    chi = sum(((Fraction(b.observed) - b.expected) ** 2 / b.expected for b in bins), Fraction(0))
+        terms.append(Fraction(observed * observed, mass))
+    while len(terms) > 1:
+        terms = [*map(add, terms[::2], terms[1::2]), *terms[len(terms) & ~1:]]
+    chi = Fraction(den, trials) * terms[0] + trials - 2 * sum(b.observed for b in bins)
     return GofReport(tv, chi, len(bins) - 1, tuple(bins))
