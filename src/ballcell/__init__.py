@@ -9,47 +9,37 @@ harmonic-sum approximation of the mean with error tracking, the limiting
 moment profile of related down-or-stay chains, and a seeded Monte Carlo
 simulator with goodness-of-fit checks against the exact law.
 
-`import ballcell` loads the core chain only: errors, scalars, polys,
-ratfuncs, game and pgf.  The names of the leaf modules (approx, geometric,
-montecarlo) resolve on first access, which imports their module then, so a
-process pays to load only the parts it uses.
+`import ballcell` loads only errors, scalars and game.  Every other name
+resolves on first access, which imports its module then: the integer law
+(law), the polynomial stack (polys, ratfuncs, pgf) and the leaves (approx,
+geometric, montecarlo).  So a process pays to load only the parts it uses,
+and `approx` and `simulate` never compile the polynomial stack.
 """
 
 from .errors import BudgetExceededError, DivergentDurationError
 from .game import brute_force_row, transition_prob, transition_row
-from .pgf import (
-    diagonal_sequence,
-    duration_variance,
-    exact_distribution,
-    expected_duration,
-    moments,
-    moments_symbolic,
-    pgf_numeric,
-    pgf_symbolic,
-)
-from .polys import Poly, Poly2, poly2_gcd, poly_gcd
-from .ratfuncs import RatFunc, RatFunc2, polynomial_text, ratfunc_latex, ratfunc_text
 
-# Names of the leaf modules, which load on first access (PEP 562).
+# The modules that load on first access (PEP 562), and each name read from
+# them.
 _LAZY = {
-    "approx_report": "approx",
-    "error_limit": "approx",
-    "error_term": "approx",
-    "StepSequence": "geometric",
-    "alpha_closed_forms": "geometric",
-    "alpha_limits": "geometric",
-    "alpha_moments": "geometric",
-    "DurationLaw": "montecarlo",
-    "gof_compare": "montecarlo",
-    "simulate_batch": "montecarlo",
-    "simulate_game": "montecarlo",
+    name: module
+    for module, names in {
+        "law": ("diagonal_sequence", "duration_variance", "exact_distribution", "expected_duration", "gof_compare"),
+        "pgf": ("moments", "moments_symbolic", "pgf_numeric", "pgf_symbolic"),
+        "polys": ("Poly", "Poly2", "poly2_gcd", "poly_gcd"),
+        "ratfuncs": ("RatFunc", "RatFunc2", "polynomial_text", "ratfunc_latex", "ratfunc_text"),
+        "approx": ("approx_report", "error_limit", "error_term"),
+        "geometric": ("StepSequence", "alpha_closed_forms", "alpha_limits", "alpha_moments"),
+        "montecarlo": ("DurationLaw", "simulate_batch", "simulate_game"),
+    }.items()
+    for name in names
 }
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # `from .leaf import name`, spelled so that -X importtime lists it.
+    # `from .module import name`, spelled so that -X importtime lists it.
     value = globals()[name] = getattr(__import__(f"{__name__}.{_LAZY[name]}", fromlist=[name]), name)
     return value
 

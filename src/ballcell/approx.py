@@ -13,7 +13,7 @@ the limit estimator switching to high-precision decimals only once exact
 numerators pass a digit budget, at a working precision wide enough to absorb
 the cancellation.  The partial sums and the limit's exact phase are Horner
 passes over integer numerators with known denominators: lcm(1..r) (n-1)^(r-1)
-for the sums, the product Q_k of `pgf`'s nested mean recurrence for the limit.
+for the sums, the product Q_k of `law`'s nested mean recurrence for the limit.
 Each result is reduced once, not term by term, and the long exact quotients
 become Decimals through `scalars.decimal_quotient`.  A limit request whose
 Decimal phase is estimated past the budget is refused before it runs.
@@ -29,7 +29,7 @@ from typing import NamedTuple
 # transition_row is no longer called here, but perfbench/tracer.py wraps
 # approx.transition_row by name, so the attribute stays.
 from .game import _check_state, _row_numerators, transition_row  # noqa: F401
-from .pgf import duration_variance, expected_duration
+from .law import duration_variance, expected_duration
 from .scalars import DEFAULT_LIMIT_ROUNDS, _check_budget, check_precision, decimal_quotient, to_decimal
 
 DEFAULT_DIGIT_BUDGET = 10**4
@@ -231,7 +231,7 @@ def error_limit(
     a_half = approx_mean(n, half)
     a_full = approx_mean(n, rmax)
 
-    # Rolling windows of the last n steps of pgf's nested integer mean
+    # Rolling windows of the last n steps of law's nested integer mean
     # recurrence (M(k) = P_k/Q_k over D_k = n^k - a_0(k)); rows put no mass on
     # t > n.  A correctly rounded quotient does not depend on how the value is
     # held, so the unreduced P_k/Q_k converts as the reduced one would.

@@ -7,11 +7,12 @@ place the wire format is written: exact values as "p/q" strings, never as
 floats, so any JSON parser round-trips them losslessly, and rational
 functions as term lists plus their text.
 
-Importing this module loads only the core chain (errors, scalars, polys,
-ratfuncs, game, pgf), since every command pays for the import first.  The
-leaf modules load with the first command that needs them: approx with
-`approx`, geometric with `geo`, montecarlo with `simulate`, and the suites
-of `ballcell.verify` with `verify`.
+Importing this module loads only errors, scalars and game, since every
+command pays for the import first.  The other modules load with the first
+command that needs them: pgf, polys and ratfuncs with `pgf`, `moments` and
+`geo`; law with `approx` and `simulate`, which never load the polynomial
+stack; approx with `approx`, geometric with `geo`, montecarlo with
+`simulate`, and the suites of `ballcell.verify` with `verify`.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 configuration
 that never terminates, 4 compute budget exceeded.
@@ -30,9 +31,6 @@ from itertools import chain
 from . import __version__
 from .errors import BudgetExceededError, DivergentDurationError
 from .game import _check_terminating
-from .pgf import moments, moments_symbolic, pgf_numeric, pgf_symbolic, symbolic_den_factors
-from .polys import Poly2
-from .ratfuncs import RatFunc, RatFunc2, poly2_to_json, ratfunc_latex, ratfunc_text, ratfunc_to_json
 from .scalars import DEFAULT_LIMIT_ROUNDS, parse_rational
 
 # The leaf modules and the names read from each.  A leaf loads when a handler
@@ -42,6 +40,9 @@ from .scalars import DEFAULT_LIMIT_ROUNDS, parse_rational
 # kept.  perfbench/tracer.py wraps simulate_batch and simulate_game_verbose by
 # name, though no handler calls them.
 _LEAVES = {
+    "pgf": ("moments", "moments_symbolic", "pgf_numeric", "pgf_symbolic", "symbolic_den_factors"),
+    "polys": ("Poly2",),
+    "ratfuncs": ("RatFunc", "RatFunc2", "poly2_to_json", "ratfunc_latex", "ratfunc_text", "ratfunc_to_json"),
     "approx": ("approx_report", "error_limit", "error_term"),
     "geometric": (
         "StepSequence", "alpha_closed_forms", "alpha_limits", "alpha_moments", "chain_mean", "chain_variance",
@@ -53,11 +54,13 @@ _LEAVES = {
 _SUITES = ("limits", "oracle", "paper", "stats")
 
 
-def _load(leaf: str) -> None:
-    # `from .leaf import names`, spelled so that -X importtime lists it.
-    module = __import__(f"{__package__}.{leaf}", fromlist=_LEAVES[leaf])
-    for name in _LEAVES[leaf]:
-        globals().setdefault(name, getattr(module, name))
+def _load(*leaves: str) -> None:
+    for leaf in leaves:
+        path = f"{__package__}.{leaf}"
+        # `from .leaf import names`, spelled so that -X importtime lists it.
+        module = sys.modules.get(path) or __import__(path, fromlist=_LEAVES[leaf])
+        for name in _LEAVES[leaf]:
+            globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
@@ -83,19 +86,28 @@ def _wire(value):
     """The wire form of a library value, and the one place it is written:
     rational functions as term lists plus their text, Poly2 as term lists,
     Fraction and Decimal as strings, records as their fields, dict keys
-    as strings (before json sorts them), other tuples as lists."""
-    if isinstance(value, (RatFunc, RatFunc2)):
+    as strings (before json sorts them), other tuples as lists.  No
+    polynomial value can exist before ratfuncs loads, so only then are
+    they looked for."""
+    if f"{__package__}.ratfuncs" not in sys.modules:
+        return _wired(value, (), ())
+    _load("polys", "ratfuncs")
+    return _wired(value, (RatFunc, RatFunc2), Poly2)
+
+
+def _wired(value, ratfuncs, poly2):
+    if isinstance(value, ratfuncs):
         return {**ratfunc_to_json(value), "text": ratfunc_text(value)}
-    if isinstance(value, Poly2):
+    if isinstance(value, poly2):
         return poly2_to_json(value)
     if isinstance(value, (Fraction, Decimal)):
         return str(value)
     if hasattr(value, "_fields"):
         value = value._asdict()
     if isinstance(value, dict):
-        return {str(k): _wire(v) for k, v in value.items()}
+        return {str(k): _wired(v, ratfuncs, poly2) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_wire(v) for v in value]
+        return [_wired(v, ratfuncs, poly2) for v in value]
     return value
 
 
@@ -105,6 +117,7 @@ def _wire(value):
 
 
 def _cmd_pgf(args) -> dict:
+    _load("pgf")
     if args.symbolic_n:
         p = pgf_symbolic(args.balls)
         result = {"den_factors": symbolic_den_factors(args.balls)}
@@ -119,6 +132,7 @@ def _cmd_pgf(args) -> dict:
 
 
 def _render_pgf(args, result) -> list[str]:
+    _load("ratfuncs")
     f = result["pgf"]
     if args.format == "latex":
         factors = result.get("den_factors", ())
@@ -130,6 +144,7 @@ def _render_pgf(args, result) -> list[str]:
 
 
 def _cmd_moments(args) -> dict:
+    _load("pgf")
     if args.symbolic_n:
         rep = moments_symbolic(args.balls, args.order)
     else:

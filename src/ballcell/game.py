@@ -20,7 +20,9 @@ cells with no lone ball.  One table of these, grown by the recurrence in
 `_no_capture`, serves every row.  The module provides the law exactly for
 numeric n, symbolically with n left as a variable (by the inclusion-exclusion
 sum), and through an independent brute-force enumeration used as the oracle
-in tests.  Every function here is a pure function of its arguments.
+in tests.  Every function here is a pure function of its arguments.  Only
+the symbolic rows need polynomials, so they import `polys` and `ratfuncs`
+themselves, and the integer rows load with no polynomial code.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DivergentDurationError
-from .polys import Poly, Poly2
-from .ratfuncs import RatFunc2
 from .scalars import _check_budget
+
+if TYPE_CHECKING:
+    from .polys import Poly
+    from .ratfuncs import RatFunc2
 
 
 class TransitionRow(NamedTuple):
@@ -157,6 +161,8 @@ def _symbolic_row_numerators(r: int) -> tuple[Poly, ...]:
     the row is their inverse binomial transform: the inclusion-exclusion sum
     of the module docstring.
     """
+    from .polys import Poly
+
     terms = []
     falling = Poly._adopt({0: 1})
     for j in range(r + 1):
@@ -177,6 +183,9 @@ def transition_prob_symbolic(r: int, t: int) -> RatFunc2:
     reproduces transition_prob(n, r, t): for n < j the falling factorial
     vanishes, which is exactly the C(n,j) = 0 cutoff of the numeric path.
     """
+    from .polys import Poly2
+    from .ratfuncs import RatFunc2
+
     _check_captured(r, t)
     num = _symbolic_row_numerators(r)[t]
     # n^r has no factor but n, so dividing out the lowest power of n in num

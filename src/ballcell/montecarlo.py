@@ -46,6 +46,11 @@ round counts its captures with a Counter over keys game·n + cell instead.
 A batch whose words drawn are estimated past the budget is refused before
 it plays: see _log_words.
 
+`DurationLaw` pins the exact law of `law.exact_distribution` to its state.
+The fit of a batch against it, `gof_compare` with its `GofBin` and
+`GofReport`, lives in `law`, which needs no polynomial, and is re-exported
+here.
+
 The standard library is used and not numpy: importing numpy after ballcell
 raises the interpreter's peak RSS from 16.6 to 28.1 MB (numpy 2.4, Python
 3.11), while a whole process playing simulate requests peaks near 23 MB.
@@ -61,12 +66,12 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
-from math import exp, expm1, fsum, lcm, log
+from math import exp, expm1, fsum, log
 from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
 from typing import NamedTuple
 
 from .game import _check_terminating
-from .pgf import MIN_COVERAGE, exact_distribution
+from .law import MIN_COVERAGE, GofBin, GofReport, exact_distribution, gof_compare  # noqa: F401
 from .scalars import _check_budget, to_decimal
 
 MASK64 = (1 << 64) - 1
@@ -548,80 +553,3 @@ class DurationLaw(NamedTuple):
 
     def coverage(self) -> Fraction:
         return sum(self.probs, Fraction(0))
-
-
-class GofBin(NamedTuple):
-    """Chi-square cell: durations lo..hi, hi None for the open tail bin."""
-
-    lo: int
-    hi: int | None
-    observed: int
-    expected: Fraction
-
-
-class GofReport(NamedTuple):
-    tv_distance: Fraction
-    chi_square: Fraction
-    dof: int
-    bins: tuple[GofBin, ...]
-
-
-def gof_compare(batch: SimBatch, law: DurationLaw) -> GofReport:
-    """Goodness of fit of a simulated batch against the exact law.
-
-    The total-variation distance is taken on the outcome partition
-    {0, 1, ..., kmax, tail}, where kmax is the truncation point of `law`;
-    with the required coverage the difference from the untruncated TV is
-    below 1e-9.  The chi-square statistic pools consecutive durations left to
-    right into bins of expected count >= 5, with the final bin absorbing the
-    tail; both it and the TV distance are exact rationals.  Every mass is an
-    integer m_k = p_k·D over D, the lcm of the law's denominators, so only
-    the TV, each bin's expected count e_b = m_b·T/D and the chi-square are
-    Fractions.  Since the e_b sum to the trials T, the chi-square sum of
-    (o_b - e_b)^2/e_b is (D/T)·sum o_b^2/m_b + T - 2·sum o_b, which is
-    (D/T)·sum o_b^2/m_b - T when the histogram holds every trial.  Its terms
-    are added as a balanced tree, so that each addition meets operands of
-    like size (Bernstein, "Fast multiplication and its applications", 2008,
-    section 12).
-    """
-    if (batch.balls, batch.cells) != (law.balls, law.cells):
-        raise ValueError(
-            f"batch ran ({batch.balls} balls, {batch.cells} cells) "
-            f"but the law is for ({law.balls} balls, {law.cells} cells)"
-        )
-    den = lcm(*(p.denominator for p in law.probs))
-    masses = [p.numerator * (den // p.denominator) for p in law.probs]
-    covered = sum(masses)
-    if covered * MIN_COVERAGE.denominator < MIN_COVERAGE.numerator * den:
-        raise ValueError(
-            f"law covers {float(Fraction(covered, den)):.12f} of the mass, below the required {float(MIN_COVERAGE):.9f}"
-        )
-    trials = batch.trials
-    hist = batch.histogram
-    tail = sum(c for k, c in hist.items() if k >= len(masses))
-    tv = sum(abs(hist.get(k, 0) * den - m * trials) for k, m in enumerate(masses))
-    tv = Fraction(tv + abs(tail * den - (den - covered) * trials), 2 * den * trials)
-
-    spans: list[tuple[int, int | None, int]] = []
-    lo = acc = 0
-    for k, m in enumerate(masses):
-        acc += m
-        if acc * trials >= 5 * den:
-            spans.append((lo, k, acc))
-            lo, acc = k + 1, 0
-    acc += den - covered
-    if spans and acc * trials < 5 * den:
-        lo, _, last = spans.pop()
-        acc += last
-    spans.append((lo, None, acc))
-
-    bins = []
-    terms = []
-    for lo, hi, mass in spans:
-        observed = sum(c for k, c in hist.items() if lo <= k and (hi is None or k <= hi))
-        bins.append(GofBin(lo, hi, observed, Fraction(mass * trials, den)))
-        terms.append(Fraction(observed * observed, mass))
-    while len(terms) > 1:
-        terms = [*map(add, terms[::2], terms[1::2]), *terms[len(terms) & ~1:]]
-    chi = Fraction(den, trials) * terms[0] + trials - 2 * sum(b.observed for b in bins)
-    return GofReport(tv, chi, len(bins) - 1, tuple(bins))

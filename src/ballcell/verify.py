@@ -13,14 +13,8 @@ import sys
 from fractions import Fraction
 
 from .game import brute_force_row, transition_row
-from .pgf import (
-    duration_distribution,
-    duration_variance,
-    expected_duration,
-    moments_symbolic,
-    pgf_numeric,
-    pgf_symbolic,
-)
+from .law import duration_distribution, duration_variance, expected_duration
+from .pgf import moments_symbolic, pgf_numeric, pgf_symbolic
 from .ratfuncs import ratfunc_text
 from .scalars import chi_square_quantile
 

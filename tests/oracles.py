@@ -8,10 +8,10 @@ through either of them.
 
 ``duration_law_over_q`` walks the ball-count chain with Fraction masses and
 the Fraction rows of ``transition_row``, and differences the absorbed mass
-itself, so it checks the integer CDF walk of ``pgf._duration_law``
+itself, so it checks the integer CDF walk of ``law._duration_law``
 (numerators over n^(r·k)) without sharing its scaling.
 
-``gof_over_q`` is ``montecarlo.gof_compare`` as it was when every mass,
+``gof_over_q`` is ``law.gof_compare`` as it was when every mass,
 the coverage and the TV distance were sums of Fractions, so it checks the
 fit taken on integer masses over one denominator.
 

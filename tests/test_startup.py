@@ -2,17 +2,21 @@
 
 Every command pays `import ballcell.cli` first, and with bytecode writing
 off every import compiles its module.  So `import ballcell` and
-`import ballcell.cli` load only the core chain (errors, scalars, polys,
-ratfuncs, game, pgf).  The leaf modules, approx, geometric, montecarlo,
-verify and the golden values of reference, load when a command or an
-attribute access first needs them.  The records are NamedTuples, not
-dataclasses, which import `inspect` and generate their methods by `exec`.
+`import ballcell.cli` load only errors, scalars and game.  The rest loads
+when a command or an attribute access first needs it: the integer law of
+`law` with `approx` and `simulate`, the polynomial stack (pgf, polys,
+ratfuncs) with `pgf`, `moments` and `geo`, and the leaf modules approx,
+geometric, montecarlo, verify and the golden values of reference with
+their commands.  `approx` and `simulate` never load the polynomial stack.
+The records are NamedTuples, not dataclasses, which import `inspect` and
+generate their methods by `exec`.
 
 pytest itself imports much of this, so each import is checked in a fresh
 interpreter.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,9 +39,10 @@ RECORDS = [
     RoundTrace, SimBatch, DurationLaw, GofBin, GofReport,
 ]
 
-CORE = ["ballcell", "ballcell.errors", "ballcell.game", "ballcell.pgf", "ballcell.polys", "ballcell.ratfuncs",
-        "ballcell.scalars"]
-LEAVES = ["ballcell.approx", "ballcell.geometric", "ballcell.montecarlo", "ballcell.reference", "ballcell.verify"]
+CORE = ["ballcell", "ballcell.errors", "ballcell.game", "ballcell.scalars"]
+POLYNOMIAL = ["ballcell.pgf", "ballcell.polys", "ballcell.ratfuncs"]
+LEAVES = ["ballcell.approx", "ballcell.geometric", "ballcell.law", "ballcell.montecarlo", "ballcell.pgf",
+          "ballcell.polys", "ballcell.ratfuncs", "ballcell.reference", "ballcell.verify"]
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -60,20 +65,72 @@ def test_imports_load_only_the_core_chain(statement):
 
 
 @pytest.mark.parametrize("command,leaves", [
-    ("pgf --cells 3 --balls 3 --expand 4", []),
-    ("pgf --symbolic-n --balls 3 --format latex", []),
-    ("moments --cells 3 --balls 3 --order 3", []),
-    ("moments --symbolic-n --balls 3 --order 2", []),
-    ("approx --cells 3 --balls 10", ["ballcell.approx"]),
-    ("approx --cells 3 --limit --rmax 40", ["ballcell.approx"]),
-    ("geo --alpha 1/2 --r 3", ["ballcell.geometric"]),
-    ("simulate --balls 3 --cells 3 --trials 20 --seed 1 --gof", ["ballcell.montecarlo"]),
-    ("verify --suite oracle --budget small", ["ballcell.verify"]),
-    ("verify --suite paper --budget small", ["ballcell.reference", "ballcell.verify"]),
+    ("pgf --cells 3 --balls 3 --expand 4", POLYNOMIAL),
+    ("pgf --symbolic-n --balls 3 --format latex", POLYNOMIAL),
+    ("moments --cells 3 --balls 3 --order 3", POLYNOMIAL),
+    ("moments --symbolic-n --balls 3 --order 2", POLYNOMIAL),
+    ("approx --cells 3 --balls 10", ["ballcell.approx", "ballcell.law"]),
+    ("approx --cells 3 --limit --rmax 40", ["ballcell.approx", "ballcell.law"]),
+    ("geo --alpha 1/2 --r 3", ["ballcell.geometric", *POLYNOMIAL]),
+    ("simulate --balls 3 --cells 3 --trials 20 --seed 1 --gof", ["ballcell.law", "ballcell.montecarlo"]),
+    ("verify --suite oracle --budget small", ["ballcell.law", *POLYNOMIAL, "ballcell.verify"]),
+    ("verify --suite paper --budget small", ["ballcell.law", *POLYNOMIAL, "ballcell.reference", "ballcell.verify"]),
 ])
 def test_each_command_loads_only_its_own_leaves(command, leaves):
     loaded = _fresh(f"from ballcell import cli\nassert cli.run({command.split()!r}) == 0\n" + LOADED)
     assert [m for m in loaded if m in LEAVES] == leaves
+
+
+@pytest.mark.parametrize("code", [
+    "import ballcell.law",
+    "from ballcell import cli\nassert cli.run(['approx', '--cells', '3', '--balls', '10']) == 0",
+    "from ballcell import cli\n"
+    "assert cli.run(['simulate', '--balls', '3', '--cells', '3', '--trials', '20', '--seed', '1', '--gof']) == 0",
+])
+def test_the_integer_law_loads_no_polynomial_stack(code):
+    loaded = _fresh(code + "\n" + LOADED)
+    assert "ballcell.law" in loaded
+    assert not {"ballcell.pgf", "ballcell.polys", "ballcell.ratfuncs"} & set(loaded)
+
+
+def test_pgf_serves_the_names_of_the_integer_law_on_first_read():
+    code = (
+        "from ballcell import pgf\n"
+        "before = 'ballcell.law' in sys.modules\n"
+        "from ballcell import law\n"
+        "same = [name for name in pgf._FROM_LAW if getattr(pgf, name) is getattr(law, name)]\n"
+        "print(json.dumps([before, same == list(pgf._FROM_LAW), hasattr(pgf, 'no_such_name')]))\n"
+    )
+    assert _fresh(code) == [False, True, False]
+
+
+# The envelope's timing_ms line, the one part of stdout that varies.
+_TIMING = re.compile(r'^  "timing_ms": [-+0-9.eE]+,\n', re.MULTILINE)
+
+
+def test_wire_binds_the_polynomial_names_whenever_they_load():
+    # cli._wire looks for rational functions only once ratfuncs has loaded,
+    # and binds their names then.  Loading ratfuncs and building a symbolic
+    # table outside cli first, before any request, must wire as a cold start.
+    requests = [
+        ["pgf", "--symbolic-n", "--balls", "3"],
+        ["pgf", "--cells", "3", "--balls", "3", "--expand", "4"],
+        ["moments", "--symbolic-n", "--balls", "3", "--order", "2"],
+    ]
+    play = (
+        "import contextlib, io\n"
+        "from ballcell import cli\n"
+        "outs = []\n"
+        f"for argv in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert cli.run(argv) == 0\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps(outs))\n"
+    )
+    early = _fresh("import ballcell.ratfuncs\nfrom ballcell.pgf import pgf_symbolic\npgf_symbolic(3)\n" + play)
+    cold = _fresh(play)
+    assert [_TIMING.sub("", out) for out in early] == [_TIMING.sub("", out) for out in cold]
+    assert all('"pgf": {' in out or '"mean": {' in out for out in cold)
 
 
 def test_verify_suite_names_match_the_suites():
