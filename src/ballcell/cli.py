@@ -12,7 +12,8 @@ command pays for the import first.  The other modules load with the first
 command that needs them: pgf, polys and ratfuncs with `pgf`, `moments` and
 `geo`; law with `approx` and `simulate`, which never load the polynomial
 stack; approx with `approx`, geometric with `geo`, montecarlo with
-`simulate`, and the suites of `ballcell.verify` with `verify`.
+`simulate`, and the suites of `ballcell.verify` with `verify`.  The
+package's one helper, `_lazy`, serves the names that load on first use.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 configuration
 that never terminates, 4 compute budget exceeded.
@@ -26,19 +27,18 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 
-from . import __version__
+from . import __version__, _lazy
 from .errors import BudgetExceededError, DivergentDurationError
 from .game import _check_terminating
 from .scalars import DEFAULT_LIMIT_ROUNDS, parse_rational
 
-# The leaf modules and the names read from each.  A leaf loads when a handler
-# that needs it runs, or when one of its names is read from this module (PEP
-# 562).  Either way its names are bound in these globals, which the handlers
-# call through, and a name bound already, such as a tracer's wrapper, is
-# kept.  perfbench/tracer.py wraps simulate_batch and simulate_game_verbose by
-# name, though no handler calls them.
+# The leaf modules and the names read from each, served by `_lazy`.  A leaf
+# loads when a handler that needs it runs, or when one of its names is read
+# from this module.  Either way its names are bound in these globals, which
+# the handlers call through, and a name bound already, such as a tracer's
+# wrapper, is kept.  perfbench/tracer.py wraps simulate_batch and
+# simulate_game_verbose by name, though no handler calls them.
 _LEAVES = {
     "pgf": ("moments", "moments_symbolic", "pgf_numeric", "pgf_symbolic", "symbolic_den_factors"),
     "polys": ("Poly2",),
@@ -50,30 +50,10 @@ _LEAVES = {
     "montecarlo": ("DurationLaw", "_simulate_batch", "gof_compare", "simulate_batch", "simulate_game_verbose"),
 }
 
+_load, __getattr__, __dir__ = _lazy(globals(), _LEAVES)
+
 # The names of the suites in ballcell.verify, which loads when one runs.
 _SUITES = ("limits", "oracle", "paper", "stats")
-
-
-def _load(*leaves: str) -> None:
-    for leaf in leaves:
-        path = f"{__package__}.{leaf}"
-        # `from .leaf import names`, spelled so that -X importtime lists it.
-        module = sys.modules.get(path) or __import__(path, fromlist=_LEAVES[leaf])
-        for name in _LEAVES[leaf]:
-            globals().setdefault(name, getattr(module, name))
-
-
-def __getattr__(name: str):
-    for leaf, names in _LEAVES.items():
-        if name in names:
-            _load(leaf)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *chain(*_LEAVES.values())})
-
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -157,11 +137,13 @@ def _cmd_approx(args):
     if args.limit:
         if args.balls is not None:
             raise ValueError("--limit takes no --balls")
-        return error_limit(args.cells, args.rmax, args.digits)
+        return error_limit(args.cells, int(args.rmax), args.digits)
     if args.balls is None:
         raise ValueError("either --balls or --limit is required")
     if args.digits is not None:
         raise ValueError("--digits applies only to --limit")
+    if not isinstance(args.rmax, _Default):
+        raise ValueError("--rmax applies only to --limit")
     return approx_report(args.cells, args.balls)
 
 
@@ -245,64 +227,8 @@ def _cmd_verify(args) -> dict:
 # Parser and entry point.
 
 
-def _add_pgf(sub) -> None:
-    p = sub.add_parser("pgf", help="duration generating function for one state")
-    p.add_argument("--balls", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cells", type=int)
-    group.add_argument("--symbolic-n", action="store_true", help="leave the cell count as n")
-    p.add_argument("--expand", type=int, metavar="K", help="also emit P(0)..P(K)")
-    p.add_argument("--format", choices=("json", "text", "latex"), default="json")
-    p.set_defaults(handler=_cmd_pgf)
-
-
-def _add_moments(sub) -> None:
-    p = sub.add_parser("moments", help="exact raw, central, and scaled moments")
-    p.add_argument("--balls", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cells", type=int)
-    group.add_argument("--symbolic-n", action="store_true")
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(handler=_cmd_moments)
-
-
-def _add_approx(sub) -> None:
-    p = sub.add_parser("approx", help="harmonic-sum approximation and its error")
-    p.add_argument("--cells", type=int, required=True)
-    p.add_argument("--balls", type=int)
-    p.add_argument("--limit", action="store_true", help="estimate the large-r error limit")
-    p.add_argument("--rmax", type=int, default=DEFAULT_LIMIT_ROUNDS)
-    p.add_argument("--digits", type=int)
-    p.set_defaults(handler=_cmd_approx)
-
-
-def _add_geo(sub) -> None:
-    p = sub.add_parser("geo", help="down-or-stay chain: closed forms and limits")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", type=parse_rational, metavar="P/Q")
-    group.add_argument("--table", metavar="FILE", help="step probabilities, one p/q per line")
-    p.add_argument("--r", type=int, help="start state")
-    p.add_argument("--limits", action="store_true", help="limiting scaled moments")
-    p.add_argument("--order", type=int, help="also run the moment extractor to this order")
-    p.set_defaults(handler=_cmd_geo)
-
-
-def _add_simulate(sub) -> None:
-    p = sub.add_parser("simulate", help="seeded batches of the real game")
-    p.add_argument("--balls", type=int, required=True)
-    p.add_argument("--cells", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--verbose", action="store_true", help="record every round of every game")
-    p.add_argument("--gof", action="store_true", help="compare against the exact law")
-    p.set_defaults(handler=_cmd_simulate)
-
-
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="run a built-in verification suite")
-    p.add_argument("--suite", choices=_SUITES, required=True)
-    p.add_argument("--budget", choices=("small", "full"), default="full")
-    p.set_defaults(handler=_cmd_verify)
+class _Default(int):
+    """An option's default, told apart from the same value given."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -312,12 +238,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_pgf(sub)
-    _add_moments(sub)
-    _add_approx(sub)
-    _add_geo(sub)
-    _add_simulate(sub)
-    _add_verify(sub)
+
+    p = sub.add_parser("pgf", help="duration generating function for one state")
+    p.add_argument("--balls", type=int, required=True)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--cells", type=int)
+    group.add_argument("--symbolic-n", action="store_true", help="leave the cell count as n")
+    p.add_argument("--expand", type=int, metavar="K", help="also emit P(0)..P(K)")
+    p.add_argument("--format", choices=("json", "text", "latex"), default="json")
+    p.set_defaults(handler=_cmd_pgf)
+
+    p = sub.add_parser("moments", help="exact raw, central, and scaled moments")
+    p.add_argument("--balls", type=int, required=True)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--cells", type=int)
+    group.add_argument("--symbolic-n", action="store_true")
+    p.add_argument("--order", type=int, required=True)
+    p.set_defaults(handler=_cmd_moments)
+
+    p = sub.add_parser("approx", help="harmonic-sum approximation and its error")
+    p.add_argument("--cells", type=int, required=True)
+    p.add_argument("--balls", type=int)
+    p.add_argument("--limit", action="store_true", help="estimate the large-r error limit")
+    p.add_argument("--rmax", type=int, default=_Default(DEFAULT_LIMIT_ROUNDS))
+    p.add_argument("--digits", type=int)
+    p.set_defaults(handler=_cmd_approx)
+
+    p = sub.add_parser("geo", help="down-or-stay chain: closed forms and limits")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--alpha", type=parse_rational, metavar="P/Q")
+    group.add_argument("--table", metavar="FILE", help="step probabilities, one p/q per line")
+    p.add_argument("--r", type=int, help="start state")
+    p.add_argument("--limits", action="store_true", help="limiting scaled moments")
+    p.add_argument("--order", type=int, help="also run the moment extractor to this order")
+    p.set_defaults(handler=_cmd_geo)
+
+    p = sub.add_parser("simulate", help="seeded batches of the real game")
+    p.add_argument("--balls", type=int, required=True)
+    p.add_argument("--cells", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--verbose", action="store_true", help="record every round of every game")
+    p.add_argument("--gof", action="store_true", help="compare against the exact law")
+    p.set_defaults(handler=_cmd_simulate)
+
+    p = sub.add_parser("verify", help="run a built-in verification suite")
+    p.add_argument("--suite", choices=_SUITES, required=True)
+    p.add_argument("--budget", choices=("small", "full"), default="full")
+    p.set_defaults(handler=_cmd_verify)
+
     return parser
 
 

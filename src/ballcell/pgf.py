@@ -11,7 +11,7 @@ symbolic).  This module builds those functions bottom-up and extracts
 moments from them.  The integer layer, which needs no rational function,
 lives in `law`: the exact distribution by walking the chain, and the fast
 mean/variance recurrences.  Its names still resolve here, loading `law`
-when first read.
+when first read through `_lazy`, the package's helper for such names.
 
 One table, keyed by cell count (None for symbolic n), holds every level,
 and one loop grows it for numeric and symbolic n alike; a small row adapter
@@ -47,10 +47,11 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import comb, gcd, prod
+from math import comb, gcd, log, prod
 from operator import mul
 from typing import NamedTuple
 
+from . import _lazy
 # transition_row and poly2_div_exact are no longer called here, but
 # perfbench/tracer.py wraps pgf.transition_row and pgf.poly2_div_exact by
 # name, so the attributes stay.
@@ -68,22 +69,26 @@ from .scalars import _check_budget, decimal_sqrt
 
 DEFAULT_SYMBOLIC_CEILING = 40
 
+# moments_symbolic refuses an estimate past enum_budget() *
+# SYMBOLIC_MOMENTS_SCALE work units: 6·10^6 at the default budget, about 12 s
+# on a 2-vCPU Xeon VM.  Its numerators have degree up to D = order·r(r - 1)
+# in n; building and reducing them takes about D^4 / 80000 units, and from
+# order 3 on the scaled moments' gcds about order^3·5^r / 25.  Fitted to cold
+# builds of orders 1-4 at r <= 9 and orders 1-2 at r = 12-30, it is within a
+# factor of 2 from r = 7 (orders 3-4) and r = 15 (orders 1-2): (9, order 4)
+# estimates 5.1·10^6 (10-12 s), while (10, order 3) at 1.1·10^7 (15 s),
+# (25, order 2) at 2.6·10^7 (51 s) and (14, order 4) at 1.6·10^10 are refused.
+SYMBOLIC_MOMENTS_SCALE = Fraction(3, 5)
+
 # The names of the integer layer, which moved to law.  They still resolve
-# here, and law loads when one of them is first read (PEP 562), so the PGF
-# commands never compile it.
+# here through `_lazy`, and law loads when one of them is first read, so the
+# PGF commands never compile it.
 _FROM_LAW = (
     "LAW_DIGITS_DIVISOR", "LAW_MIN_TERMS", "MEAN_WORK_SCALE", "MIN_COVERAGE", "_MEAN_TABLES", "_check_mean_budget",
     "_duration_law", "_law_probs", "_mean_tables", "diagonal_sequence", "duration_distribution", "duration_variance",
     "exact_distribution", "expected_duration",
 )
-
-
-def __getattr__(name: str):
-    if name not in _FROM_LAW:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # `from .law import name`, spelled so that -X importtime lists it.
-    value = globals()[name] = getattr(__import__(f"{__package__}.law", fromlist=[name]), name)
-    return value
+__getattr__, __dir__ = _lazy(globals(), {"law": _FROM_LAW})[1:]
 
 
 class DurationPGF(NamedTuple):
@@ -394,10 +399,15 @@ def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILI
     """Moments as reduced rational functions of the cell count: the numeric
     chain over Polys in n with int coefficients, each moment reduced once by
     ``RatFunc2._x_free`` against the denominator factors at x = 1 (times d1's
-    constant, a Fraction).
+    constant, a Fraction).  Refused past SYMBOLIC_MOMENTS_SCALE's estimate.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    _check_symbolic(r, max_balls)
+    # SYMBOLIC_MOMENTS_SCALE's estimate, in log form so that it stays finite for any max_balls.
+    work = (order * r * (r - 1)) ** 4 // 80000 + (order**3 * 5**r // 25 if order >= 3 else 0)
+    _check_budget(f"the symbolic moments of {r} balls to order {order} take", log(max(work, 1)), "work units",
+                  SYMBOLIC_MOMENTS_SCALE, is_log=True)
     d1, raw_nums, central_nums = _moment_numerators(pgf_symbolic(r, max_balls).func, order)
     at_one = Counter(f.subs_x(1) for f in symbolic_den_factors(r, max_balls))
     at_one[Poly.const(Fraction(d1.leading_coeff(), prod(f.leading_coeff() ** m for f, m in at_one.items())))] += 1

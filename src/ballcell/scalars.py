@@ -169,12 +169,18 @@ def _chi_square_sf(x: float, dof: int) -> float:
     Abramowitz & Stegun 26.4.4 (even dof) and 26.4.5 (odd dof) in h = x/2:
     e^-h times the sum of h^k / Gamma(k + 1) for k = dof/2 - 1, dof/2 - 2, ...
     down to 0 or 1/2, plus erfc(sqrt(h)) for odd dof.  Each term is taken in
-    log space, because e^-h alone underflows at large dof.
+    log space, because e^-h alone underflows at large dof.  The terms are
+    Poisson probabilities of mean h (A&S 26.4.21), log-concave with curvature
+    below -1/(k + 1), so those d >= 40 + sqrt(1600 + 80 (h + 1)) steps from the
+    largest (within a step of k = h, or at an end) are under e^-40 of it and
+    are left out.
     """
-    h, half = x / 2, dof % 2 / 2
+    h, half, count = x / 2, dof % 2 / 2, dof // 2
     log_h = log(h)
+    top, width = min(max(round(h - half), 0), count - 1), 41 + sqrt(1600 + 80 * (h + 1))
+    window = range(max(0, int(top - width)), min(count, int(top + width) + 1))
     head = erfc(sqrt(h)) if half else 0.0
-    return head + fsum([exp((j + half) * log_h - h - lgamma(j + half + 1)) for j in range(dof // 2)])
+    return head + fsum([exp((j + half) * log_h - h - lgamma(j + half + 1)) for j in window])
 
 
 def chi_square_quantile(p: float, dof: int) -> float:

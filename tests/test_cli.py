@@ -198,6 +198,11 @@ def test_approx_flag_usage_errors(capsys):
     code, out, err = run_cli(capsys, "approx", "--cells", "3", "--balls", "10", "--limit")
     assert code == 2 and out == ""
     assert "--limit takes no --balls" in err
+    # An explicit --rmax is refused even at its default value.
+    for rmax in ("5", "400"):
+        code, out, err = run_cli(capsys, "approx", "--cells", "3", "--balls", "10", "--rmax", rmax)
+        assert code == 2 and out == ""
+        assert "--rmax applies only to --limit" in err
 
 
 def test_simulate_trivial_histogram(capsys):
@@ -340,6 +345,17 @@ REFUSALS = [
     pytest.param(
         ["moments", "--symbolic-n", "--balls", "41", "--order", "2"], {},
         ["stop at r <= 40", "library argument max_balls"], id="moments-symbolic-ceiling",
+    ),
+    # Order 4 costs about 5x more per ball from r = 7: the estimate refuses
+    # (14, order 4), and (40, order 4) before the symbolic table is built.
+    pytest.param(
+        ["moments", "--symbolic-n", "--balls", "14", "--order", "4"], {},
+        ["symbolic moments of 14 balls to order 4", "about 1.56e+10 work units", "BALLCELL_BUDGET * 0.6"],
+        id="moments-symbolic-estimate",
+    ),
+    pytest.param(
+        ["moments", "--symbolic-n", "--balls", "40", "--order", "4"], {},
+        ["about 2.33e+28 work units", "BALLCELL_BUDGET"], id="moments-symbolic-estimate-at-the-ceiling",
     ),
     pytest.param(
         ["simulate", "--balls", "2", "--cells", str(10**8), "--trials", "1", "--seed", "0"], {},

@@ -91,7 +91,7 @@ def test_ratfunc_arithmetic_never_gives_floats(a, b, c, d, s, k):
     _check(results)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(POLYS2, POLYS2, POLYS2, POLYS2, SCALARS, POWERS)
 def test_ratfunc2_arithmetic_never_gives_floats(a, b, c, d, s, k):
     assume(b and d)
