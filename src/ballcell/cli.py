@@ -114,13 +114,15 @@ def _cmd_pgf(args) -> dict:
 def _render_pgf(args, result) -> list[str]:
     _load("ratfuncs")
     f = result["pgf"]
+    values = result.get("distribution", ())
     if args.format == "latex":
         factors = result.get("den_factors", ())
-        return [ratfunc_latex(f, factors if len(factors) > 1 else None)]
-    return [ratfunc_text(f)] + [
-        f"P({k}) = {str(c) if isinstance(c, Fraction) else ratfunc_text(c)}"
-        for k, c in enumerate(result.get("distribution", ()))
-    ]
+        head = ratfunc_latex(f, factors if len(factors) > 1 else None)
+        values = [ratfunc_latex(RatFunc.from_fraction(c) if isinstance(c, Fraction) else c) for c in values]
+    else:
+        head = ratfunc_text(f)
+        values = [str(c) if isinstance(c, Fraction) else ratfunc_text(c) for c in values]
+    return [head] + [f"P({k}) = {v}" for k, v in enumerate(values)]
 
 
 def _cmd_moments(args) -> dict:

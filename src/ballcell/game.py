@@ -9,20 +9,20 @@ sole occupants:
                     (n-j)^(r-j) / n^r
 
 with the convention 0^0 = 1 so the j = r term survives when all balls land
-alone.  For numeric n the numerators come from counting instead: choose the
-t lone balls and their cells, and place the other r - t balls in the other
-n - t cells so that none is alone,
+alone.  The numerators come from counting instead: choose the t lone balls
+and their cells, and place the other r - t balls in the other n - t cells so
+that none is alone,
 
-    A_t = n^r P[t captured] = C(n,t) r!/(r-t)! a(n-t, r-t),
+    A_t = n^r P[t captured] = C(r,t) n(n-1)...(n-t+1) a(n-t, r-t),
 
 where a(m, k) = k! [x^k] (e^x - x)^m counts the placements of k balls in m
-cells with no lone ball.  One table of these, grown by the recurrence in
-`_no_capture`, serves every row.  The module provides the law exactly for
-numeric n, symbolically with n left as a variable (by the inclusion-exclusion
-sum), and through an independent brute-force enumeration used as the oracle
-in tests.  Every function here is a pure function of its arguments.  Only
-the symbolic rows need polynomials, so they import `polys` and `ratfuncs`
-themselves, and the integer rows load with no polynomial code.
+cells with no lone ball.  a(m, k) is a polynomial in m, so one recurrence,
+in `_no_capture`, grows the table that serves every row, with n an int or
+left as the variable of a `Poly`; the inclusion-exclusion sum is kept only
+as the tests' oracle, beside an independent brute-force enumeration.  Every
+function here is a pure function of its arguments.  Only the symbolic rows
+need polynomials, so they import `polys` and `ratfuncs` themselves, and the
+integer rows load with no polynomial code.
 """
 
 from __future__ import annotations
@@ -73,28 +73,17 @@ def _check_captured(r: int, t: int) -> None:
         raise ValueError(f"captured count {t} outside 0..{r}")
 
 
-def _inverse_binomial(terms: list) -> list:
-    """a_t = sum_{j>=t} (-1)^(j-t) C(j,t) terms[j], for t = 0..len(terms)-1.
-
-    These are the coefficients of sum_j terms[j] (y - 1)^j, so a Taylor shift
-    by -1 (repeated c[j] -= c[j+1] sweeps) gives them with subtractions only.
-    Works in place on any ring with subtraction.
-    """
-    m = len(terms) - 1
-    for i in range(m):
-        for j in range(m - 1, i - 1, -1):
-            terms[j] = terms[j] - terms[j + 1]
-    return terms
-
-
 # Column m holds a(m, k) for k = 0, 1, ...; only _no_capture grows it, from
 # the lowest column up, so a column of length L always has one of length at
-# least L - 1 below it.
+# least L - 1 below it.  The columns m = n - j of the Poly n are a table of
+# their own, so that _NO_CAPTURE stays keyed by ints.
 _NO_CAPTURE: dict[int, list[int]] = {}
+_NO_CAPTURE_N: dict[Poly, list[Poly]] = {}
 
 
-def _no_capture(n: int, r: int) -> dict[int, list[int]]:
-    """The no-lone-ball table, grown to hold a(n-t, r-t) for t <= min(n, r).
+def _no_capture(n: int | Poly, r: int) -> dict:
+    """The no-lone-ball table of n, grown to hold a(n-t, r-t) for
+    t <= min(n, r).
 
     Differentiating (e^x - x)^m gives, with a(m, 0) = 1,
 
@@ -102,35 +91,38 @@ def _no_capture(n: int, r: int) -> dict[int, list[int]]:
 
     so column m to length L needs column m - 1 to length L - 1.  The columns
     grown are m = n - j to length r + 1 - j for j <= min(n, r): a triangle
-    that stops at column n - r when r < n, however large n is.
+    that stops at column n - r when r < n, however large n is.  The Poly n
+    is above every r, so its triangle always has r + 1 columns.
     """
-    if len(_NO_CAPTURE.get(n, ())) > r:
-        return _NO_CAPTURE
-    below: list[int] = []
-    for j in range(min(n, r), -1, -1):
+    table = _NO_CAPTURE if isinstance(n, int) else _NO_CAPTURE_N
+    if len(table.get(n, ())) > r:
+        return table
+    below: list = []
+    for j in range(min(n, r) if table is _NO_CAPTURE else r, -1, -1):
         m = n - j
-        col = _NO_CAPTURE.setdefault(m, [1])
+        col = table.setdefault(m, [1])
         for k in range(len(col), r + 1 - j):
             # column 0 is 1, 0, 0, ...; at k = 1 the middle term is 0 * below[-1]
             col.append(m and m * (col[-1] + (k - 1) * below[k - 2] - below[k - 1]))
         below = col
-    return _NO_CAPTURE
+    return table
 
 
-def _row_numerators(n: int, r: int) -> tuple[int, ...]:
-    """Integer numerators of the capture distribution over the common
-    denominator n^r, for t = 0..min(n, r); every later entry is zero.
+def _row_numerators(n: int | Poly, r: int) -> tuple:
+    """Numerators of the capture distribution over the common denominator
+    n^r, for t = 0..min(n, r); every later entry is zero.  For the Poly n
+    they are polynomials in n with int coefficients, for t = 0..r.
 
-    A_t = c_t a(n-t, r-t) with c_t = C(n,t) r!/(r-t)!, which is
-    (n-t+1)(r-t+1)/t times c_{t-1}: min(n, r) products once the table holds
-    the row's triangle.
+    A_t = C(r,t) n(n-1)...(n-t+1) a(n-t, r-t), a few products per entry
+    once the table holds the row's triangle.  The falling product starts at
+    n**0, so that every entry, r = 0's too, is in the ring of n.
     """
     table = _no_capture(n, r)
-    row = [table[n][r]]
-    c = 1
-    for t in range(1, min(n, r) + 1):
-        c = c * (n - t + 1) * (r - t + 1) // t
-        row.append(c * table[n - t][r - t])
+    row = []
+    falling = n**0
+    for t in range(min(n, r) + 1 if table is _NO_CAPTURE else r + 1):
+        row.append(comb(r, t) * falling * table[n - t][r - t])
+        falling = falling * (n - t)
     return tuple(row)
 
 
@@ -154,34 +146,22 @@ def transition_prob(n: int, r: int, t: int) -> Fraction:
 @lru_cache(maxsize=64)
 def _symbolic_row_numerators(r: int) -> tuple[Poly, ...]:
     """Numerators over n^r of the capture law of r balls, as polynomials in n
-    with int coefficients.
-
-    The j-terms C(n,j) j! C(r,j) (n-j)^(r-j) are built once per r, the
-    falling factorial C(n,j) j! = n(n-1)...(n-j+1) one factor at a time, and
-    the row is their inverse binomial transform: the inclusion-exclusion sum
-    of the module docstring.
-    """
+    with int coefficients: `_row_numerators` at the Poly n."""
     from .polys import Poly
 
-    terms = []
-    falling = Poly._adopt({0: 1})
-    for j in range(r + 1):
-        shift = Poly._adopt({1: 1, 0: -j} if j else {1: 1})
-        term = falling * comb(r, j)
-        terms.append(term * shift ** (r - j) if j < r else term)
-        falling = falling * shift
-    return tuple(_inverse_binomial(terms))
+    return _row_numerators(Poly.var(), r)
 
 
 @lru_cache(maxsize=1024)
 def transition_prob_symbolic(r: int, t: int) -> RatFunc2:
     """Capture probability as a rational function of the cell count n.
 
-    The inclusion-exclusion sum runs to j = r (C(r,j) kills higher terms) and
-    C(n,j) j! becomes the falling factorial polynomial, so the result is a
-    polynomial in n over a power of n.  Evaluating at any integer n >= 1
-    reproduces transition_prob(n, r, t): for n < j the falling factorial
-    vanishes, which is exactly the C(n,j) = 0 cutoff of the numeric path.
+    The numerator is the row's entry from the same no-lone-ball table as the
+    numeric rows, grown at the Poly n, so the result is a polynomial in n
+    over a power of n.  Evaluating at any integer n >= 1 reproduces
+    transition_prob(n, r, t): for n < t the falling factorial vanishes, which
+    is the t <= min(n, r) cutoff of the numeric row.  The inclusion-exclusion
+    sum of the module docstring is the tests' oracle for it.
     """
     from .polys import Poly2
     from .ratfuncs import RatFunc2
@@ -197,7 +177,7 @@ def transition_prob_symbolic(r: int, t: int) -> RatFunc2:
 def brute_force_row(n: int, r: int, budget: int | None = None) -> TransitionRow:
     """Capture distribution by enumerating all n^r placements.
 
-    Independent oracle: shares no code with the inclusion-exclusion path.
+    Independent oracle: shares no code with the table of `_no_capture`.
     Refuses to enumerate more than `budget` placements (default from
     BALLCELL_BUDGET, 10^7).
     """

@@ -75,6 +75,29 @@ def test_pgf_latex_output(capsys):
     assert out.strip() == r"\frac{nx - x}{n - x}"
 
 
+def test_pgf_latex_expansion_lines(capsys):
+    # --expand prints one P(k) line in LaTeX as it does in text, for a
+    # Fraction and for a rational function of n alike.
+    code, out, _ = run_cli(
+        capsys, "pgf", "--balls", "2", "--cells", "2", "--format", "latex", "--expand", "3"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        r"\frac{x}{2 - x}", "P(0) = 0", r"P(1) = \frac{1}{2}", r"P(2) = \frac{1}{4}", r"P(3) = \frac{1}{8}"
+    ]
+    code, out, _ = run_cli(
+        capsys, "pgf", "--balls", "2", "--symbolic-n", "--format", "latex", "--expand", "3"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        r"\frac{nx - x}{n - x}",
+        "P(0) = 0",
+        r"P(1) = \frac{n - 1}{n}",
+        r"P(2) = \frac{n - 1}{n^{2}}",
+        r"P(3) = \frac{n - 1}{n^{3}}",
+    ]
+
+
 def test_pgf_symbolic_json(capsys):
     env = run_json(capsys, "pgf", "--balls", "2", "--symbolic-n", "--expand", "2")
     result = env["result"]

@@ -9,6 +9,7 @@ import pytest
 from ballcell.errors import BudgetExceededError
 from ballcell.game import (
     _NO_CAPTURE,
+    _NO_CAPTURE_N,
     _row_numerators,
     _symbolic_row_numerators,
     brute_force_row,
@@ -206,6 +207,30 @@ def test_numeric_rows_are_symbolic_rows_at_n():
         sym = _symbolic_row_numerators(r)
         for n in range(1, 25):
             _assert_row(n, r, [p.eval(n) for p in sym])
+
+
+def test_symbolic_rows_grow_only_their_triangle_over_z_n():
+    # The symbolic rows read the same recurrence over Z[n]: r balls build the
+    # columns n - j, j <= r, to length r + 1 - j, and a longer row only
+    # extends them, leaving every entry already there as it was.
+    n = Poly.var()
+    _NO_CAPTURE_N.clear()
+    _symbolic_row_numerators.cache_clear()
+    _symbolic_row_numerators(6)
+    assert {m: len(col) for m, col in _NO_CAPTURE_N.items()} == {n - j: 7 - j for j in range(7)}
+    before = {m: list(col) for m, col in _NO_CAPTURE_N.items()}
+    _symbolic_row_numerators(9)
+    assert {m: len(col) for m, col in _NO_CAPTURE_N.items()} == {n - j: 10 - j for j in range(10)}
+    for m, col in before.items():
+        assert _NO_CAPTURE_N[m][: len(col)] == col, m
+
+
+@pytest.mark.parametrize("r", [16, 24, 40])
+def test_long_symbolic_rows_are_numeric_rows_at_n(r):
+    sym = _symbolic_row_numerators(r)
+    assert len(sym) == r + 1
+    for n in range(1, 31):
+        _assert_row(n, r, [p.eval(n) for p in sym])
 
 
 def test_symbolic_rows_match_direct_inclusion_exclusion_sum():

@@ -41,12 +41,16 @@ GOLDEN = {
     "moments --symbolic-n --balls 5 --order 2": "554d590aad0bed081b691a81dce73ab526c442f051d748db5f81848843eb2b13",
     "moments --symbolic-n --balls 7 --order 4": "68969541a0e86f345d642b4b403e90ed484e506c28ce618f14bab9dc95594ee3",
     "pgf --cells 3 --balls 4 --expand 6 --format json": "ea65a89085e3b25a3b7e34f369aa7935416b9fa9f1facece51f98ccc9dd5e13d",
-    "pgf --cells 3 --balls 4 --expand 6 --format latex": "caa9d33eff24c2bd315b65d6bb7caa30d26178878128115ccca5653a1d439dce",
+    # The two LaTeX --expand digests pin the function line, as recorded
+    # before, and then one P(k) line per term, each p/q of the text
+    # rendering's lines written as \frac{p}{q}: they were rebuilt by hand
+    # from the earlier outputs when --expand began printing in LaTeX.
+    "pgf --cells 3 --balls 4 --expand 6 --format latex": "d7042175cbb380fbeb855c42435fa9d06c952179324a377262d06e5d8db06c26",
     "pgf --cells 3 --balls 4 --expand 6 --format text": "a3eff80c0119eb7607c5e55fb82f9fec32a29f9e70ac5928f001afc8cac19f1b",
     "pgf --cells 3 --balls 4 --format json": "db09d644baa3f24cd2fb964c0d016f90cd8749e394a567d0abf74fe7947af002",
     "pgf --cells 3 --balls 4 --format latex": "caa9d33eff24c2bd315b65d6bb7caa30d26178878128115ccca5653a1d439dce",
     "pgf --cells 3 --balls 4 --format text": "9e9665d843589bb792b649ffd3c205cf4214c9b4cd3af9bf9691e9a1a5f0106b",
-    "pgf --cells 5 --balls 5 --expand 6 --format latex": "c2c4aa4c870e245dfe4facab4e29e0c95751573e71a67c8b2061774ac8b92b9a",
+    "pgf --cells 5 --balls 5 --expand 6 --format latex": "9866d4d7443d0b08f9f2ac59fe317ccc5aaeacbdff2ebca72b87fece0161ad27",
     "pgf --symbolic-n --balls 1 --expand 4": "91c68246d7e08a4ea15c599bd7700a30ea51eeebd1feea82719f0abd00c6b3d0",
     "pgf --symbolic-n --balls 1 --format json": "9d4e8b6b55bd9b8bf35c9e2610fefb633a337b3faedf4eef6facad063362a372",
     "pgf --symbolic-n --balls 1 --format latex": "73cb3858a687a8494ca3323053016282f3dad39d42cf62ca4e79dda2aac7d9ac",
