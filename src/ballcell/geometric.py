@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .pgf import MomentReport, moments_of
 from .polys import Poly
@@ -54,9 +54,7 @@ class StepSequence:
 
     @classmethod
     def power(cls, alpha: Fraction) -> "StepSequence":
-        alpha = Fraction(alpha)
-        if not 0 < alpha < 1:
-            raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+        alpha = _alpha(alpha)
         return cls("power", f"alpha={alpha}", lambda i: alpha**i)
 
     @classmethod
@@ -91,21 +89,33 @@ class LimitingMoments(NamedTuple):
     m6_scaled_decimal: Decimal
 
 
-def _check_probability(a: Fraction, i: int) -> None:
-    if not 0 < a <= 1:
-        raise ValueError(f"step probability a({i}) = {a} outside (0, 1]")
+def _alpha(alpha: Fraction) -> Fraction:
+    """alpha as a Fraction, checked to lie in (0, 1)."""
+    alpha = Fraction(alpha)
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    return alpha
+
+
+def _steps(r: int, seq: StepSequence, probability: bool = False) -> Iterator[Fraction]:
+    """a(1..r) from the start state r, each checked positive and, with
+    `probability`, at most 1."""
+    if r < 0:
+        raise ValueError(f"start state must be >= 0, got {r}")
+    for i in range(1, r + 1):
+        a = seq.step(i)
+        if probability and not 0 < a <= 1:
+            raise ValueError(f"step probability a({i}) = {a} outside (0, 1]")
+        if a <= 0:
+            raise ValueError(f"step probability a({i}) = {a} must be positive")
+        yield a
 
 
 def chain_pgf(r: int, seq: StepSequence) -> RatFunc:
     """PGF of the descent time from r: product of geometric-step factors."""
-    if r < 0:
-        raise ValueError(f"start state must be >= 0, got {r}")
     x = Poly.var()
-    num = Poly.const(1)
-    den = Poly.const(1)
-    for i in range(1, r + 1):
-        a = seq.step(i)
-        _check_probability(a, i)
+    num = den = Poly.const(1)
+    for a in _steps(r, seq, probability=True):
         num = num * (a * x)
         den = den * (Poly.const(1) - (1 - a) * x)
     # num is c*x^r and den has constant term 1, so x never divides den and
@@ -115,28 +125,12 @@ def chain_pgf(r: int, seq: StepSequence) -> RatFunc:
 
 def chain_mean(r: int, seq: StepSequence) -> Fraction:
     """Expected descent time: sum of 1/a(i).  Needs a(i) > 0 only."""
-    if r < 0:
-        raise ValueError(f"start state must be >= 0, got {r}")
-    total = Fraction(0)
-    for i in range(1, r + 1):
-        a = seq.step(i)
-        if a <= 0:
-            raise ValueError(f"step probability a({i}) = {a} must be positive")
-        total += 1 / a
-    return total
+    return sum((1 / a for a in _steps(r, seq)), Fraction(0))
 
 
 def chain_variance(r: int, seq: StepSequence) -> Fraction:
     """Variance of the descent time: sum 1/a(i)^2 - sum 1/a(i)."""
-    if r < 0:
-        raise ValueError(f"start state must be >= 0, got {r}")
-    total = Fraction(0)
-    for i in range(1, r + 1):
-        a = seq.step(i)
-        if a <= 0:
-            raise ValueError(f"step probability a({i}) = {a} must be positive")
-        total += 1 / (a * a) - 1 / a
-    return total
+    return sum((1 / (a * a) - 1 / a for a in _steps(r, seq)), Fraction(0))
 
 
 def alpha_closed_forms(alpha: Fraction, r: int) -> tuple[Fraction, Fraction]:
@@ -145,9 +139,7 @@ def alpha_closed_forms(alpha: Fraction, r: int) -> tuple[Fraction, Fraction]:
     mean = (1 - alpha^r) / ((1 - alpha) alpha^r)
     variance = (1 - alpha^r)(1 - alpha^(r+1)) / ((1 - alpha^2) alpha^(2r))
     """
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    alpha = _alpha(alpha)
     if r < 0:
         raise ValueError(f"start state must be >= 0, got {r}")
     ar = alpha**r
@@ -158,9 +150,7 @@ def alpha_closed_forms(alpha: Fraction, r: int) -> tuple[Fraction, Fraction]:
 
 def alpha_limits(alpha: Fraction) -> LimitingMoments:
     """Limiting scaled moments of the power-law chain (r -> infinity)."""
-    a = Fraction(alpha)
-    if not 0 < a < 1:
-        raise ValueError(f"alpha must lie in (0,1), got {a}")
+    a = _alpha(alpha)
     cv2 = (1 - a) / (1 + a)
     skew2 = 4 * (1 - a) * (1 + a) ** 3 / (a * a + a + 1) ** 2
     kurt = 3 * (3 - a * a) / (a * a + 1)

@@ -136,9 +136,10 @@ class SplitMix64:
         return _mix64(self._state)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection, so no modulo bias."""
-        if n <= 0:
-            raise ValueError(f"modulus must be positive, got {n}")
+        """Uniform integer in [0, n) by rejection, so no modulo bias; past
+        n = 2^64 no word would pass."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"modulus must lie in [1, 2^64], got {n}")
         # Largest multiple of n that fits in 64 bits.
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
@@ -168,9 +169,11 @@ class RoundTrace(NamedTuple):
 
 
 def _check_sim_state(r: int, n: int) -> None:
-    """The state checks of a game, then its size cap: neither r nor n may
-    pass enum_budget()."""
+    """The state checks of a game, n <= 2^64 among them, then its size cap:
+    neither r nor n may pass enum_budget()."""
     _check_terminating(n, r)
+    if n > 1 << 64:
+        raise ValueError(f"cells must be at most 2^64 to be drawn from 64-bit words, got {n}")
     reason = f"simulation state ({r} balls, {n} cells) exceeds the budget of its larger side, with"
     _check_budget(reason, max(r, n), "balls or cells")
 

@@ -327,15 +327,6 @@ def pgf_symbolic(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> DurationP
 # Moments
 
 
-def _surjections(i: int, k: int) -> int:
-    """k! S(i, k): maps of i labelled items onto k labelled cells."""
-    total = 0
-    for j in range(k + 1):
-        s = comb(k, j) * (k - j) ** i
-        total = total - s if j & 1 else total + s
-    return total
-
-
 def _moment_numerators(func: RatFunc | RatFunc2, order: int) -> tuple:
     """d1 = den(1) with the raw numerators R_1..R_order and central ones
     C_2..C_order in the coefficient ring: E[X^i] = R_i / d1^(i+1) and
@@ -347,7 +338,11 @@ def _moment_numerators(func: RatFunc | RatFunc2, order: int) -> tuple:
     num, den = (_shift_to_one(p._c, order) for p in (func.num, func.den))
     d1, cs = den[0], [c for c, _ in _series_numerators(num, den, order)]
     pw = list(accumulate([d1] * order, mul, initial=1))
-    raw = [sum(_surjections(i, k) * cs[k] * pw[i - k] for k in range(1, i + 1)) for i in range(1, order + 1)]
+    # Rows of the surjection triangle k! S(i, k) = k (sur(i-1, k-1) + sur(i-1, k)).
+    sur, raw = [1], []
+    for i in range(1, order + 1):
+        sur = [k * (a + b) for k, a, b in zip(range(i + 1), [0, *sur], [*sur, 0])]
+        raw.append(sum(sur[k] * cs[k] * pw[i - k] for k in range(1, i + 1)))
     # m_i d1^(2i) = (-R_1)^i + sum_{j>=1} C(i, j) R_j d1^(j-1) (-R_1)^(i-j)
     lead = list(accumulate([-raw[0]] * order, mul, initial=1))
     central = [

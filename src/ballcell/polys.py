@@ -25,7 +25,9 @@ Greatest common divisors and exact division over Q run on the same integer
 core: each operand is split by ``primitive`` into its content and an integer
 part, gcds are a primitive remainder sequence over Z (``poly_gcd``) or over
 Z[n] (``poly2_gcd``), and ``poly2_div_exact`` divides the integer parts with
-``int_div_exact``.  Long division over Q remains only in ``Poly.__divmod__``.
+``int_div_exact``.  All three divisions (over Q in ``divmod``, exact over Z
+or Z[n], and the pseudo-remainders of the sequence: Knuth, TAOCP vol. 2,
+4.6.1, Algorithm R) are one downward sweep, ``_long_division``.
 
 Degrees in this package stay small (at most a few hundred) while coefficients
 grow large, so the representation favors simplicity: dict arithmetic on top of
@@ -174,9 +176,14 @@ class _Sparse:
         """The content c and self/c, which has coprime int coefficients: self
         itself when it has int coefficients and content 1."""
         c = self.content()
-        if c == 1 and all(type(v) is int for _, v in self.items()):
-            return c, self
-        return c, self._map(lambda v: v.numerator * c.denominator // (v.denominator * c.numerator))
+        return c, self._over(c)
+
+    def _over(self, k: Fraction):
+        """self / k in one map, for a k that leaves int coefficients; self
+        itself when k is 1 and self holds ints."""
+        if k == 1 and all(type(v) is int for _, v in self.items()):
+            return self
+        return self._map(lambda v: v.numerator * k.denominator // (v.denominator * k.numerator))
 
 
 class Poly(_Sparse):
@@ -234,23 +241,7 @@ class Poly(_Sparse):
         """Long division over the rationals: self = q*other + r, deg r < deg other."""
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q: dict[int, Fraction] = {}
-        r = dict(self._c)
-        db = other.degree()
-        lb = Fraction(other.leading_coeff())
-        while r and max(r) >= db:
-            dr = max(r)
-            coef = r[dr] / lb
-            q[dr - db] = coef
-            for e, v in other._c.items():
-                e2 = dr - db + e
-                s = r.get(e2, 0) - coef * v
-                if s:
-                    r[e2] = s
-                else:
-                    r.pop(e2, None)
+        q, r = _long_division(dict(self._c), other._c, Fraction)
         return Poly._adopt(q), Poly._adopt(r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -377,7 +368,34 @@ class Poly2(_Sparse):
 
 
 # ---------------------------------------------------------------------------
-# Integer division
+# Division
+
+
+def _long_division(rest: dict, divisor: dict, quotient) -> tuple[dict, dict]:
+    """Quotient and remainder maps of two polynomials {power: coefficient},
+    consuming `rest`: `quotient(c, lead)` forms each step's quotient term
+    from the top coefficient of the rest and the divisor's lead."""
+    if not divisor:
+        raise ZeroDivisionError("polynomial division by zero")
+    divisor = dict(divisor)
+    top = max(divisor)
+    lead = divisor.pop(top)
+    q = {}
+    # Each step only touches powers below its own, so one downward sweep
+    # visits every power that can still be nonzero.
+    for e in range(max(rest, default=-1), top - 1, -1):
+        if e not in rest:
+            continue
+        c = quotient(rest.pop(e), lead)
+        q[e - top] = c
+        for j, v in divisor.items():
+            k = e - top + j
+            s = rest[k] - c * v if k in rest else -(c * v)
+            if s:
+                rest[k] = s
+            else:
+                del rest[k]
+    return q, rest
 
 
 def _int_quotient(a: int, b: int) -> int:
@@ -398,27 +416,7 @@ def int_div_exact(p: Poly | Poly2, d: Poly | Poly2) -> Poly | Poly2:
     division over Q takes the same steps until the first one that is not
     integral.
     """
-    rest, divisor = dict(p._c), dict(d._c)
-    quotient = int_div_exact if isinstance(p, Poly2) else _int_quotient
-    if not divisor:
-        raise ZeroDivisionError("polynomial division by zero")
-    top = max(divisor)
-    lead = divisor.pop(top)
-    q = {}
-    # Each step only touches powers below its own, so one downward sweep
-    # visits every power that can still be nonzero.
-    for e in range(max(rest, default=-1), top - 1, -1):
-        if e not in rest:
-            continue
-        c = quotient(rest.pop(e), lead)
-        q[e - top] = c
-        for j, v in divisor.items():
-            k = e - top + j
-            s = rest[k] - c * v if k in rest else -(c * v)
-            if s:
-                rest[k] = s
-            else:
-                del rest[k]
+    q, rest = _long_division(dict(p._c), d._c, int_div_exact if isinstance(p, Poly2) else _int_quotient)
     if rest:
         raise ValueError("inexact polynomial division")
     return p._adopt(q)
@@ -443,23 +441,10 @@ def _prs_gcd(a: dict, b: dict, content, quotient) -> dict:
     if max(a) < max(b):
         a, b = b, a
     while top := max(b):
-        lead = b[top]
-        r = dict(a)
-        # Each step scales the rest by lead and cancels its own power; as in
-        # int_div_exact, one downward sweep visits every power left.
-        for d in range(max(r), top - 1, -1):
-            if d not in r:
-                continue
-            c = r.pop(d)
-            r = {e: v * lead for e, v in r.items()}
-            for e, v in b.items():
-                k = d - top + e
-                if k != d:
-                    s = r[k] - c * v if k in r else -(c * v)
-                    if s:
-                        r[k] = s
-                    else:
-                        del r[k]
+        # The pseudo-remainder: every step of lead^(deg a - deg b + 1)·a
+        # over b is exact in R.
+        scale = b[top] ** (max(a) - top + 1)
+        r = _long_division({e: v * scale for e, v in a.items()}, b, quotient)[1]
         if not r:
             return {e: v * common for e, v in b.items()}
         g = content(*r.values())

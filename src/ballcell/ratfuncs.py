@@ -41,14 +41,6 @@ from .polys import Poly, Poly2, int_div_exact, poly2_div_exact, poly2_gcd, poly_
 from .scalars import parse_rational
 
 
-def _over(p, k: Fraction):
-    """p / k in one map, for a k that leaves int coefficients; p itself when
-    k is 1 and p holds ints."""
-    if k == 1 and all(type(v) is int for _, v in p.items()):
-        return p
-    return p._map(lambda v: v.numerator * k.denominator // (v.denominator * k.numerator))
-
-
 class _Quotient:
     """Canonical quotient num/den over a polynomial ring, the core of RatFunc
     and RatFunc2.
@@ -108,7 +100,7 @@ class _Quotient:
             num, den = self._cancel(num, den)
         cn, cd = num.content(), den.content()
         k = Fraction(gcd(cn.numerator, cd.numerator), lcm(cn.denominator, cd.denominator))
-        num, den = _over(num, k), _over(den, k)
+        num, den = num._over(k), den._over(k)
         if self._anchor(den) < 0:
             num, den = -num, -den
         self.num = num

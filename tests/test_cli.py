@@ -465,6 +465,18 @@ def test_bad_environment_values_name_their_variable(name, value, argv, capsys, m
     assert err == f"error: {name} must be a positive integer, got {value}\n"
 
 
+@pytest.mark.parametrize("cells", [2**64 + 1, 2 * 10**19])
+def test_more_cells_than_words_is_a_usage_error(cells, capsys, monkeypatch):
+    # Past 2^64 cells no 64-bit word passes the draw's rejection test: the
+    # request is refused before any draw, under a budget that admits it.
+    monkeypatch.setenv("BALLCELL_BUDGET", str(10**20))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--balls", "2", "--cells", str(cells), "--trials", "1", "--seed", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: cells must be at most 2^64 to be drawn from 64-bit words, got {cells}\n"
+
+
 def test_exit_code_usage_from_values(capsys):
     code, _, err = run_cli(capsys, "approx", "--cells", "1", "--balls", "3")
     assert code == 2

@@ -72,6 +72,24 @@ def test_below_is_bounded_and_reachable():
     assert seen == set(range(6))
 
 
+def test_more_cells_than_words_are_refused_before_any_draw(monkeypatch):
+    # Past 2^64 cells the rejection limit 2^64 - (2^64 mod n) is 0 and no
+    # word is ever accepted, so below and every game refuse at once, even
+    # under a budget that admits the size; 2^64 cells take every word as is.
+    monkeypatch.setenv(BUDGET_ENV, str(10**20))
+    n = 2**64 + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"modulus must lie in \[1, 2\^64\]"):
+        SplitMix64(0).below(n)
+    for call, args in ((simulate_batch, (2, n, 1, 1)), (simulate_game, (2, n, 0)),
+                       (simulate_game_verbose, (2, n, 0)), (DurationLaw.compute, (2, n))):
+        with pytest.raises(ValueError, match=r"cells must be at most 2\^64"):
+            call(*args)
+    assert SplitMix64(0).below(2**64) == STREAM_SEED_0[0]
+    assert simulate_batch(2, 2**64, 3, 1).durations == (1, 1, 1)
+    assert time.perf_counter() - start < 1
+
+
 def test_trial_seed_equals_stream_position():
     for seed in (0, 42, 20260822):
         g = SplitMix64(seed)

@@ -443,6 +443,22 @@ def test_moment_chain_agrees_with_fast_recurrences():
             assert rep.variance == duration_variance(r, n)
 
 
+@pytest.mark.parametrize(
+    "r,n,order,digest",
+    [
+        (3, 2, 60, "93e9f6f4c315a24c4d18b27bfb06633e7b44a0279a63fbd862a50873c2a098a6"),
+        (6, 6, 30, "f7eeb22596ad6ec477817aa2ce8081ae781a3a6c9ae59b7a26b023085f90e63f"),
+    ],
+)
+def test_high_order_moment_reports_are_pinned(r, n, order, digest):
+    # The exact fields of two high-order reports, recorded when every k! S(i, k)
+    # of the moment chain was an inclusion-exclusion sum rather than an entry
+    # of the surjection triangle.
+    rep = moments(r, n, order)
+    exact = (rep.raw, rep.central, [(m.order, m.squared, m.sign, m.exact) for m in rep.scaled])
+    assert hashlib.sha256(repr(exact).encode()).hexdigest() == digest
+
+
 def test_moments_against_truncated_distribution():
     # raw moments recomputed from the tail-truncated law; the missing mass
     # is below 1e-9 and durations decay geometrically, so 1e-6 is generous

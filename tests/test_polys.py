@@ -1,5 +1,6 @@
 """Exact polynomial layer: arithmetic identities, division, gcd."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -372,3 +373,59 @@ def test_poly2_layout_invariants():
     assert p.as_x_coeffs() == {0: Poly.const(1)}
     assert p == Poly2.const(1) and p.degree_x() == 0
     assert (p * 0).as_x_coeffs() == {}
+
+
+def _sparse_int_poly(rng: random.Random, deg: int) -> Poly:
+    """A nonzero int polynomial of degree `deg` whose lead may be negative
+    and whose lower powers are often missing."""
+    c = {e: rng.randint(-9, 9) for e in range(deg) if rng.random() < 0.5}
+    c[deg] = rng.choice([-3, -2, -1, 1, 2, 5])
+    return Poly(c)
+
+
+def _sparse_int_poly2(rng: random.Random, deg_x: int) -> Poly2:
+    c = {(rng.randint(0, 2), rng.randint(0, deg_x)): rng.randint(-5, 5) for _ in range(rng.randint(1, 4))}
+    c[(rng.randint(0, 2), deg_x)] = rng.choice([-2, -1, 1, 3])
+    return Poly2(c)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_gcd_and_division_digest():
+    # Exact reprs of seeded gcds with a planted common factor over Q[x] and
+    # Q[n, x], and of divmod over Q.  Sparse operands with negative leads
+    # are the cases where a pseudo-remainder scaled by fewer powers of the
+    # lead differs by a unit before the gcd is normalized.  The monic gcd
+    # over Q is compared as Fractions: its coefficients stay ints when the
+    # last remainder's lead is 1 and turn Fractions when it is -1, and that
+    # sign is the unit the remainder sequence leaves.  Every other
+    # coefficient type is pinned.
+    rng = random.Random(2911)
+    gcds = []
+    for _ in range(300):
+        g = _sparse_int_poly(rng, rng.randint(0, 3))
+        a = _sparse_int_poly(rng, rng.randint(0, 5)) * g
+        b = _sparse_int_poly(rng, rng.randint(0, 5)) * g
+        if rng.random() < 0.3:
+            a = a * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        gcds.append(sorted((e, Fraction(v)) for e, v in poly_gcd(a, b).items()))
+    gcds2 = []
+    for _ in range(120):
+        g = _sparse_int_poly2(rng, rng.randint(0, 2))
+        a = _sparse_int_poly2(rng, rng.randint(0, 3)) * g
+        b = _sparse_int_poly2(rng, rng.randint(0, 3)) * g
+        gcds2.append(poly2_gcd(a, b))
+    divisions = []
+    for _ in range(300):
+        a = _sparse_int_poly(rng, rng.randint(0, 8)) * Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        b = _sparse_int_poly(rng, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            b = b * Fraction(1, rng.randint(1, 9))
+        divisions.append(divmod(a, b))
+    assert [_digest(gcds), _digest(gcds2), _digest(divisions)] == [
+        "2c97cc4f006818b8e743aff0ffa67b17bf7a5b2023d5e857cd5c20b027df58cf",
+        "3faeaf1c2d8d47f0c7c9b8c3f7cd3f06e49842b46e46848c6a2295ce3405087b",
+        "be76ea7610c4d799c9bf6ca67230b77c533235c5f7b95977eb53e6d620cad7b4",
+    ]
