@@ -46,6 +46,30 @@ round counts its captures with a Counter over keys game·n + cell instead.
 A batch whose words drawn are estimated past the budget is refused before
 it plays: see _log_words.
 
+An unrecorded batch of more than one chunk is played by two processes once
+this process's batches have drawn _FORK_WORDS estimated words, this one
+included, where it can fork (os.fork), can see its CPUs
+(os.sched_getaffinity) and holds at least two of them, and it runs no other
+OS thread (/proc/self/task, so C threads count too): see _splits.  This
+process plays trials 0..h-1, h = trials // 2, and its batch helper
+(`batchhelper`), forked on the first such batch and kept for the life of
+this process, plays trials h..trials-1 with the same chunk loop,
+_play_trials.  Trial i runs on
+trial_seed(seed, i) whoever plays it, so every SimBatch, histogram, fit and
+output byte is the one a single process gives.  A helper that fails (EOF, a
+short reply, an OSError, a mismatched sequence number or an exception
+between request and reply) retires: this process reaps it, plays the share
+itself and forks no other.  Budget refusals come before any play; recorded
+batches, single games, batches of one chunk, a process whose batches have
+drawn fewer words (a one-batch `ballcell simulate` under about 10^6),
+single-CPU machines and Pythons without fork, affinity or /proc take the
+one-process path.  A CPU quota or a loaded host is not seen: there the
+split costs one fork and a pipe round trip a batch.  The helper's memory is that of its own process, so the
+benchmark's peak_rss_mb, its worker's ru_maxrss, does not count it (on
+simulate_gof the helper peaks at 14.4 MB beside the worker's 22.6 MB, on a
+2-vCPU Xeon VM with Python 3.11), and the benchmark's traced times see only
+this process's share of the play.
+
 `DurationLaw` pins the exact law of `law.exact_distribution` to its state.
 The fit of a batch against it, `gof_compare` with its `GofBin` and
 `GofReport`, lives in `law`, which needs no polynomial, and is re-exported
@@ -58,6 +82,7 @@ raises the interpreter's peak RSS from 16.6 to 28.1 MB (numpy 2.4, Python
 
 from __future__ import annotations
 
+import os
 import sys
 from array import array
 from collections import Counter
@@ -66,7 +91,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
-from math import exp, expm1, fsum, log
+from math import exp, expm1, fsum, log, log1p
 from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
 from typing import NamedTuple
 
@@ -106,6 +131,20 @@ PLAY_WORDS_SCALE = 2
 # n.  So the lanes keep larger games even though they lose to the pairs up
 # to top = 40 for n >= 40.  Correct for any top <= 128 (see _left_by_pairs).
 _PAIR_BALLS = 24
+# Estimated words drawn by this process's batches (_log_words), and the
+# total from which a batch may fork the batch helper.  Forking costs a fresh
+# one-batch `ballcell simulate` about 6 ms, mostly the copy-on-write faults
+# it brings on this process, and a word takes 0.08-0.6 us (2-vCPU Xeon VM,
+# Python 3.11).  Fresh one-batch commands, 16-20 pairs each, broke even or
+# lost (up to 1.05x) just past 2^19 words and took 0.70-1.01 of the time
+# just past 2^20.  A helper once forked serves each later batch for one pipe
+# round trip: with one running, batches of r = 1..200 balls from just over
+# one chunk to 2000 trials took 0.52-0.97 of the one-process time (medians
+# of 30 interleaved pairs, 35 states; one (60, 127) x 35 read 1.07, and
+# 0.80 on a rerun).  Forking only once this process's play has paid for a
+# fork (ski rental) keeps small one-batch runs on one process.
+_FORK_WORDS = 1 << 20
+_drawn = [0.0]
 # _AFTER[b] holds the starting lanes of _left_by_pairs for a game of b <= 128
 # balls: "balls after this one" + 127.
 _AFTER = [bytes(range(126 + b, 126, -1)) for b in range(129)]
@@ -188,7 +227,7 @@ def _log_words(r: int, n: int, trials: int) -> float:
     under a thousand blocks for any r.  n = 1 admits r <= 1 only, whose one
     term is 1.
     """
-    a = log(n / (n - 1)) if n > 1 else 0.0
+    a = log1p(1 / (n - 1)) if n > 1 else 0.0
     terms = []
     j = 1
     while j <= r:
@@ -201,12 +240,15 @@ def _log_words(r: int, n: int, trials: int) -> float:
     return log(trials) + max(0.0, per_game) + log(1 + exp(-abs(per_game)))
 
 
-def _check_play_budget(r: int, n: int, trials: int) -> None:
+def _check_play_budget(r: int, n: int, trials: int) -> float:
     """Every refusal of play, before any game: _check_sim_state, then the
-    estimated words drawn, _log_words, past enum_budget() * PLAY_WORDS_SCALE."""
+    estimated words drawn, _log_words, past enum_budget() * PLAY_WORDS_SCALE.
+    Returns that estimate."""
     _check_sim_state(r, n)
     reason = f"{trials} trial(s) of ({r} balls, {n} cells) would draw"
-    _check_budget(reason, _log_words(r, n, trials), "random words", PLAY_WORDS_SCALE, is_log=True)
+    log_words = _log_words(r, n, trials)
+    _check_budget(reason, log_words, "random words", PLAY_WORDS_SCALE, is_log=True)
+    return log_words
 
 
 def _mix_lanes(z: int) -> int:
@@ -512,22 +554,53 @@ def simulate_batch(r: int, n: int, trials: int, seed: int) -> SimBatch:
     return _simulate_batch(r, n, trials, seed)[0]
 
 
+def _play_trials(r: int, n: int, seed: int, first: int, stop: int, record: bool = False):
+    """Durations, and with `record` rounds, of trials first..stop-1 of the
+    batch at `seed`, in trial order: chunks of _LANES // r games from
+    `first` on, each seeded by the next words of the batch stream."""
+    chunk = max(1, _LANES // max(r, 1))
+    durations: list[int] = []
+    traces: list[tuple[RoundTrace, ...]] = []
+    for start in range(first, stop, chunk):
+        played, recorded = _play(r, n, _draw([(seed + start * _GAMMA) & MASK64], [min(chunk, stop - start)]), record)
+        durations += played
+        traces += recorded
+    return durations, traces
+
+
+def _one_thread() -> bool:
+    """Whether this process runs one OS thread, counting those C code
+    started (Linux's /proc/self/task), so that a fork copies no lock that
+    another thread holds."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _splits(r: int, trials: int) -> bool:
+    """Whether an unrecorded batch plays its second half in a helper
+    process: it spans more than one chunk, this process's batches have
+    drawn _FORK_WORDS, this Python can fork and see its CPUs, at least two
+    of them are its own, and no other thread runs."""
+    return (trials > max(1, _LANES // max(r, 1)) and _drawn[0] >= _FORK_WORDS and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1 and _one_thread())
+
+
 def _simulate_batch(r: int, n: int, trials: int, seed: int, record: bool = False):
     """simulate_batch, and with `record` the rounds of every trial from the
     same pass, each as simulate_game_verbose(r, n, trial_seed(seed, i))
     records them."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_play_budget(r, n, trials)
-    chunk = max(1, _LANES // max(r, 1))
-    durations: list[int] = []
-    traces: list[tuple[RoundTrace, ...]] = []
-    for first in range(0, trials, chunk):
-        # The chunk's trial seeds are the next words of the batch stream.
-        seeds = _draw([(seed + first * _GAMMA) & MASK64], [min(chunk, trials - first)])
-        played, recorded = _play(r, n, seeds, record)
-        durations += played
-        traces += recorded
+    # Capped past _FORK_WORDS: only whether the total reaches it matters.
+    _drawn[0] += exp(min(_check_play_budget(r, n, trials), log(2 * _FORK_WORDS)))
+    if record or not _splits(r, trials):
+        durations, traces = _play_trials(r, n, seed, 0, trials, record)
+    else:
+        from .batchhelper import durations as split
+
+        durations, traces = split(r, n, seed, trials), []
     mean = Fraction(sum(durations), trials)
     variance = Fraction(sum(map(mul, durations, durations)), trials) - mean * mean
     return SimBatch(

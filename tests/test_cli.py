@@ -477,6 +477,14 @@ def test_more_cells_than_words_is_a_usage_error(cells, capsys, monkeypatch):
     assert err == f"error: cells must be at most 2^64 to be drawn from 64-bit words, got {cells}\n"
 
 
+def test_words_estimate_stays_finite_for_huge_cell_counts(capsys, monkeypatch):
+    # n/(n - 1) rounds to 1.0 at 10^18 cells, and 100 balls reach the
+    # estimate's blocks of terms: it takes log1p(1/(n - 1)), not a 0/0.
+    monkeypatch.setenv("BALLCELL_BUDGET", str(10**20))
+    env = run_json(capsys, "simulate", "--balls", "100", "--cells", str(10**18), "--trials", "1", "--seed", "1")
+    assert env["result"]["histogram"] == {"1": 1}
+
+
 def test_exit_code_usage_from_values(capsys):
     code, _, err = run_cli(capsys, "approx", "--cells", "1", "--balls", "3")
     assert code == 2

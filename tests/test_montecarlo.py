@@ -8,7 +8,10 @@ top of it is trusted.
 
 import hashlib
 import math
+import os
 import random
+import select
+import signal
 import subprocess
 import sys
 import time
@@ -486,6 +489,12 @@ def test_batch_memory_stays_bounded():
     assert peak < 16 * trials + 2**20
 
 
+def test_batch_memory_stays_bounded_in_one_process(monkeypatch):
+    # With one CPU no helper plays half the batch out of tracemalloc's sight.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    test_batch_memory_stays_bounded()
+
+
 def test_large_round_budget():
     start = time.perf_counter()
     batch = simulate_batch(5000, 10000, 3, 31)
@@ -540,7 +549,8 @@ def test_word_estimate():
     assert math.exp(_log_words(1, 1, 1)) == pytest.approx(2)
     # From j = 64 on, blocks of terms are taken at their first 1/j: at most
     # 1/64 over the sum.
-    for r, n in ((64, 2), (100, 150), (1000, 1000), (5000, 10000), (3000, 7)):
+    # n/(n - 1) rounds to 1.0 at the last two: the estimate takes log1p(1/(n - 1)).
+    for r, n in ((64, 2), (100, 150), (1000, 1000), (5000, 10000), (3000, 7), (100, 10**18), (65, 2**60)):
         q = n / (n - 1)
         exact = 1 + r * math.fsum(math.exp((j - 1) * math.log(q) - math.log(j)) for j in range(1, r + 1))
         assert exact * (1 - 1e-12) <= math.exp(_log_words(r, n, 1)) <= exact * (1 + 1 / 64)
@@ -554,3 +564,246 @@ def _timed(f, *args):
     start = time.perf_counter()
     f(*args)
     return time.perf_counter() - start
+
+
+# ---------------------------------------------------------------------------
+# The batch helper: a forked process that plays the second half of an
+# unrecorded batch of more than one chunk.  The CPU probe is set to two CPUs
+# for the split and to one for the in-process reference, the thread probe
+# to one thread (scipy's oracles leave BLAS threads in this process) and the
+# words drawn to the fork threshold, so these tests split on any machine
+# that can fork.
+
+forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+linux_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """The batch helper module with a fresh state: none forked yet.  The
+    helper this test forks is retired at its end, and the process's own
+    state comes back."""
+    from ballcell import batchhelper, montecarlo
+
+    monkeypatch.setattr(batchhelper, "_helper", [0, 0, None, None])
+    monkeypatch.setattr(montecarlo, "_one_thread", lambda: True)
+    monkeypatch.setattr(montecarlo, "_drawn", [float(montecarlo._FORK_WORDS)])
+    yield batchhelper
+    batchhelper.retire()
+
+
+def _cpus(monkeypatch, k: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _in_process(monkeypatch, *batch):
+    _cpus(monkeypatch, 1)
+    try:
+        return simulate_batch(*batch)
+    finally:
+        _cpus(monkeypatch, 2)
+
+
+def _assert_helper_played(helper) -> int:
+    owner, pid, *_ = helper._helper
+    assert owner == os.getpid() and pid > 0
+    return pid
+
+
+SPLIT_BATCH = (12, 23, 2001, 5)
+
+
+def _split_once(helper, monkeypatch):
+    """The in-process result of SPLIT_BATCH, once the batch has split equal
+    to it, and the pid of the helper that played its second half."""
+    want = _in_process(monkeypatch, *SPLIT_BATCH)
+    assert simulate_batch(*SPLIT_BATCH) == want
+    return want, _assert_helper_played(helper)
+
+
+@forking
+@pytest.mark.parametrize("r", [1, 2, 24, 25])
+def test_split_batch_equals_the_in_process_batch(r, helper, monkeypatch):
+    chunk = _LANES // r
+    for trials in (chunk + 1 + chunk % 2, 2 * chunk + 1):
+        assert trials % 2 == 1
+        batch = (r, 2 * r + 3, trials, 7919 * trials + r)
+        want = _in_process(monkeypatch, *batch)
+        assert simulate_batch(*batch) == want
+        _assert_helper_played(helper)
+
+
+@forking
+def test_the_helper_is_forked_once_the_batches_have_drawn_enough(helper, monkeypatch):
+    from ballcell import montecarlo
+
+    want = _in_process(monkeypatch, *SPLIT_BATCH)
+    words = math.exp(_log_words(*SPLIT_BATCH[:3]))
+    monkeypatch.setattr(montecarlo, "_drawn", [0.0])
+    batches = 0
+    while montecarlo._drawn[0] + words < montecarlo._FORK_WORDS:
+        assert simulate_batch(*SPLIT_BATCH) == want
+        assert helper._helper[0] == 0
+        batches += 1
+    assert batches >= 2
+    assert simulate_batch(*SPLIT_BATCH) == want
+    _assert_helper_played(helper)
+
+
+@forking
+def test_the_helper_holds_no_other_fd_of_its_process(helper, monkeypatch):
+    # os.fork copies every fd, close-on-exec or not.  A pipe's read end sees
+    # EOF once this process closes the write end only if the helper kept no
+    # copy of it.
+    read, write = os.pipe()
+    try:
+        _split_once(helper, monkeypatch)
+        os.close(write)
+        ready = select.select([read], [], [], 10)[0]
+        assert ready and os.read(read, 1) == b""
+    finally:
+        os.close(read)
+        try:
+            os.close(write)
+        except OSError:
+            pass
+
+
+@forking
+def test_rejected_word_in_the_helpers_half_matches_reference(helper, monkeypatch):
+    r, n = 4, 5
+    trials = _LANES // r + 1
+    k = trials - 1
+    seed = _seed_for_word(REJECT_STREAM, k)
+    assert trial_seed(seed, k) == REJECT_STREAM and k >= trials // 2
+    want = _in_process(monkeypatch, r, n, trials, seed)
+    assert want.durations[k] == _reference_game(r, n, REJECT_STREAM)
+    assert simulate_batch(r, n, trials, seed) == want
+    _assert_helper_played(helper)
+
+
+@forking
+def test_a_killed_helper_is_reaped_and_its_share_played_here(helper, monkeypatch):
+    want, pid = _split_once(helper, monkeypatch)
+    os.kill(pid, signal.SIGKILL)
+
+    def no_fork():
+        raise AssertionError("a retired helper is not forked again")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert simulate_batch(*SPLIT_BATCH) == want
+    assert helper._helper[:2] == [os.getpid(), 0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    assert simulate_batch(*SPLIT_BATCH) == want
+
+
+@forking
+def test_a_stale_reply_retires_the_helper(helper, monkeypatch):
+    want, pid = _split_once(helper, monkeypatch)
+    # A request whose reply nobody reads: the next batch finds the wrong
+    # sequence number first, retires the helper and plays its share here.
+    helper._helper[2].write(b"0 12 23 5 0 10\n")
+    assert simulate_batch(*SPLIT_BATCH) == want
+    assert helper._helper[:2] == [os.getpid(), 0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@forking
+def test_a_forked_process_neither_reads_nor_reaps_the_helper(helper, monkeypatch):
+    want, pid = _split_once(helper, monkeypatch)
+    read, write = os.pipe()
+    child = os.fork()
+    if not child:
+        try:
+            os.close(read)
+            same = simulate_batch(*SPLIT_BATCH) == want
+            owner, own, *_ = helper._helper
+            helper.retire()
+            os.write(write, b"%d %d %d" % (same, owner == os.getpid(), own not in (0, pid)))
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 30
+    while os.waitpid(child, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+            pytest.fail("the forked process did not finish its batch within 30 s")
+        time.sleep(0.01)
+    with os.fdopen(read, "rb") as answer:
+        report = answer.read()
+    # The child played the batch right, with a helper of its own.
+    assert report == b"1 1 1"
+    # The parent's helper still runs, still serves the parent, and only the
+    # parent reaps it.
+    os.kill(pid, 0)
+    assert os.waitpid(pid, os.WNOHANG) == (0, 0)
+    assert simulate_batch(*SPLIT_BATCH) == want
+    assert helper._helper[1] == pid
+
+
+def test_a_python_without_fork_plays_in_process(helper, monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork", raising=False)
+    r, n, trials, seed = SPLIT_BATCH
+    assert simulate_batch(*SPLIT_BATCH).durations == tuple(_reference_game(r, n, trial_seed(seed, i)) for i in range(trials))
+    assert helper._helper[0] == 0
+
+
+@forking
+@linux_tasks
+def test_no_split_while_another_thread_runs():
+    # A fresh interpreter, so that no other test's threads run.  The thread
+    # is started by _thread, as C code would start one: threading does not
+    # count it, /proc/self/task does.  Once it ends the same batch splits.
+    code = (
+        "import _thread, os, sys, threading, time\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from ballcell import montecarlo\n"
+        "hold, done = _thread.allocate_lock(), _thread.allocate_lock()\n"
+        "hold.acquire()\n"
+        "done.acquire()\n"
+        "def other():\n"
+        "    hold.acquire()\n"
+        "    done.release()\n"
+        "_thread.start_new_thread(other, ())\n"
+        "assert threading.active_count() == 1\n"
+        "alone = montecarlo.simulate_batch(24, 43, 12000, 1)\n"
+        "print('ballcell.batchhelper' in sys.modules)\n"
+        "hold.release()\n"
+        "done.acquire()\n"
+        "deadline = time.monotonic() + 10\n"
+        "while len(os.listdir('/proc/self/task')) > 1 and time.monotonic() < deadline:\n"
+        "    time.sleep(0.01)\n"
+        "assert montecarlo.simulate_batch(24, 43, 12000, 1) == alone\n"
+        "from ballcell import batchhelper\n"
+        "print(batchhelper._helper[1])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, check=True)
+    loaded, pid = out.stdout.split()
+    assert loaded == "False" and int(pid) > 0
+
+
+@forking
+def test_the_helper_ends_with_its_process_and_uses_less_memory():
+    # The report runs at exit after the helper's atexit handler, registered
+    # later, has killed and reaped it.
+    code = (
+        "import atexit, os, resource\n"
+        "def report():\n"
+        "    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "    print(children, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "atexit.register(report)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from ballcell import batchhelper, montecarlo\n"
+        "montecarlo.simulate_batch(24, 43, 12000, 1)\n"
+        "print(batchhelper._helper[1])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, check=True)
+    pid, children, own = map(int, out.stdout.split())
+    assert pid > 0
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    assert 0 < children < own

@@ -7,7 +7,9 @@ when a command or an attribute access first needs it: the integer law of
 `law` with `approx` and `simulate`, the polynomial stack (pgf, polys,
 ratfuncs) with `pgf`, `moments` and `geo`, and the leaf modules approx,
 geometric, montecarlo, verify and the golden values of reference with
-their commands.  `approx` and `simulate` never load the polynomial stack.
+their commands, and batchhelper with the first simulate batch that splits
+between two processes.  `approx` and `simulate` never load the polynomial
+stack.
 The records are NamedTuples, not dataclasses, which import `inspect` and
 generate their methods by `exec`.
 
@@ -16,6 +18,7 @@ interpreter.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -41,8 +44,8 @@ RECORDS = [
 
 CORE = ["ballcell", "ballcell.errors", "ballcell.game", "ballcell.scalars"]
 POLYNOMIAL = ["ballcell.pgf", "ballcell.polys", "ballcell.ratfuncs"]
-LEAVES = ["ballcell.approx", "ballcell.geometric", "ballcell.law", "ballcell.montecarlo", "ballcell.pgf",
-          "ballcell.polys", "ballcell.ratfuncs", "ballcell.reference", "ballcell.verify"]
+LEAVES = ["ballcell.approx", "ballcell.batchhelper", "ballcell.geometric", "ballcell.law", "ballcell.montecarlo",
+          "ballcell.pgf", "ballcell.polys", "ballcell.ratfuncs", "ballcell.reference", "ballcell.verify"]
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -91,6 +94,23 @@ def test_the_integer_law_loads_no_polynomial_stack(code):
     loaded = _fresh(code + "\n" + LOADED)
     assert "ballcell.law" in loaded
     assert not {"ballcell.pgf", "ballcell.polys", "ballcell.ratfuncs"} & set(loaded)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus,leaves", [
+    (2, ["ballcell.batchhelper", "ballcell.law", "ballcell.montecarlo"]),
+    (1, ["ballcell.law", "ballcell.montecarlo"]),
+])
+def test_the_batch_helper_loads_with_the_first_batch_that_splits(cpus, leaves):
+    # 12000 trials of (24, 43) draw past the fork threshold: with two CPUs
+    # the batch splits, and with one it plays in-process as before.
+    code = (
+        f"import os\nos.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        "from ballcell import cli\n"
+        "assert cli.run(['simulate', '--balls', '24', '--cells', '43', '--trials', '12000', '--seed', '1']) == 0\n"
+    )
+    loaded = _fresh(code + LOADED)
+    assert [m for m in loaded if m in LEAVES] == leaves
 
 
 def test_pgf_serves_the_names_of_the_integer_law_on_first_read():
