@@ -8,22 +8,19 @@ and the variance by sum_{j=1}^{r} (1/j^2) (n/(n-1))^(2j-2) - A_n(r).  The
 error E_n(r) = M_n(r) - A_n(r) vanishes identically at n = 2 and appears to
 approach a small n-dependent constant as r grows; `error_limit` estimates that
 constant.  E_n(r) is a tiny difference of enormous numbers (both terms grow
-like (n/(n-1))^r / r), so everything here is exact rational arithmetic, with
-the limit estimator switching to high-precision decimals only once exact
-numerators pass a digit budget, at a working precision wide enough to absorb
-the cancellation.  The partial sums and the limit's exact phase are Horner
-passes over integer numerators with known denominators: lcm(1..r) (n-1)^(r-1)
-for the sums, the product Q_k of `law`'s nested mean recurrence for the limit.
-Each result is reduced once, not term by term, and the long exact quotients
-become Decimals through `scalars.decimal_quotient`.  A limit request whose
-Decimal phase is estimated past the budget is refused before it runs.
+like (n/(n-1))^r / r).  The partial sums are exact: Horner passes over
+integer numerators over lcm(1..r) (n-1)^(r-1), reduced once, not term by
+term.  The limit runs the mean recurrence in Decimal at a working precision
+wide enough to absorb the cancellation, and meets the sums there through
+`scalars.decimal_quotient`.  A limit request whose recurrence is estimated
+past the budget is refused before it runs.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import ceil, gcd, lcm, log10
+from math import ceil, lcm, log10
 from typing import NamedTuple
 
 # transition_row is no longer called here, but perfbench/tracer.py wraps
@@ -32,12 +29,10 @@ from .game import _check_state, _row_numerators, transition_row  # noqa: F401
 from .law import duration_variance, expected_duration
 from .scalars import DEFAULT_LIMIT_ROUNDS, _check_budget, check_precision, decimal_quotient, to_decimal
 
-DEFAULT_DIGIT_BUDGET = 10**4
-
-# error_limit refuses a request whose Decimal phase is estimated past
+# error_limit refuses a request whose recurrence is estimated past
 # enum_budget() * LIMIT_WORK_SCALE digit products: 10^10 at the default
 # budget, about 10 s on a 2-vCPU Xeon VM.  n = 3 runs to R = 8000 (6.9·10^9,
-# 7.9 s); R = 100000 (4.6·10^12, over an hour) is refused.
+# 4.5-4.8 s); R = 100000 (4.6·10^12, over an hour) is refused.
 LIMIT_WORK_SCALE = 1000
 
 
@@ -131,93 +126,45 @@ def approx_report(n: int, r: int) -> ApproxReport:
     return ApproxReport(n, r, a_mean, e_mean, e_mean - a_mean, ratio_mean, a_var, e_var, ratio_var)
 
 
-def _digits(value: int) -> int:
-    return (value.bit_length() * 30103) // 100000 + 1
-
-
-def _fits(p: int, q: int, budget: int) -> bool:
-    return _digits(p) <= budget and _digits(q) <= budget
-
-
-def _reduced_fits(p: int, q: int, g: int, budget: int) -> tuple[bool, int]:
-    """(whether the reduced p/q has at most `budget` digits in numerator and
-    denominator, the last full gcd), for g a divisor of q: the last full gcd
-    so far, returned as it is unless gcd(p, q) had to be taken.
-
-    A reduced fraction is never longer than p/q, so p/q fitting settles it.
-    Else any common divisor h of p and q bounds the reduced form by p/h and
-    q/h, so h = gcd(p, g) proves the fit when those fit; it is cheap while g
-    is far shorter than q.  Only when neither does is gcd(p, q) taken, and it
-    decides.
-    """
-    if _fits(p, q, budget):
-        return True, g
-    h = gcd(p, g)
-    if _fits(p // h, q // h, budget):
-        return True, g
-    g = gcd(p, q)
-    return _fits(p // g, q // g, budget), g
-
-
-def _minus(p, q: int, a: Fraction, exact: bool) -> Decimal:
-    """p/q - a in the exact phase (p an integer), p - a in the Decimal phase,
-    as a Decimal at the active precision."""
-    if exact:
-        return decimal_quotient(p * a.denominator - a.numerator * q, q * a.denominator)
-    return p - decimal_quotient(a.numerator, a.denominator)
-
-
 def _check_limit_budget(n: int, rmax: int, wp: int) -> None:
-    """Refuse an error_limit request whose Decimal phase passes the budget,
+    """Refuse an error_limit request whose recurrence passes the budget,
     before it runs.
 
-    Step k of that phase turns min(n, k) + 1 capture numerators and n^k,
-    ints of about D_k = k log10(n) digits, into Decimals, and takes as many
-    quotients and products at wp digits.  Each is taken as D^1.585 digit
-    products (Karatsuba), D the longer of its operands, so the phase is
-    estimated at sum_k min(n, k) (D_k^1.585 + wp^1.585), summed in closed
-    form; the exact phase, which stops at the digit budget, is left out.  On
-    a 2-vCPU Xeon VM a digit product of this estimate took 0.9-1.4 ns from
-    (3, 2000) to (400, 200), more on small requests, where fixed costs
-    weigh; at n = 3 the phase grows as about R^2.6 (0.21, 1.26 and 7.9 s at
-    R = 2000, 4000 and 8000), and working precisions of a few thousand
-    digits run 2-3 times faster than estimated.  Those times were taken while
-    n^k became a Decimal once a term, not once a step: the estimate runs over.
+    Step k turns min(n, k) capture numerators, n^k and n^k - a_0(k), ints
+    of about D_k = k log10(n) digits, into Decimals once each, and takes
+    about as many quotients and products at wp digits.  Each is taken as
+    D^1.585 digit products (Karatsuba), D the longer of its operands, so the
+    recurrence is estimated at sum_k min(n, k) (D_k^1.585 + wp^1.585),
+    summed in closed form.  On a 2-vCPU Xeon VM a digit product of this
+    estimate took 0.34-0.66 ns from (12, 3000) to (3, 8000) and 0.4 ns at
+    (400, 200), more on small requests, where fixed costs weigh; at n = 3
+    the recurrence grows as about R^2.8 (0.10, 0.66 and 4.6 s at R = 2000,
+    4000 and 8000), so the estimate runs over.
     """
     a, m = 1.585, min(n, rmax)
     conversions = log10(n) ** a * (m ** (a + 2) / (a + 2) + n * (rmax ** (a + 1) - m ** (a + 1)) / (a + 1))
     work = conversions + wp**a * (m * (m + 1) / 2 + n * (rmax - m))
-    reason = (f"the error limit of {n} cells to {rmax} rounds runs its Decimal phase at {wp} digits on "
+    reason = (f"the error limit of {n} cells to {rmax} rounds runs its Decimal recurrence at {wp} digits on "
               f"integers of up to {rmax * log10(n):.3g} digits,")
     _check_budget(reason, work, "digit products", LIMIT_WORK_SCALE)
 
 
-def error_limit(
-    n: int,
-    rmax: int = DEFAULT_LIMIT_ROUNDS,
-    digits: int | None = None,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> LimitEstimate:
+def error_limit(n: int, rmax: int = DEFAULT_LIMIT_ROUNDS, digits: int | None = None) -> LimitEstimate:
     """Estimate lim_r E_n(r) as E_n(rmax), with the half-horizon gap.
 
-    The mean recurrence runs exactly, as integer numerators P_k over Q_k,
-    until the reduced P_k/Q_k passes `digit_budget` digits; it then continues
-    in Decimal at working precision digits + ceil(rmax log10(n/(n-1))) + 10:
-    the extra term covers the magnitude of the two nearly-cancelling
-    quantities, so the final difference still carries the requested number of
-    correct digits.  The window of exact means is handed to the Decimal phase
-    through `decimal_quotient`, which equals Decimal(P) / Decimal(Q) and so
-    the Decimal of the reduced mean.
-
-    Each exact step asks `_reduced_fits` with g the last full gcd
-    gcd(P_j, Q_j) it took (1 before the first): g divides Q_j, and Q_j
-    divides Q_k for j < k, so gcd(P_k, g) is a common divisor of P_k and Q_k
-    and certifies most steps past the budget without a full gcd.  The switch
-    falls at the first step where the reduced P_k/Q_k passes the budget, as
-    if every step were reduced.
+    The mean recurrence M(k) = (1 + sum_{t>=1} p_t M(k-t)) / (1 - p_0), p_t
+    the capture row of k balls, runs in Decimal at working precision
+    digits + ceil(rmax log10(n/(n-1))) + 10: the middle term covers the
+    magnitude of the two nearly-cancelling quantities M and A, so their
+    difference still carries the requested number of correct digits.  Since
+    sum_{t>=1} p_t = 1 - p_0, each M(k) is 1/(1 - p_0) plus a weighted mean
+    of earlier means, so rounding errors are averaged, not amplified: about
+    rmax (min(n, rmax) + 3) ulps after rmax steps, inside the 10 guard
+    digits.  A result that terminates can keep trailing zeros that its
+    rounded divisions left (-0.25000000000000000000 at (3, 2), 20 digits).
 
     Raises BudgetExceededError before any step when `_check_limit_budget`
-    estimates the Decimal phase past enum_budget() * LIMIT_WORK_SCALE.
+    estimates the recurrence past enum_budget() * LIMIT_WORK_SCALE.
     """
     if n < 3:
         raise ValueError(f"limit estimation needs cells >= 3 (the n = 2 error is identically 0), got {n}")
@@ -231,46 +178,25 @@ def error_limit(
     a_half = approx_mean(n, half)
     a_full = approx_mean(n, rmax)
 
-    # Rolling windows of the last n steps of law's nested integer mean
-    # recurrence (M(k) = P_k/Q_k over D_k = n^k - a_0(k)); rows put no mass on
-    # t > n.  A correctly rounded quotient does not depend on how the value is
-    # held, so the unreduced P_k/Q_k converts as the reduced one would.
-    ps, qs, ds = [0], [1], [1]
-    q = 1
-    g = 1
-    exact = True
-    e_half: Decimal | None = None
+    # Rolling window of the last n means; rows put no mass on t > n.
+    ms = [0]
     with localcontext() as ctx:
         ctx.prec = wp
         for k in range(1, rmax + 1):
             row = _row_numerators(n, k)
             nk = n**k
-            d = nk - row[0]
-            if exact:
-                p = 0
-                for t in range(len(row) - 1, 0, -1):
-                    p = p * ds[-t] + row[t] * ps[-t]
-                p += nk * q
-                q *= d
-                exact, g = _reduced_fits(p, q, g, digit_budget)
-                if not exact:
-                    ps = [decimal_quotient(v, u) for v, u in zip(ps, qs)]
-                    p = decimal_quotient(p, q)
-            else:
-                den = Decimal(nk)
-                p = Decimal(1)
-                for t in range(1, len(row)):
-                    if row[t]:
-                        p += Decimal(row[t]) / den * ps[-t]
-                p /= Decimal(d) / den
-            ps.append(p)
-            qs.append(q)
-            ds.append(d)
-            if len(ps) > n:
-                del ps[0], qs[0], ds[0]
+            den = Decimal(nk)
+            m = Decimal(1)
+            for t in range(1, len(row)):
+                if row[t]:
+                    m += Decimal(row[t]) / den * ms[-t]
+            m /= Decimal(nk - row[0]) / den
+            ms.append(m)
+            if len(ms) > n:
+                del ms[0]
             if k == half:
-                e_half = _minus(p, q, a_half, exact)
-        e_full = _minus(p, q, a_full, exact)
+                e_half = m - decimal_quotient(a_half.numerator, a_half.denominator)
+        e_full = m - decimal_quotient(a_full.numerator, a_full.denominator)
         gap_wide = abs(e_full - e_half)
     with localcontext() as ctx:
         ctx.prec = digits

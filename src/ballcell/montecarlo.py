@@ -601,15 +601,17 @@ def _simulate_batch(r: int, n: int, trials: int, seed: int, record: bool = False
         from .batchhelper import durations as split
 
         durations, traces = split(r, n, seed, trials), []
-    mean = Fraction(sum(durations), trials)
-    variance = Fraction(sum(map(mul, durations, durations)), trials) - mean * mean
+    # Both exact sums are read off the histogram: one pass over the durations.
+    histogram = dict(sorted(Counter(durations).items()))
+    mean = Fraction(sum(k * c for k, c in histogram.items()), trials)
+    variance = Fraction(sum(k * k * c for k, c in histogram.items()), trials) - mean * mean
     return SimBatch(
         balls=r,
         cells=n,
         trials=trials,
         seed=seed & MASK64,
         durations=tuple(durations),
-        histogram=dict(sorted(Counter(durations).items())),
+        histogram=histogram,
         mean=to_decimal(mean),
         variance=to_decimal(variance),
     ), traces

@@ -265,10 +265,13 @@ class Poly(_Sparse):
         return total
 
     def monic(self) -> "Poly":
-        """self over its leading coefficient; self when that is 0 or 1."""
+        """self over its leading coefficient; self when that is 0 or 1, -self
+        when it is -1, so int coefficients stay ints."""
         lc = Fraction(self.leading_coeff())
         if lc in (0, 1):
             return self
+        if lc == -1:
+            return -self
         return Poly._adopt({e: v / lc for e, v in self._c.items()})
 
 

@@ -4,22 +4,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, log10
 
-import random
+import json
 import time
-from math import gcd
 
 import pytest
 
 from ballcell import approx, cli
-from ballcell.approx import (
-    _digits,
-    _reduced_fits,
-    approx_mean,
-    approx_report,
-    approx_variance,
-    error_limit,
-    error_term,
-)
+from ballcell.approx import approx_mean, approx_report, approx_variance, error_limit, error_term
 from ballcell.errors import BudgetExceededError
 from ballcell.game import transition_row
 from ballcell.pgf import duration_variance, expected_duration
@@ -96,14 +87,6 @@ def test_limit_estimate_near_target():
     assert Decimal(0) < est.gap < Decimal("1e-10")
 
 
-def test_limit_digit_budget_switch_is_lossless():
-    # tiny digit budget forces the decimal continuation almost immediately;
-    # it must agree with the all-exact run at the requested precision
-    exact_path = error_limit(3, rmax=60, digits=12)
-    decimal_path = error_limit(3, rmax=60, digits=12, digit_budget=50)
-    assert exact_path.estimate == decimal_path.estimate
-
-
 # error_limit(n) at the defaults (400 rounds, 50 digits) as (estimate, gap,
 # stabilized), recorded from the recurrence that summed each weighted term
 # separately.
@@ -126,7 +109,7 @@ def test_limit_golden_at_defaults(n, monkeypatch):
 
 
 def test_over_budget_limit_is_refused_before_it_runs(monkeypatch):
-    # (3, 100000) ran for over an hour; its Decimal phase is estimated at
+    # (3, 100000) ran for over an hour; its recurrence is estimated at
     # 4.64e12 digit products against 1e10 at the default budget.
     monkeypatch.delenv(BUDGET_ENV, raising=False)
     monkeypatch.delenv(PRECISION_ENV, raising=False)
@@ -137,7 +120,7 @@ def test_over_budget_limit_is_refused_before_it_runs(monkeypatch):
 
 
 def test_limit_budget_follows_the_enumeration_budget(monkeypatch):
-    # (3, 8000) runs in about 8 s at the default budget (6.9e9 of 1e10);
+    # (3, 8000) runs in about 5 s at the default budget (6.9e9 of 1e10);
     # a budget a tenth as large refuses it, and the default requests stay
     # far inside one a hundredth as large.
     monkeypatch.delenv(PRECISION_ENV, raising=False)
@@ -208,10 +191,13 @@ def test_partial_sums_match_term_by_term_loop():
             assert approx_variance(n, r) == _reference_partial_sum(n, r, 2) - mean, (n, r)
 
 
-def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4, switched=None):
+def _digits(value: int) -> int:
+    return (value.bit_length() * 30103) // 100000 + 1
+
+
+def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4):
     """error_limit with the mean recurrence held as reduced Fractions until
-    one passes `digit_budget` digits, then in Decimal from the Fraction rows.
-    The step of the switch is appended to `switched` when one is given."""
+    one passes `digit_budget` digits, then in Decimal from the Fraction rows."""
     if digits is None:
         digits = default_precision()
     half = rmax // 2
@@ -232,8 +218,6 @@ def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4, switche
                         acc += probs[t] * window[-t]
                 m = acc / (1 - stay)
                 if max(_digits(m.numerator), _digits(m.denominator)) > digit_budget:
-                    if switched is not None:
-                        switched.append(k)
                     window = [to_decimal(v, wp) for v in window]
                     m = to_decimal(m, wp)
                     exact = False
@@ -253,9 +237,9 @@ def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4, switche
         return str(+e_full), str(+gap_wide), +gap_wide < Decimal(1).scaleb(-(digits + 2))
 
 
-# The digit-budget switch falls at different steps here, and never at
-# (9, 50).  In every other case the switch test certifies some steps past the
-# budget with gcd(P_k, g) and has to take the full gcd at others.
+# (n, rmax, digits, the reference's digit budget): the reference switches
+# from Fractions to Decimal at a different step in each case, and never at
+# (9, 50) or (3, 60, 12, 10**4).
 LIMIT_CASES = [
     (3, 60, 30, 200),
     (7, 150, 40, 500),
@@ -265,75 +249,31 @@ LIMIT_CASES = [
     (4, 300, 50, 5000),
     (5, 400, 20, 3000),
     (3, 400, 60, 20000),
+    (3, 60, 12, 50),
+    (3, 60, 12, 10**4),
 ]
 
 
 @pytest.mark.parametrize("args", LIMIT_CASES)
 def test_limit_matches_fraction_reference(args):
-    # Wherever the switch falls, the integer recurrence must give the same
-    # digits as reduced Fractions.
-    est = error_limit(*args)
+    # Wherever the reference leaves its Fractions, the Decimal recurrence
+    # must give the same digits.
+    est = error_limit(*args[:3])
     assert (str(est.estimate), str(est.gap), est.stabilized) == _reference_error_limit(*args)
 
 
-@pytest.mark.parametrize("args", LIMIT_CASES)
-def test_switch_falls_where_the_reduced_mean_passes_the_budget(args, monkeypatch):
-    # The switch is asked once per exact step, and the reference reduces every
-    # step and records where it switches.  A gcd whose second operand is the
-    # last full gcd (1 before the first) is a certificate; every other one is
-    # a full gcd, taken only when the certificate before it failed.
-    verdicts, gcds = [], {"certificates": 0, "full": 0, "g": 1}
-    real_fits, real_gcd = approx._reduced_fits, approx.gcd
-
-    def recording_fits(p, q, g, budget):
-        fits, g = real_fits(p, q, g, budget)
-        verdicts.append(fits)
-        return fits, g
-
-    def counting_gcd(a, b):
-        result = real_gcd(a, b)
-        if b == gcds["g"]:
-            gcds["certificates"] += 1
-        else:
-            gcds["full"] += 1
-            gcds["g"] = result
-        return result
-
-    monkeypatch.setattr(approx, "_reduced_fits", recording_fits)
-    monkeypatch.setattr(approx, "gcd", counting_gcd)
-    error_limit(*args)
-    switched = []
-    _reference_error_limit(*args, switched=switched)
-    assert switched == ([verdicts.index(False) + 1] if False in verdicts else []), args
-    if args != (9, 50):
-        proved = gcds["certificates"] - gcds["full"]
-        assert proved > 0 and gcds["full"] > 0, (args, gcds)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_short_horizons_match_the_fraction_reference(n):
+    # The reference stays in Fractions throughout and prints a terminating
+    # value in its shortest form; the Decimal recurrence keeps the trailing
+    # zeros of its divisions, so the two agree as values.
+    for rmax in range(2, 9):
+        est = error_limit(n, rmax, 20)
+        estimate, gap, stabilized = _reference_error_limit(n, rmax, 20)
+        assert (est.estimate, est.gap, est.stabilized) == (Decimal(estimate), Decimal(gap), stabilized), rmax
 
 
-def test_reduced_fits_agrees_with_the_reduced_fraction():
-    # g runs over divisors of q, as in error_limit; the three ways out (the
-    # unreduced form fits, gcd(p, g) certifies, the full gcd decides) all
-    # occur.
-    rng = random.Random(5)
-    ways = {"unreduced": 0, "certified": 0, "full": 0}
-    for _ in range(600):
-        common = rng.randrange(1, 10 ** rng.randrange(1, 60))
-        p = common * rng.randrange(1, 10 ** rng.randrange(1, 60))
-        q = common * rng.randrange(1, 10 ** rng.randrange(1, 60))
-        g = rng.choice([1, gcd(p, q), gcd(q, rng.randrange(1, 10**30)), gcd(q, common * rng.randrange(1, 100))])
-        budget = rng.randrange(1, 80)
-        m = Fraction(p, q)
-        want = _digits(m.numerator) <= budget and _digits(m.denominator) <= budget
-        fits, g_out = _reduced_fits(p, q, g, budget)
-        assert fits == want, (p, q, g, budget)
-        h = gcd(p, g)
-        if max(_digits(p), _digits(q)) <= budget:
-            ways["unreduced"] += 1
-        elif max(_digits(p // h), _digits(q // h)) <= budget:
-            ways["certified"] += 1
-        else:
-            ways["full"] += 1
-            assert g_out == gcd(p, q)
-            continue
-        assert g_out == g
-    assert min(ways.values()) > 30, ways
+def test_a_terminating_estimate_keeps_its_trailing_zeros(capsys):
+    assert cli.run(["approx", "--cells", "3", "--limit", "--rmax", "2", "--digits", "20"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["estimate"], result["gap"]) == ("-0.25000000000000000000", "0.25000000000000000000")

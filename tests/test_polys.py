@@ -157,6 +157,9 @@ def test_monic_and_content():
     assert p.content() == 2
     assert Poly({1: Fraction(2, 3), 0: 4}).content() == Fraction(2, 3)
     assert Poly.zero().content() == 0
+    # A lead of -1 negates: int coefficients stay ints.
+    q = Poly({0: 2, 1: -1}).monic()
+    assert q == Poly({0: -2, 1: 1}) and all(type(v) is int for _, v in q.items())
 
 
 def test_division_of_int_polys_is_exact():
@@ -184,6 +187,9 @@ def test_poly_gcd():
     assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
     # coprime inputs give the constant 1
     assert poly_gcd(x + 1, x + 2) == Poly.const(1)
+    # The remainder sequence of this pair ends on a lead of -1; the gcd keeps
+    # int coefficients, as after a lead of 1.
+    assert repr(poly_gcd(Poly({0: -2, 1: 1, 2: 1}), Poly({0: -3, 1: 2, 2: 1}))) == "Poly({0: -1, 1: 1})"
 
 
 def _euclid_gcd(p: Poly, q: Poly) -> Poly:
