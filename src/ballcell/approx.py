@@ -10,8 +10,11 @@ approach a small n-dependent constant as r grows; `error_limit` estimates that
 constant.  E_n(r) is a tiny difference of enormous numbers (both terms grow
 like (n/(n-1))^r / r).  The partial sums are exact: Horner passes over
 integer numerators over lcm(1..r) (n-1)^(r-1), reduced once, not term by
-term.  The limit runs the mean recurrence in Decimal at a working precision
-wide enough to absorb the cancellation, and meets the sums there through
+term.  Each (n, p) keeps the last sum it ran, so a request at that r or
+above resumes it, and one below starts again from j = 1.  The report's
+ratios are decimal quotients of cross products, with no Fraction division.
+The limit runs the mean recurrence in Decimal at a working precision wide
+enough to absorb the cancellation, and meets the sums there through
 `scalars.decimal_quotient`.  A limit request whose recurrence is estimated
 past the budget is refused before it runs.
 """
@@ -27,7 +30,7 @@ from typing import NamedTuple
 # approx.transition_row by name, so the attribute stays.
 from .game import _check_state, _row_numerators, transition_row  # noqa: F401
 from .law import duration_variance, expected_duration
-from .scalars import DEFAULT_LIMIT_ROUNDS, _check_budget, check_precision, decimal_quotient, to_decimal
+from .scalars import DEFAULT_LIMIT_ROUNDS, _check_budget, check_precision, decimal_quotient
 
 # error_limit refuses a request whose recurrence is estimated past
 # enum_budget() * LIMIT_WORK_SCALE digit products: 10^10 at the default
@@ -76,19 +79,33 @@ def _check_cells(n: int) -> None:
         raise ValueError(f"approximation needs cells >= 2, got {n}")
 
 
+# (n, p) -> (r, N_r, lcm(1..r), n^(p r)): the last state `_harmonic_sum` held
+# for that sum.  Each entry is replaced whole, never mutated.
+_HARMONIC: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+
 def _harmonic_sum(n: int, r: int, p: int) -> tuple[int, int]:
     """(N, L) with sum_{j=1}^r (1/j^p)(n/(n-1))^(p(j-1)) = N / L^p, where
-    L = lcm(1..r) (n-1)^(r-1); the sum is one Horner pass over integers."""
+    L = lcm(1..r) (n-1)^(r-1).
+
+    The sum runs from the state held for (n, p) when that state is at r or
+    below, and from j = 1 otherwise.  Step j takes l_j = lcm(l_{j-1}, j) and
+    N_j = N_{j-1} ((l_j / l_{j-1}) (n-1))^p + (l_j / j)^p n^(p(j-1)), one
+    Horner step over integers, and the state at r replaces the held one.
+    """
     _check_cells(n)
     _check_state(n, r)
-    lcm_r = lcm(*range(1, r + 1))
-    x, y = n**p, (n - 1) ** p
-    total = 0
-    power = 1
-    for j in range(1, r + 1):
-        total = total * y + (lcm_r // j) ** p * power
+    state = _HARMONIC.get((n, p))
+    k, total, lcm_k, power = state if state is not None and state[0] <= r else (0, 0, 1, 1)
+    x = n**p
+    for j in range(k + 1, r + 1):
+        lcm_j = lcm(lcm_k, j)
+        total = total * (lcm_j // lcm_k * (n - 1)) ** p + (lcm_j // j) ** p * power
+        lcm_k = lcm_j
         power *= x
-    return total, lcm_r * (n - 1) ** max(r - 1, 0)
+    if r > k:
+        _HARMONIC[n, p] = (r, total, lcm_k, power)
+    return total, lcm_k * (n - 1) ** max(r - 1, 0)
 
 
 def approx_mean(n: int, r: int) -> Fraction:
@@ -114,6 +131,16 @@ def error_term(n: int, r: int) -> Fraction:
     return expected_duration(r, n) - approx_mean(n, r)
 
 
+def _ratio(e: Fraction, a: Fraction) -> Decimal | None:
+    """to_decimal(e / a) from the cross products, without the Fraction
+    division's gcds; None when a is 0."""
+    if not a:
+        return None
+    with localcontext() as ctx:
+        ctx.prec = check_precision(None)
+        return decimal_quotient(e.numerator * a.denominator, e.denominator * a.numerator)
+
+
 def approx_report(n: int, r: int) -> ApproxReport:
     """Approximation against exact values, with error and convergence ratios."""
     total, den = _harmonic_sum(n, r, 1)
@@ -121,9 +148,15 @@ def approx_report(n: int, r: int) -> ApproxReport:
     a_var = _variance_over(n, r, total, den)
     e_mean = expected_duration(r, n)
     e_var = duration_variance(r, n)
-    ratio_mean = to_decimal(e_mean / a_mean) if a_mean else None
-    ratio_var = to_decimal(e_var / a_var) if a_var else None
+    ratio_mean = _ratio(e_mean, a_mean)
+    ratio_var = _ratio(e_var, a_var)
     return ApproxReport(n, r, a_mean, e_mean, e_mean - a_mean, ratio_mean, a_var, e_var, ratio_var)
+
+
+def _significant(value: Decimal, digits: int) -> Decimal:
+    """A nonzero `value` of at most `digits` significant digits written with
+    exactly `digits` of them; 0 as it is."""
+    return value.quantize(Decimal(1).scaleb(value.adjusted() + 1 - digits)) if value else value
 
 
 def _check_limit_budget(n: int, rmax: int, wp: int) -> None:
@@ -160,8 +193,9 @@ def error_limit(n: int, rmax: int = DEFAULT_LIMIT_ROUNDS, digits: int | None = N
     sum_{t>=1} p_t = 1 - p_0, each M(k) is 1/(1 - p_0) plus a weighted mean
     of earlier means, so rounding errors are averaged, not amplified: about
     rmax (min(n, rmax) + 3) ulps after rmax steps, inside the 10 guard
-    digits.  A result that terminates can keep trailing zeros that its
-    rounded divisions left (-0.25000000000000000000 at (3, 2), 20 digits).
+    digits.  A nonzero estimate and gap print `digits` significant digits
+    even where they terminate (-0.37500000000000000000 at (5, 2), 20
+    digits).
 
     Raises BudgetExceededError before any step when `_check_limit_budget`
     estimates the recurrence past enum_budget() * LIMIT_WORK_SCALE.
@@ -200,6 +234,5 @@ def error_limit(n: int, rmax: int = DEFAULT_LIMIT_ROUNDS, digits: int | None = N
         gap_wide = abs(e_full - e_half)
     with localcontext() as ctx:
         ctx.prec = digits
-        estimate = +e_full
-        gap = +gap_wide
+        estimate, gap = _significant(+e_full, digits), _significant(+gap_wide, digits)
     return LimitEstimate(n, rmax, digits, estimate, gap, gap < Decimal(1).scaleb(-(digits + 2)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from math import erfc, exp, floor, fsum, lgamma, log, log10, sqrt
+from math import erfc, exp, floor, fsum, inf, lgamma, log, log10, sqrt
 
 from .errors import BudgetExceededError
 
@@ -188,14 +188,42 @@ def chi_square_quantile(p: float, dof: int) -> float:
 
     The root is bracketed by doubling from 1, then bisected until the midpoint
     meets an endpoint.  1 - p is exact for p >= 1/2.
+
+    The bisection evaluates only the midpoints near the root.  The computed
+    sum carries a rounding error of about e = (2 + h |log h|) ulps of 1 - p,
+    which makes it non-monotone within a few e / density of the root (several
+    hundred ulps of x at dof 20000), so a bisection from another bracket could
+    end on another float.  Newton steps on log Pr[X > x], safeguarded by
+    midpoints, find an x whose sum is within 4e of 1 - p; a midpoint more than
+    64 e / density(x) from that x takes the side the root is on without the
+    sum, and the bisection ends where it would have ended.  The doubling
+    bracket [hi/2, hi] ([0, 1] below 1) is found from 2^bit_length(dof).
     """
     if dof < 1 or not 0 < p < 1:
         raise ValueError(f"chi-square quantile needs dof >= 1 and 0 < p < 1, got dof={dof}, p={p}")
-    lo, hi = 0.0, 1.0
-    while _chi_square_sf(hi, dof) > 1 - p:
-        lo, hi = hi, 2 * hi
+    tail = 1 - p
+    hi = 2.0 ** dof.bit_length()
+    while _chi_square_sf(hi, dof) > tail:
+        hi *= 2
+    while hi > 1 and _chi_square_sf(hi / 2, dof) <= tail:
+        hi /= 2
+    lo, hi = start = (hi / 2 if hi > 1 else 0.0), hi
+    x, below, above = hi, -inf, inf
+    while True:
+        h, sf = x / 2, _chi_square_sf(x, dof)
+        slack = 2.0**-50 * tail * (2 + h * abs(log(h)))
+        density = exp((dof / 2 - 1) * log(h) - h - lgamma(dof / 2)) / 2
+        if abs(sf - tail) <= slack:
+            below, above = x - 16 * slack / density, x + 16 * slack / density
+            break
+        lo, hi = (x, hi) if sf > tail else (lo, x)
+        step = x + log(sf / tail) * sf / density if sf and density else inf
+        x = step if lo < step < hi else (lo + hi) / 2
+        if not lo < x < hi:
+            break
+    lo, hi = start
     while lo < (mid := (lo + hi) / 2) < hi:
-        if _chi_square_sf(mid, dof) > 1 - p:
+        if mid <= below or (mid < above and _chi_square_sf(mid, dof) > tail):
             lo = mid
         else:
             hi = mid

@@ -26,10 +26,14 @@ shift.  ``settle_by_primitive_parts`` settles a quotient from the primitive
 parts of its fields scaled back by the reduced ratio of their contents, so
 it checks ``_Quotient._settle``, which divides each field once by the gcd
 of the contents.
+
+``harmonic_sum_from_scratch`` runs the harmonic partial sum's Horner pass
+from j = 1 on every call, so it checks ``approx._harmonic_sum``, which
+resumes from the state it held for the same n and power.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from ballcell.game import transition_row
 from ballcell.montecarlo import MIN_COVERAGE, GofBin, GofReport
@@ -188,3 +192,16 @@ def settle_by_primitive_parts(cls, num, den, cancel=True):
         num, den = -num, -den
     q.num, q.den = num, den
     return q
+
+
+def harmonic_sum_from_scratch(n, r, p):
+    """(N, L) with sum_{j=1}^r (1/j^p)(n/(n-1))^(p(j-1)) = N / L^p, where
+    L = lcm(1..r) (n-1)^(r-1); one Horner pass over integers."""
+    lcm_r = lcm(*range(1, r + 1))
+    x, y = n**p, (n - 1) ** p
+    total = 0
+    power = 1
+    for j in range(1, r + 1):
+        total = total * y + (lcm_r // j) ** p * power
+        power *= x
+    return total, lcm_r * (n - 1) ** max(r - 1, 0)

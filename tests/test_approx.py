@@ -15,6 +15,7 @@ from ballcell.errors import BudgetExceededError
 from ballcell.game import transition_row
 from ballcell.pgf import duration_variance, expected_duration
 from ballcell.scalars import BUDGET_ENV, PRECISION_ENV, decimal_sqrt, default_precision, to_decimal
+from oracles import harmonic_sum_from_scratch
 
 # E_3(10), frozen output of the exact pipeline.
 E3_AT_10 = Fraction(-141488086213, 8824570191360)
@@ -191,6 +192,49 @@ def test_partial_sums_match_term_by_term_loop():
             assert approx_variance(n, r) == _reference_partial_sum(n, r, 2) - mean, (n, r)
 
 
+# (n, r) requests in the orders a caller may send them: ascending and
+# descending sweeps, repeats, two n interleaved, r = 0 and 1 after longer
+# sums, n = 2 and n >= 100.
+HARMONIC_SEQUENCES = [
+    [(3, r) for r in range(0, 60)],
+    [(4, r) for r in range(60, -1, -7)],
+    [(5, 17), (5, 17), (5, 9), (5, 9), (5, 30), (5, 30)],
+    [(n, r) for r in range(0, 45, 4) for n in (2, 7)],
+    [(6, 40), (6, 1), (6, 0), (6, 1), (6, 41), (6, 0)],
+    [(100, 3), (101, 50), (100, 80), (101, 49), (250, 120), (100, 2)],
+]
+
+
+@pytest.mark.parametrize("requests", HARMONIC_SEQUENCES)
+def test_running_sums_match_the_from_scratch_sum(requests, monkeypatch):
+    monkeypatch.setattr(approx, "_HARMONIC", {})
+    for n, r in requests:
+        for p in (1, 2):
+            assert approx._harmonic_sum(n, r, p) == harmonic_sum_from_scratch(n, r, p), (n, r, p)
+
+
+@pytest.mark.parametrize("precision", [7, 80])
+def test_report_matches_fraction_arithmetic(precision, monkeypatch):
+    # The ratios keep to_decimal's precision: equal Decimals, exponents and
+    # trailing zeros included.
+    monkeypatch.setenv(PRECISION_ENV, str(precision))
+    for n, r in [(2, 0), (2, 1), (3, 1), (3, 2), (4, 12), (7, 30), (12, 5), (30, 30), (3, 60)]:
+        num, den = harmonic_sum_from_scratch(n, r, 1)
+        squares, _ = harmonic_sum_from_scratch(n, r, 2)
+        a_mean, a_var = Fraction(num, den), Fraction(squares, den * den) - Fraction(num, den)
+        e_mean, e_var = expected_duration(r, n), duration_variance(r, n)
+        want = (n, r, a_mean, e_mean, e_mean - a_mean, to_decimal(e_mean / a_mean) if a_mean else None,
+                a_var, e_var, to_decimal(e_var / a_var) if a_var else None)
+        assert repr(approx_report(n, r)) == repr(approx.ApproxReport(*want)), (n, r)
+
+
+def test_two_cell_mean_ratios_are_exactly_one():
+    # The n = 2 error vanishes, so each mean ratio is an exact quotient.
+    assert approx_report(2, 0).ratio_mean is None
+    for r in range(1, 61):
+        assert approx_report(2, r).ratio_mean.as_tuple() == Decimal(1).as_tuple(), r
+
+
 def _digits(value: int) -> int:
     return (value.bit_length() * 30103) // 100000 + 1
 
@@ -265,15 +309,25 @@ def test_limit_matches_fraction_reference(args):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_short_horizons_match_the_fraction_reference(n):
     # The reference stays in Fractions throughout and prints a terminating
-    # value in its shortest form; the Decimal recurrence keeps the trailing
-    # zeros of its divisions, so the two agree as values.
+    # value in its shortest form; error_limit prints every one of its 20
+    # digits, so the two agree as values.
     for rmax in range(2, 9):
         est = error_limit(n, rmax, 20)
         estimate, gap, stabilized = _reference_error_limit(n, rmax, 20)
         assert (est.estimate, est.gap, est.stabilized) == (Decimal(estimate), Decimal(gap), stabilized), rmax
+        assert len(est.estimate.as_tuple().digits) == len(est.gap.as_tuple().digits) == 20, rmax
 
 
 def test_a_terminating_estimate_keeps_its_trailing_zeros(capsys):
     assert cli.run(["approx", "--cells", "3", "--limit", "--rmax", "2", "--digits", "20"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert (result["estimate"], result["gap"]) == ("-0.25000000000000000000", "0.25000000000000000000")
+
+
+@pytest.mark.parametrize("digits", [5, 20])
+def test_a_short_terminating_estimate_prints_every_digit(digits, capsys):
+    # -0.375 is exact in the recurrence's divisions, and still prints with
+    # `digits` significant digits.
+    assert cli.run(["approx", "--cells", "5", "--limit", "--rmax", "2", "--digits", str(digits)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["estimate"], result["gap"]) == ("-0.375" + "0" * (digits - 3), "0.375" + "0" * (digits - 3))
