@@ -43,8 +43,9 @@ class ApproxReport(NamedTuple):
     """Approximate vs exact mean and variance for one (n, r).
 
     `error` is exact_mean - approx_mean, exact.  Ratios are exact/approx at
-    the active precision; None when the approximation is zero (r <= 1 for the
-    variance), where the ratio is undefined.
+    the active precision; None when the approximation is zero: r = 0 for the
+    mean, and r <= 1 or (n, r) = (2, 2) for the variance, whose approximation
+    at (2, 2) is (1 + 1) - (1 + 1) while the exact variance is 2.
     """
 
     cells: int

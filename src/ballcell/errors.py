@@ -16,7 +16,8 @@ class DivergentDurationError(ValueError):
 class BudgetExceededError(RuntimeError):
     """A computation would exceed its budget, refused before any work.
 
-    Raised by `scalars._check_budget` for `brute_force_row`, the symbolic
-    tables past max_balls, the simulations, `exact_distribution`, the mean
-    table and `error_limit`.
+    Raised by `scalars._check_budget` for each refusal of the README's budget
+    table: `brute_force_row`, the simulation size and words drawn,
+    `exact_distribution`, the mean table, `error_limit`, the symbolic tables
+    past `pgf.SYMBOLIC_CEILING` and `moments_symbolic`'s work estimate.
     """

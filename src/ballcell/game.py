@@ -174,16 +174,16 @@ def transition_prob_symbolic(r: int, t: int) -> RatFunc2:
     return RatFunc2.from_coprime(Poly2.from_poly_in_n(num.shift(-low)), Poly2.var_n() ** (r - low))
 
 
-def brute_force_row(n: int, r: int, budget: int | None = None) -> TransitionRow:
+def brute_force_row(n: int, r: int) -> TransitionRow:
     """Capture distribution by enumerating all n^r placements.
 
     Independent oracle: shares no code with the table of `_no_capture`.
-    Refuses to enumerate more than `budget` placements (default from
-    BALLCELL_BUDGET, 10^7).
+    Refuses to enumerate more than enum_budget() placements (BALLCELL_BUDGET,
+    10^7 by default).
     """
     _check_state(n, r)
     total = n**r
-    _check_budget(f"enumerating ({r} balls, {n} cells) visits {n}^{r},", total, "placements", budget=budget)
+    _check_budget(f"enumerating ({r} balls, {n} cells) visits {n}^{r},", total, "placements")
     counts = [0] * (r + 1)
     for placement in product(range(n), repeat=r):
         occupancy = [0] * n

@@ -29,8 +29,8 @@ from .scalars import _about, _check_budget
 if TYPE_CHECKING:
     from .montecarlo import DurationLaw, SimBatch
 
-# The mass an exact distribution covers by default, and the least that
-# gof_compare accepts.
+# The mass an exact distribution covers, and the least that gof_compare
+# accepts.
 MIN_COVERAGE = Fraction(10**9 - 1, 10**9)
 
 # exact_distribution refuses a law whose estimated horizon H gives terms over
@@ -102,27 +102,25 @@ def duration_distribution(r: int, n: int, kmax: int) -> list[Fraction]:
     return _law_probs(list(islice(_duration_law(r, n), kmax + 1)), n**r)
 
 
-def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) -> list[Fraction]:
+def exact_distribution(r: int, n: int) -> list[Fraction]:
     """Distribution to the first horizon 32 * 2^i at which its mass reaches
-    min_coverage, the last CDF term; each doubling resumes the chain where
-    the last one stopped.
+    MIN_COVERAGE, the last CDF term; each doubling resumes the chain where
+    the last one stopped.  A law to a horizon of one's own choosing is
+    duration_distribution, which never refuses.
 
-    Refuses the non-terminating state, where no horizon can cover the mass,
-    and a min_coverage of 1 or more, which no finite horizon reaches once
-    r >= 2.  Refuses with BudgetExceededError when the terms after H rounds,
-    over n^r per round, would pass enum_budget() // LAW_DIGITS_DIVISOR
-    digits: first for the floor H = LAW_MIN_TERMS - 1, which costs nothing
-    to check, then for H = max(log(1 - min_coverage) / log(p), the floor),
-    p the largest stay probability of the states 2..r, taken in log form so
-    that the estimate stays finite however close p is to 1.
+    Refuses the non-terminating state, where no horizon can cover the mass.
+    Refuses with BudgetExceededError when the terms after H rounds, over n^r
+    per round, would pass enum_budget() // LAW_DIGITS_DIVISOR digits: first
+    for the floor H = LAW_MIN_TERMS - 1, which costs nothing to check, then
+    for H = max(log(1 - MIN_COVERAGE) / log(p), the floor), p the largest
+    stay probability of the states 2..r, taken in log form so that the
+    estimate stays finite however close p is to 1.
     """
     _check_terminating(n, r)
-    if min_coverage >= 1:
-        raise ValueError(f"min_coverage must be below 1, got {min_coverage}")
 
     def refuse_past(digits: float, rounds: str, is_log: bool = False) -> None:
         reason = (f"the exact law of ({r} balls, {n} cells) walks about {rounds} to cover "
-                  f"{float(min_coverage):.9f} of its mass, with terms of")
+                  f"{float(MIN_COVERAGE):.9f} of its mass, with terms of")
         _check_budget(reason, digits, "digits", Fraction(1, LAW_DIGITS_DIVISOR), is_log=is_log)
 
     # The floor goes first: the stay probabilities below are r - 1 exact
@@ -133,16 +131,15 @@ def exact_distribution(r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) ->
     # mass left after H rounds is about p^H.  H is taken in log form from the
     # exact q = 1 - p, since -log(p) underflows a float when p is within
     # 2^-1075 of 1; below 2^-52, -log(p) is q to double precision.  No state
-    # stays put when r < 2, and no mass needs covering when `need` is 0.
-    need = -log(1 - min_coverage)
-    if r >= 2 and need > 0:
+    # stays put when r < 2.
+    if r >= 2:
         q = min(Fraction(n**i - _row_numerators(n, i)[0], n**i) for i in range(2, r + 1))
         log_decay = log(-log1p(-float(q))) if q > 2**-52 else log(q.numerator) - log(q.denominator)
-        log_h = max(log(need) - log_decay, log(floor))
+        log_h = max(log(-log(1 - MIN_COVERAGE)) - log_decay, log(floor))
         refuse_past(log_h + log(r * log10(n)), f"{_about(log_h)} rounds (at least {floor})", is_log=True)
     law = _duration_law(r, n)
     cdf = list(islice(law, LAW_MIN_TERMS))
-    while Fraction(*cdf[-1]) < min_coverage:
+    while Fraction(*cdf[-1]) < MIN_COVERAGE:
         cdf += islice(law, len(cdf) - 1)
     return _law_probs(cdf, n**r)
 

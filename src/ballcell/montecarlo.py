@@ -625,9 +625,9 @@ class DurationLaw(NamedTuple):
     probs: tuple[Fraction, ...]
 
     @classmethod
-    def compute(cls, r: int, n: int, min_coverage: Fraction = MIN_COVERAGE) -> "DurationLaw":
+    def compute(cls, r: int, n: int) -> "DurationLaw":
         _check_sim_state(r, n)
-        return cls(r, n, tuple(exact_distribution(r, n, min_coverage)))
+        return cls(r, n, tuple(exact_distribution(r, n)))
 
     def coverage(self) -> Fraction:
         return sum(self.probs, Fraction(0))

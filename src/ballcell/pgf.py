@@ -67,7 +67,7 @@ from .polys import Poly, Poly2, int_div_exact, poly2_div_exact  # noqa: F401
 from .ratfuncs import RatFunc, RatFunc2, _series_numerators
 from .scalars import _check_budget, decimal_sqrt
 
-DEFAULT_SYMBOLIC_CEILING = 40
+SYMBOLIC_CEILING = 40
 
 # moments_symbolic refuses an estimate past enum_budget() *
 # SYMBOLIC_MOMENTS_SCALE work units: 6·10^6 at the default budget, about 12 s
@@ -151,11 +151,11 @@ class SymbolicMomentReport(NamedTuple):
     variance: RatFunc2 | None
 
 
-def _check_symbolic(r: int, max_balls: int) -> None:
+def _check_symbolic(r: int) -> None:
     if r < 0:
         raise ValueError(f"balls must be >= 0, got {r}")
-    reason = f"the symbolic tables stop at r <= {max_balls}, the library argument max_balls; the request asks for"
-    _check_budget(reason, r, "balls", budget=max_balls)
+    reason = f"the symbolic tables stop at r <= {SYMBOLIC_CEILING}; the request asks for"
+    _check_budget(reason, r, "balls", budget=SYMBOLIC_CEILING)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +299,11 @@ def pgf_numeric(r: int, n: int) -> DurationPGF:
     return DurationPGF(r, n, func, terminating=not func.is_zero())
 
 
-def symbolic_den_factors(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> list[Poly2]:
+def symbolic_den_factors(r: int) -> list[Poly2]:
     """Denominator of pgf_symbolic(r) as its exact factor list (with
     multiplicity), ordered by degree.  Their product is the reduced
     denominator by construction."""
-    _check_symbolic(r, max_balls)
+    _check_symbolic(r)
     den = _levels(None, r)[r][1]
     factors = []
     for f, m in den.items():
@@ -312,13 +312,13 @@ def symbolic_den_factors(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> l
     return factors
 
 
-def pgf_symbolic(r: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> DurationPGF:
+def pgf_symbolic(r: int) -> DurationPGF:
     """Duration PGF with the cell count left as the variable n.
 
-    Substituting any integer n >= 2 reproduces pgf_numeric(r, n).  Guarded by
-    `max_balls` because bivariate coefficients grow quickly with r.
+    Substituting any integer n >= 2 reproduces pgf_numeric(r, n).  Refused
+    past SYMBOLIC_CEILING balls: bivariate coefficients grow quickly with r.
     """
-    _check_symbolic(r, max_balls)
+    _check_symbolic(r)
     func = _levels(None, r)[r][2]
     return DurationPGF(r, None, func, terminating=True)
 
@@ -390,7 +390,7 @@ def moments(r: int, n: int, order: int) -> MomentReport:
     return moments_of(pgf_numeric(r, n).func, order)
 
 
-def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILING) -> SymbolicMomentReport:
+def moments_symbolic(r: int, order: int) -> SymbolicMomentReport:
     """Moments as reduced rational functions of the cell count: the numeric
     chain over Polys in n with int coefficients, each moment reduced once by
     ``RatFunc2._x_free`` against the denominator factors at x = 1 (times d1's
@@ -398,13 +398,13 @@ def moments_symbolic(r: int, order: int, max_balls: int = DEFAULT_SYMBOLIC_CEILI
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    _check_symbolic(r, max_balls)
-    # SYMBOLIC_MOMENTS_SCALE's estimate, in log form so that it stays finite for any max_balls.
+    _check_symbolic(r)
+    # SYMBOLIC_MOMENTS_SCALE's estimate, in log form so that it stays finite for any order.
     work = (order * r * (r - 1)) ** 4 // 80000 + (order**3 * 5**r // 25 if order >= 3 else 0)
     _check_budget(f"the symbolic moments of {r} balls to order {order} take", log(max(work, 1)), "work units",
                   SYMBOLIC_MOMENTS_SCALE, is_log=True)
-    d1, raw_nums, central_nums = _moment_numerators(pgf_symbolic(r, max_balls).func, order)
-    at_one = Counter(f.subs_x(1) for f in symbolic_den_factors(r, max_balls))
+    d1, raw_nums, central_nums = _moment_numerators(pgf_symbolic(r).func, order)
+    at_one = Counter(f.subs_x(1) for f in symbolic_den_factors(r))
     at_one[Poly.const(Fraction(d1.leading_coeff(), prod(f.leading_coeff() ** m for f, m in at_one.items())))] += 1
 
     def over_d1(v: Poly, power: int) -> RatFunc2:

@@ -75,9 +75,9 @@ def _check_budget(reason: str, estimate: float, units: str, scale: int | Fractio
                   budget: int | None = None, is_log: bool = False) -> None:
     """Refuse an estimate past its budget with BudgetExceededError "<reason>
     about X <units>; the budget is Y (BALLCELL_BUDGET * scale)".  The budget
-    is enum_budget() * scale rounded down, or `budget`, without the
-    parenthesis, when given.  With is_log, `estimate` is a natural log, for
-    an estimate past the float range."""
+    is enum_budget() * scale rounded down, or the fixed `budget` of the
+    symbolic ceiling, without the parenthesis.  With is_log, `estimate` is
+    a natural log, for an estimate past the float range."""
     source = ""
     if budget is None:
         budget, source = enum_budget() * scale // 1, f" ({BUDGET_ENV} * {float(scale):g})"

@@ -79,6 +79,22 @@ def test_report_ratios_undefined_when_approx_is_zero():
     assert rep.ratio_mean is not None
 
 
+def test_ratios_are_none_exactly_where_the_docstring_says():
+    # The mean ratio is None at r = 0 alone; the variance ratio at r <= 1 and
+    # at (2, 2), where the approximation is (1 + 1) - (1 + 1) = 0 against an
+    # exact variance of 2.
+    for n in range(2, 13):
+        for r in range(41):
+            rep = approx_report(n, r)
+            assert (rep.ratio_mean is None) == (r == 0), (n, r)
+            assert (rep.ratio_variance is None) == (r <= 1 or (n, r) == (2, 2)), (n, r)
+            if rep.ratio_mean is None:
+                assert rep.approx_mean == 0
+            if rep.ratio_variance is None:
+                assert rep.approx_variance == 0, (n, r)
+    assert approx_report(2, 2).exact_variance == 2
+
+
 def test_limit_estimate_near_target():
     est = error_limit(3, rmax=200, digits=30)
     assert est.cells == 3 and est.rmax == 200 and est.digits == 30

@@ -362,12 +362,12 @@ REFUSALS = [
     ),
     pytest.param(
         ["pgf", "--symbolic-n", "--balls", "41"], {},
-        ["stop at r <= 40", "library argument max_balls", "about 41 balls; the budget is 40"],
+        ["stop at r <= 40; the request asks for about 41 balls; the budget is 40"],
         id="pgf-symbolic-ceiling",
     ),
     pytest.param(
         ["moments", "--symbolic-n", "--balls", "41", "--order", "2"], {},
-        ["stop at r <= 40", "library argument max_balls"], id="moments-symbolic-ceiling",
+        ["stop at r <= 40; the request asks for about 41 balls; the budget is 40"], id="moments-symbolic-ceiling",
     ),
     # Order 4 costs about 5x more per ball from r = 7: the estimate refuses
     # (14, order 4), and (40, order 4) before the symbolic table is built.

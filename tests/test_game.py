@@ -108,13 +108,16 @@ def test_argument_validation():
         transition_prob(3, 2, -1)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.delenv("BALLCELL_BUDGET", raising=False)
     with pytest.raises(BudgetExceededError):
         brute_force_row(10, 8)  # 10^8 placements
-    # an explicit budget overrides the default
-    assert brute_force_row(2, 3, budget=8).probs == transition_row(2, 3).probs
+    # BALLCELL_BUDGET sets the limit: 2^3 placements fit a budget of 8, not 7
+    monkeypatch.setenv("BALLCELL_BUDGET", "8")
+    assert brute_force_row(2, 3).probs == transition_row(2, 3).probs
+    monkeypatch.setenv("BALLCELL_BUDGET", "7")
     with pytest.raises(BudgetExceededError):
-        brute_force_row(2, 3, budget=7)
+        brute_force_row(2, 3)
 
 
 def test_enumeration_refusal_reads_past_the_float_range(monkeypatch):

@@ -156,11 +156,17 @@ def test_symbolic_denominator_factors_multiply_back():
         assert ratio.num.constant_value() > 0
 
 
-def test_symbolic_ceiling():
-    with pytest.raises(BudgetExceededError):
-        pgf_symbolic(9, max_balls=8)
-    with pytest.raises(BudgetExceededError):
-        symbolic_den_factors(9, max_balls=8)
+def test_symbolic_ceiling(monkeypatch):
+    # r = 41 is refused by all three symbolic functions before any level is built.
+    assert pgf.SYMBOLIC_CEILING == 40
+
+    def built(*args):
+        raise AssertionError(f"_levels{args} ran past the ceiling")
+
+    monkeypatch.setattr(pgf, "_levels", built)
+    for call in (pgf_symbolic, symbolic_den_factors, lambda r: moments_symbolic(r, 2)):
+        with pytest.raises(BudgetExceededError, match=r"stop at r <= 40; .* about 41 balls; the budget is 40$"):
+            call(41)
 
 
 def _fraction_levels(n, rmax):
@@ -321,10 +327,6 @@ def test_exact_distribution_coverage():
     assert probs == duration_distribution(2, 2, 32)
     # horizons 32 and 64 fall short here, so the chain resumes twice
     assert exact_distribution(6, 2) == duration_distribution(6, 2, 128)
-    # no finite horizon holds all the mass, so full coverage is refused
-    for coverage in (Fraction(1), Fraction(3, 2)):
-        with pytest.raises(ValueError, match="min_coverage"):
-            exact_distribution(2, 2, coverage)
 
 
 # Every state to which the simulate_gof benchmark workload can send --gof:
@@ -356,12 +358,10 @@ def test_exact_distribution_refuses_long_horizons(monkeypatch):
     with pytest.raises(BudgetExceededError, match=r"about 3\.71e\+08 rounds .* about 3\.35e\+09 digits"):
         exact_distribution(30, 2)
     assert time.perf_counter() - start < 1
-    # A lower coverage needs a shorter horizon: (12, 2) estimates 12.7k digits
-    # for the default and 426 for half the mass.  duration_distribution, told
-    # its horizon, never refuses.
+    # (12, 2) estimates 12.7k digits.  duration_distribution, told its
+    # horizon, never refuses.
     with pytest.raises(BudgetExceededError):
         exact_distribution(12, 2)
-    assert sum(exact_distribution(12, 2, Fraction(1, 2))) >= Fraction(1, 2)
     assert duration_distribution(30, 2, 3) == list(islice(duration_law_over_q(30, 2), 4))
     # The budget scales with BALLCELL_BUDGET: (8, 2) estimates 773 digits.
     assert exact_distribution(8, 2)
@@ -377,8 +377,6 @@ def test_exact_distribution_refuses_long_horizons(monkeypatch):
     with pytest.raises(BudgetExceededError, match=r"about 32 rounds .* about 6\.96e\+03 digits"):
         exact_distribution(100, 150)
     assert time.perf_counter() - start < 1
-    with pytest.raises(ValueError, match="min_coverage"):
-        exact_distribution(30, 2, Fraction(1))
 
 
 def test_exact_distribution_refuses_its_floor_before_any_work(monkeypatch):
