@@ -30,7 +30,7 @@ from typing import NamedTuple
 # approx.transition_row by name, so the attribute stays.
 from .game import _check_state, _row_numerators, transition_row  # noqa: F401
 from .law import duration_variance, expected_duration
-from .scalars import DEFAULT_LIMIT_ROUNDS, _check_budget, check_precision, decimal_quotient
+from .scalars import DEFAULT_LIMIT_ROUNDS, _check_budget, decimal_quotient, default_precision
 
 # error_limit refuses a request whose recurrence is estimated past
 # enum_budget() * LIMIT_WORK_SCALE digit products: 10^10 at the default
@@ -138,7 +138,7 @@ def _ratio(e: Fraction, a: Fraction) -> Decimal | None:
     if not a:
         return None
     with localcontext() as ctx:
-        ctx.prec = check_precision(None)
+        ctx.prec = default_precision()
         return decimal_quotient(e.numerator * a.denominator, e.denominator * a.numerator)
 
 
@@ -205,7 +205,9 @@ def error_limit(n: int, rmax: int = DEFAULT_LIMIT_ROUNDS, digits: int | None = N
         raise ValueError(f"limit estimation needs cells >= 3 (the n = 2 error is identically 0), got {n}")
     if rmax < 2:
         raise ValueError(f"rmax must be >= 2, got {rmax}")
-    digits = check_precision(digits)
+    digits = default_precision() if digits is None else digits
+    if digits < 1:
+        raise ValueError(f"digits must be a positive integer, got {digits}")
     half = rmax // 2
     wp = digits + max(0, ceil(rmax * log10(n / (n - 1)))) + 10
     _check_limit_budget(n, rmax, wp)

@@ -37,8 +37,8 @@ from .scalars import DEFAULT_LIMIT_ROUNDS, parse_rational
 # loads when a handler that needs it runs, or when one of its names is read
 # from this module.  Either way its names are bound in these globals, which
 # the handlers call through, and a name bound already, such as a tracer's
-# wrapper, is kept.  perfbench/tracer.py wraps simulate_batch and
-# simulate_game_verbose by name, though no handler calls them.
+# wrapper, is kept.  perfbench/tracer.py wraps simulate_game_verbose by
+# name, though no handler calls it.
 _LEAVES = {
     "pgf": ("moments", "moments_symbolic", "pgf_numeric", "pgf_symbolic", "symbolic_den_factors"),
     "polys": ("Poly2",),
@@ -193,7 +193,11 @@ def _cmd_simulate(args) -> dict:
     _load("montecarlo")
     # The exact law comes first, so that its cost estimate refuses before play.
     law = DurationLaw.compute(args.balls, args.cells) if args.gof else None
-    batch, traces = _simulate_batch(args.balls, args.cells, args.trials, args.seed, record=args.verbose)
+    # Only --verbose needs the rounds, recorded in the same pass as the batch.
+    if args.verbose:
+        batch, traces = _simulate_batch(args.balls, args.cells, args.trials, args.seed, record=True)
+    else:
+        batch = simulate_batch(args.balls, args.cells, args.trials, args.seed)
     names = ("balls", "cells", "trials", "seed", "mean", "variance", "histogram")
     result = {name: getattr(batch, name) for name in names}
     if args.verbose:

@@ -18,6 +18,7 @@ class BudgetExceededError(RuntimeError):
 
     Raised by `scalars._check_budget` for each refusal of the README's budget
     table: `brute_force_row`, the simulation size and words drawn,
-    `exact_distribution`, the mean table, `error_limit`, the symbolic tables
-    past `pgf.SYMBOLIC_CEILING` and `moments_symbolic`'s work estimate.
+    `exact_distribution`, the mean table, the numeric PGF table, `error_limit`,
+    the symbolic tables past `pgf.SYMBOLIC_CEILING` and `moments_symbolic`'s
+    work estimate.
     """

@@ -47,7 +47,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import comb, gcd, log, prod
+from math import comb, gcd, log, log10, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -68,6 +68,20 @@ from .ratfuncs import RatFunc, RatFunc2, _series_numerators
 from .scalars import _check_budget, decimal_sqrt
 
 SYMBOLIC_CEILING = 40
+
+# A numeric table is refused past enum_budget() * NUMERIC_TABLE_SCALE digit
+# products: 5·10^8 at the default budget, about 10 s on a 2-vCPU Xeon VM.
+# Level r's denominator, a product of stay factors b_k - a_k x with
+# b_k <= n^k, has coefficients of up to about D = r(r + 1)/2 log10(n)
+# digits, law._check_mean_budget's bound on Q_r.  Each of the r levels
+# multiplies and divides numbers of that size, so the build is estimated at
+# r D^1.585 digit products (Karatsuba).  Fresh-process cold builds took
+# 1.2-2.4·10^-8 s per product from (60, 60) to (120, 120), (3, 200) and
+# (20, 150), more at (150, 150): (100, 100) at 2.2·10^8 runs (4-9 s), (3, 200)
+# at 4.1·10^8 runs (8-9 s), while (120, 120) at 5.0·10^8 (12-13 s), (20, 150)
+# at 6.1·10^8 (15 s), (2, 300) at 1.1·10^9 (31 s) and (150, 150) at
+# 1.4·10^9 (71 s, then an int-to-str crash) are refused.
+NUMERIC_TABLE_SCALE = 50
 
 # moments_symbolic refuses an estimate past enum_budget() *
 # SYMBOLIC_MOMENTS_SCALE work units: 6·10^6 at the default budget, about 12 s
@@ -273,11 +287,22 @@ def _symbolic_row(r: int) -> list[Poly2]:
     return [stay.num, stay.den, *map(Poly2.from_poly_in_n, _symbolic_row_numerators(r)[1:])]
 
 
+def _check_numeric_budget(n: int, r: int) -> None:
+    """Refuse a numeric table to r whose build passes NUMERIC_TABLE_SCALE's
+    estimate, before any level is built."""
+    digits = r * (r + 1) / 2 * log10(n)
+    reason = (f"the PGF table of ({r} balls, {n} cells) holds coefficients of about {digits:.3g} digits; "
+              "building it takes")
+    _check_budget(reason, r * digits**1.585, "digit products", NUMERIC_TABLE_SCALE)
+
+
 def _levels(n: int | None, rmax: int) -> list[tuple]:
     """Levels 0..rmax (at least) of the table for n, grown as needed."""
     levels = _LEVELS.get(n)
     if levels is not None and len(levels) > rmax:
         return levels
+    if n is not None:
+        _check_numeric_budget(n, rmax)
     one, x, var_n, row, quotient = _ring(n)
     levels = list(levels or [(one, {}, quotient.from_fraction(1))])
     for r in range(len(levels), rmax + 1):

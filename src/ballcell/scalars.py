@@ -55,15 +55,6 @@ def default_precision() -> int:
     return _env_int(PRECISION_ENV, DEFAULT_PRECISION)
 
 
-def check_precision(digits: int | None) -> int:
-    """`digits`, default_precision() when None; a ValueError unless >= 1."""
-    if digits is None:
-        return default_precision()
-    if digits < 1:
-        raise ValueError(f"digits must be a positive integer, got {digits}")
-    return digits
-
-
 def enum_budget() -> int:
     """The budget every cost refusal scales (BALLCELL_BUDGET, 10^7 by
     default): brute-force placements, simulation state size and words drawn,
@@ -111,13 +102,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a p/q rational: {text!r}") from exc
 
 
-def to_decimal(q: Fraction, digits: int | None = None) -> Decimal:
-    """Convert exactly-held rational to a Decimal with `digits` significant digits.
-
-    Rounding is round-half-even, matching the decimal module default.
-    """
+def to_decimal(q: Fraction) -> Decimal:
+    """An exactly-held rational as a Decimal of default_precision()
+    significant digits (BALLCELL_PRECISION), rounded half-even."""
     with localcontext() as ctx:
-        ctx.prec = check_precision(digits)
+        ctx.prec = default_precision()
         return decimal_quotient(q.numerator, q.denominator)
 
 
@@ -150,9 +139,10 @@ def decimal_quotient(p: int, q: int) -> Decimal:
     return Decimal(digits if (p < 0) == (q < 0) else -digits).scaleb(-shift - 1)
 
 
-def decimal_sqrt(q: Fraction, digits: int | None = None) -> Decimal:
-    """Square root of a nonnegative rational at the requested precision."""
-    digits = check_precision(digits)
+def decimal_sqrt(q: Fraction) -> Decimal:
+    """Square root of a nonnegative rational to default_precision()
+    significant digits (BALLCELL_PRECISION)."""
+    digits = default_precision()
     if q < 0:
         raise ValueError(f"square root of negative value {q}")
     with localcontext() as ctx:

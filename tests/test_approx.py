@@ -14,7 +14,7 @@ from ballcell.approx import approx_mean, approx_report, approx_variance, error_l
 from ballcell.errors import BudgetExceededError
 from ballcell.game import transition_row
 from ballcell.pgf import duration_variance, expected_duration
-from ballcell.scalars import BUDGET_ENV, PRECISION_ENV, decimal_sqrt, default_precision, to_decimal
+from ballcell.scalars import BUDGET_ENV, PRECISION_ENV, decimal_quotient, default_precision, to_decimal
 from oracles import harmonic_sum_from_scratch
 
 # E_3(10), frozen output of the exact pipeline.
@@ -169,10 +169,6 @@ def test_digits_below_one_are_refused_up_front(digits, monkeypatch, capsys):
     message = f"digits must be a positive integer, got {digits}"
     with pytest.raises(ValueError, match=message):
         error_limit(3, digits=digits)
-    with pytest.raises(ValueError, match=message):
-        to_decimal(Fraction(1, 3), digits)
-    with pytest.raises(ValueError, match=message):
-        decimal_sqrt(Fraction(2), digits)
     assert cli.run(["approx", "--cells", "3", "--limit", "--digits", str(digits)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     monkeypatch.setenv(PRECISION_ENV, str(digits))
@@ -255,6 +251,11 @@ def _digits(value: int) -> int:
     return (value.bit_length() * 30103) // 100000 + 1
 
 
+def _in_context(value):
+    """A Fraction as a Decimal of the active context's precision."""
+    return decimal_quotient(value.numerator, value.denominator)
+
+
 def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4):
     """error_limit with the mean recurrence held as reduced Fractions until
     one passes `digit_budget` digits, then in Decimal from the Fraction rows."""
@@ -278,19 +279,19 @@ def _reference_error_limit(n, rmax=400, digits=None, digit_budget=10**4):
                         acc += probs[t] * window[-t]
                 m = acc / (1 - stay)
                 if max(_digits(m.numerator), _digits(m.denominator)) > digit_budget:
-                    window = [to_decimal(v, wp) for v in window]
-                    m = to_decimal(m, wp)
+                    window = [_in_context(v) for v in window]
+                    m = _in_context(m)
                     exact = False
             else:
                 acc = Decimal(1)
                 for t in range(1, min(n, k) + 1):
                     if probs[t]:
-                        acc += to_decimal(probs[t], wp) * window[-t]
-                m = acc / to_decimal(1 - stay, wp)
+                        acc += _in_context(probs[t]) * window[-t]
+                m = acc / _in_context(1 - stay)
             window = (window + [m])[-n:]
             if k == half:
-                e_half = to_decimal(m - a_half, wp) if exact else m - to_decimal(a_half, wp)
-        e_full = to_decimal(m - a_full, wp) if exact else m - to_decimal(a_full, wp)
+                e_half = _in_context(m - a_half) if exact else m - _in_context(a_half)
+        e_full = _in_context(m - a_full) if exact else m - _in_context(a_full)
         gap_wide = abs(e_full - e_half)
     with localcontext() as ctx:
         ctx.prec = digits

@@ -4,6 +4,7 @@ Commands run in-process through cli.run so exit codes and streams are
 asserted directly; nothing here shells out.
 """
 
+import hashlib
 import json
 import re
 import time
@@ -253,6 +254,39 @@ def test_simulate_deterministic_modulo_timing(capsys):
     assert first == second
 
 
+# sha256 of each request's stdout without its timing_ms line, recorded while
+# to_decimal and decimal_sqrt still took a per-call precision.  Every decimal
+# of these outputs follows BALLCELL_PRECISION: moment roots, limiting moments,
+# the simulated mean and variance, and the approximation ratios.
+PRECISION_DIGESTS = [
+    ("7", "approx --cells 3 --balls 10",
+     "8fb28faa3da8e382800854b79532cd675df0b8609c6b3eb5897688c95526dee2"),
+    ("7", "moments --cells 4 --balls 4 --order 4",
+     "b4e09cd2ead2012d480e8ab1614ee6b31cfb8898788b3dce63870e853bc7fbb8"),
+    ("7", "geo --alpha 1/3 --limits",
+     "18327f6b824429f0baeba343574fcd6b64b4cfca242a1eff43f4aa505bcf6a11"),
+    ("7", "simulate --balls 5 --cells 9 --trials 300 --seed 4",
+     "0ab0c8ed4042ff003b01caf70bec93aee0a045cac8c63f8ecd1e5f5ca8631474"),
+    ("80", "approx --cells 3 --balls 10",
+     "fbdf0fee5a85bc6b3f269b89d45d0a6dd2cc033bd9bb4131b2d97e233894e6e8"),
+    ("80", "moments --cells 4 --balls 4 --order 4",
+     "b994addda55a87e8b377dadb0a3ac51d8233ff322765a8de9ad1ee0c1bd98e11"),
+    ("80", "geo --alpha 1/3 --limits",
+     "fcaf906a19528d3cde29d8ce619d400fcf60b203cf090a22bd45f64f96548870"),
+    ("80", "simulate --balls 5 --cells 9 --trials 300 --seed 4",
+     "d6cd19cd49f767a95a833f2996c9bce2af3930b80828639f5f3e9db0d306eabe"),
+]
+
+
+@pytest.mark.parametrize("precision,request_text,digest", PRECISION_DIGESTS)
+def test_outputs_at_a_set_precision_are_unchanged(precision, request_text, digest, capsys, monkeypatch):
+    monkeypatch.setenv("BALLCELL_PRECISION", precision)
+    code, out, err = run_cli(capsys, *request_text.split())
+    assert code == 0, err
+    out = re.sub(r'^  "timing_ms": [-+0-9.eE]+,\n', "", out, flags=re.MULTILINE)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_verbose_games(capsys):
     env = run_json(
         capsys,
@@ -379,6 +413,23 @@ REFUSALS = [
     pytest.param(
         ["moments", "--symbolic-n", "--balls", "40", "--order", "4"], {},
         ["about 2.33e+28 work units", "BALLCELL_BUDGET"], id="moments-symbolic-estimate-at-the-ceiling",
+    ),
+    # The numeric table's estimate refuses before any level is built, also
+    # through the moments: (150, 150) ran 71 s and then crashed on
+    # int-to-str, (2, 300) ran 31 s.
+    pytest.param(
+        ["pgf", "--cells", "150", "--balls", "150"], {},
+        ["PGF table of (150 balls, 150 cells)", "about 1.37e+09 digit products", "BALLCELL_BUDGET * 50"],
+        id="pgf-numeric-table",
+    ),
+    pytest.param(
+        ["pgf", "--cells", "2", "--balls", "300"], {},
+        ["PGF table of (300 balls, 2 cells)", "about 1.07e+09 digit products", "BALLCELL_BUDGET * 50"],
+        id="pgf-numeric-table-two-cells",
+    ),
+    pytest.param(
+        ["moments", "--cells", "2", "--balls", "300", "--order", "2"], {},
+        ["PGF table of (300 balls, 2 cells)", "about 1.07e+09 digit products"], id="moments-numeric-table",
     ),
     pytest.param(
         ["simulate", "--balls", "2", "--cells", str(10**8), "--trials", "1", "--seed", "0"], {},

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ballcell.scalars import INT_ROUTE_BITS, decimal_quotient, to_decimal
+from ballcell.scalars import INT_ROUTE_BITS, PRECISION_ENV, decimal_quotient, to_decimal
 
 PRECISIONS = (1, 2, 3, 9, 28, 50, 130, 400)
 
@@ -93,9 +93,10 @@ def test_round_down_context_on_random_operands():
         _same(p, q, rng.choice(PRECISIONS), ROUND_DOWN)
 
 
-def test_to_decimal_goes_through_the_same_route():
+def test_to_decimal_goes_through_the_same_route(monkeypatch):
+    monkeypatch.setenv(PRECISION_ENV, "60")
     value = Fraction(7**9000 + 1, 3**12000)
     with localcontext() as ctx:
         ctx.prec = 60
         want = Decimal(value.numerator) / Decimal(value.denominator)
-    assert to_decimal(value, 60).as_tuple() == want.as_tuple()
+    assert to_decimal(value).as_tuple() == want.as_tuple()

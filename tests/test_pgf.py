@@ -37,7 +37,7 @@ from ballcell.pgf import (
 )
 from ballcell.polys import Poly, Poly2, int_div_exact
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
-from ballcell.scalars import BUDGET_ENV, to_decimal
+from ballcell.scalars import BUDGET_ENV, PRECISION_ENV, to_decimal
 from oracles import cancel_by_trial_division, div_exact_over_q, duration_law_over_q
 
 X = Poly.var()
@@ -530,7 +530,7 @@ def test_mean_tables_match_fraction_reference():
             duration_variance(r, 1)
 
 
-def test_fresh_diagonal_mean_table_budget():
+def test_fresh_diagonal_mean_table_budget(monkeypatch):
     # A cold (150, 150) table takes 1.5-2.3 s on a 2-vCPU Xeon VM with the
     # nested recurrence, and 18-25 s when each weight D_{k-1} ... D_{k-t+1}
     # is built and multiplied into a table entry.  Digits recorded from the
@@ -540,8 +540,9 @@ def test_fresh_diagonal_mean_table_budget():
     mean, variance = expected_duration(150, 150), duration_variance(150, 150)
     elapsed = time.perf_counter() - started
     assert elapsed < 10, f"mean and variance at (150, 150) took {elapsed:.1f}s, budget 10s"
-    assert to_decimal(mean, 30) == Decimal("4.33838798686955435760977883231")
-    assert to_decimal(variance, 30) == Decimal("0.248478514154298415926856736095")
+    monkeypatch.setenv(PRECISION_ENV, "30")
+    assert to_decimal(mean) == Decimal("4.33838798686955435760977883231")
+    assert to_decimal(variance) == Decimal("0.248478514154298415926856736095")
 
 
 # First 16 hex digits of the sha256 of the P, R, Q and D lists (hex ints,
@@ -635,6 +636,14 @@ def test_tested_and_benchmarked_states_are_under_the_mean_budget():
     states += list(MEAN_TABLE_TOPS.items())
     for n, r in states:
         pgf._check_mean_budget(n, r)
+
+
+def test_tested_and_benchmarked_numeric_tables_are_under_their_budget():
+    # The diagonal to 100 (CI's (50, 50) among it), the benchmark's sweeps of
+    # 3, 6 and 10 cells to 12 balls, and the largest builds the fit accepts.
+    states = [(r, r) for r in range(1, 101)] + [(3, 12), (6, 12), (10, 12), (3, 200), (2, 200)]
+    for n, r in states:
+        pgf._check_numeric_budget(n, r)
 
 
 def test_mean_budget_scales_with_the_enumeration_budget(monkeypatch):

@@ -179,8 +179,7 @@ def test_tracer_targets_on_cli_resolve_and_their_wrappers_are_called():
     # The names are read from perfbench/tracer.py.  Each resolves before any
     # request; then a counting wrapper is set on each, and the requests below
     # must call the wrapper, not the leaf's own function bound on load.
-    # simulate_batch and simulate_game_verbose are wrapped by the tracer but
-    # called by no handler.
+    # simulate_game_verbose is wrapped by the tracer but called by no handler.
     requests = [
         ["pgf", "--cells", "3", "--balls", "3", "--expand", "4"],
         ["pgf", "--symbolic-n", "--balls", "3", "--format", "latex"],
@@ -213,7 +212,7 @@ def test_tracer_targets_on_cli_resolve_and_their_wrappers_are_called():
     assert codes == [0] * len(requests)
     assert {"run", "approx_report", "error_limit", "simulate_batch", "simulate_game_verbose", "gof_compare"} <= set(calls)
     assert calls["run"] == len(requests)
-    assert {name for name, count in calls.items() if count == 0} == {"simulate_batch", "simulate_game_verbose"}
+    assert {name for name, count in calls.items() if count == 0} == {"simulate_game_verbose"}
 
 
 def test_cli_import_leaves_out_dataclasses_and_the_goldens():
