@@ -47,7 +47,8 @@ _LEAVES = {
     "geometric": (
         "StepSequence", "alpha_closed_forms", "alpha_limits", "alpha_moments", "chain_mean", "chain_variance",
     ),
-    "montecarlo": ("DurationLaw", "_simulate_batch", "gof_compare", "simulate_batch", "simulate_game_verbose"),
+    "law": ("gof_compare",),
+    "montecarlo": ("DurationLaw", "_simulate_batch", "simulate_batch", "simulate_game_verbose"),
 }
 
 _load, __getattr__, __dir__ = _lazy(globals(), _LEAVES)
@@ -190,7 +191,7 @@ def _cmd_geo(args):
 
 
 def _cmd_simulate(args) -> dict:
-    _load("montecarlo")
+    _load("law", "montecarlo")
     # The exact law comes first, so that its cost estimate refuses before play.
     law = DurationLaw.compute(args.balls, args.cells) if args.gof else None
     # Only --verbose needs the rounds, recorded in the same pass as the batch.

@@ -72,8 +72,7 @@ this process's share of the play.
 
 `DurationLaw` pins the exact law of `law.exact_distribution` to its state.
 The fit of a batch against it, `gof_compare` with its `GofBin` and
-`GofReport`, lives in `law`, which needs no polynomial, and is re-exported
-here.
+`GofReport`, lives in `law`, which needs no polynomial.
 
 The standard library is used and not numpy: importing numpy after ballcell
 raises the interpreter's peak RSS from 16.6 to 28.1 MB (numpy 2.4, Python
@@ -96,7 +95,7 @@ from operator import add, and_, eq, floordiv, mod, mul, not_, sub, xor
 from typing import NamedTuple
 
 from .game import _check_terminating
-from .law import MIN_COVERAGE, GofBin, GofReport, exact_distribution, gof_compare  # noqa: F401
+from .law import exact_distribution
 from .scalars import _check_budget, to_decimal
 
 MASK64 = (1 << 64) - 1

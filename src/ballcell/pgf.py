@@ -10,8 +10,9 @@ rational function of x (numeric cell count) or of n and x (cell count left
 symbolic).  This module builds those functions bottom-up and extracts
 moments from them.  The integer layer, which needs no rational function,
 lives in `law`: the exact distribution by walking the chain, and the fast
-mean/variance recurrences.  Its names still resolve here, loading `law`
-when first read through `_lazy`, the package's helper for such names.
+mean/variance recurrences.  Three of its names, the distribution, mean and
+variance, still resolve here, loading `law` when first read through
+`_lazy`, the package's helper for such names.
 
 One table, keyed by cell count (None for symbolic n), holds every level,
 and one loop grows it for numeric and symbolic n alike; a small row adapter
@@ -94,14 +95,10 @@ NUMERIC_TABLE_SCALE = 50
 # (25, order 2) at 2.6·10^7 (51 s) and (14, order 4) at 1.6·10^10 are refused.
 SYMBOLIC_MOMENTS_SCALE = Fraction(3, 5)
 
-# The names of the integer layer, which moved to law.  They still resolve
-# here through `_lazy`, and law loads when one of them is first read, so the
-# PGF commands never compile it.
-_FROM_LAW = (
-    "LAW_DIGITS_DIVISOR", "LAW_MIN_TERMS", "MEAN_WORK_SCALE", "MIN_COVERAGE", "_MEAN_TABLES", "_check_mean_budget",
-    "_duration_law", "_law_probs", "_mean_tables", "diagonal_sequence", "duration_distribution", "duration_variance",
-    "exact_distribution", "expected_duration",
-)
+# The names of the integer layer that perfbench/workloads.py reads from
+# here.  They resolve through `_lazy`, and law loads when one of them is
+# first read, so the PGF commands never compile it.
+_FROM_LAW = ("duration_distribution", "duration_variance", "expected_duration")
 __getattr__, __dir__ = _lazy(globals(), {"law": _FROM_LAW})[1:]
 
 

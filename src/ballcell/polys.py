@@ -15,8 +15,8 @@ constructor, ``items`` (which ``repr`` and ``content`` read), ``coeff`` and
 One scalar rule holds throughout: a coefficient is an ``int`` or a
 ``fractions.Fraction``, whichever the computation produced.  The
 constructors keep an int as an int, the ring operations keep the type they
-are given, and only a real division (``monic``, ``divmod``, the ratio of two
-contents) turns an int into a Fraction.  There is no floating point in this
+are given, and only a real division (``monic`` or the ratio of two contents)
+turns an int into a Fraction.  There is no floating point in this
 module.  The PGF table, the series chain and the moment chain therefore run
 over Z or Z[n] on the int coefficients of canonical quotients, dividing with
 ``int_div_exact`` (long division over Z or Z[n]).
@@ -25,9 +25,9 @@ Greatest common divisors and exact division over Q run on the same integer
 core: each operand is split by ``primitive`` into its content and an integer
 part, gcds are a primitive remainder sequence over Z (``poly_gcd``) or over
 Z[n] (``poly2_gcd``), and ``poly2_div_exact`` divides the integer parts with
-``int_div_exact``.  All three divisions (over Q in ``divmod``, exact over Z
-or Z[n], and the pseudo-remainders of the sequence: Knuth, TAOCP vol. 2,
-4.6.1, Algorithm R) are one downward sweep, ``_long_division``.
+``int_div_exact``.  Both divisions (exact over Z or Z[n], and the
+pseudo-remainders of the sequence: Knuth, TAOCP vol. 2, 4.6.1, Algorithm R)
+are one downward sweep, ``_long_division``.
 
 Degrees in this package stay small (at most a few hundred) while coefficients
 grow large, so the representation favors simplicity: dict arithmetic on top of
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 def _scalar(v) -> int | Fraction:
@@ -213,13 +213,6 @@ class Poly(_Sparse):
         """The monomial of degree 1."""
         return cls._adopt({1: 1})
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int | Fraction]]) -> "Poly":
-        c: dict[int, int | Fraction] = {}
-        for e, v in pairs:
-            c[e] = c.get(e, 0) + _scalar(v)
-        return cls(c)
-
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return max(self._c) if self._c else -1
@@ -237,25 +230,9 @@ class Poly(_Sparse):
     def is_constant(self) -> bool:
         return self.degree() <= 0
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Long division over the rationals: self = q*other + r, deg r < deg other."""
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        q, r = _long_division(dict(self._c), other._c, Fraction)
-        return Poly._adopt(q), Poly._adopt(r)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def shift(self, k: int) -> "Poly":
         """Multiply by the k-th power of the variable."""
         return Poly({e + k: v for e, v in self._c.items()})
-
-    def derivative(self) -> "Poly":
-        return Poly._adopt({e - 1: v * e for e, v in self._c.items() if e > 0})
 
     def eval(self, x0: Fraction) -> int | Fraction:
         x0 = _scalar(x0)
@@ -324,11 +301,6 @@ class Poly2(_Sparse):
 
     def is_constant(self) -> bool:
         return self.degree_x() <= 0 and self.degree_n() <= 0
-
-    def constant_value(self) -> int | Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.coeff(0, 0)
 
     def degree_n(self) -> int:
         return max((row.degree() for row in self._c.values()), default=-1)

@@ -12,13 +12,16 @@ times:
   ascending).
 
 Canonical form makes equality a structural comparison: two quotients are equal
-iff their reduced forms match field by field.  Both classes share one quotient
-core, ``_Quotient``, which holds construction, the cancel step (a gcd and
-exact division, both on primitive integer parts; see ``polys``), the
-scale-and-sign step and every operator; each class supplies its ring, its
-gcd and its sign anchor.  Operations that keep a coprime pair coprime
-(negation, powers, scaling by a constant) skip the gcd.  Scalars follow the
-rule of ``polys``: int or Fraction as computed, a Fraction only from a real
+iff their reduced forms match field by field.  A quotient is a canonical
+value, not a field element: it is built reduced, compared, hashed, expanded
+by ``series``, rendered and written to JSON, and carries no arithmetic (the
+PGF table and the moment chain compute on the polynomial fields).  Both
+classes share one quotient core, ``_Quotient``, which holds construction,
+the cancel step (a gcd and exact division, both on primitive integer parts;
+see ``polys``) and the scale-and-sign step; each class supplies its ring,
+its gcd and its sign anchor.  A pair known to be coprime is built by
+``from_coprime``, which skips the gcd.  Scalars follow the rule of
+``polys``: int or Fraction as computed, a Fraction only from a real
 division; the canonical fields always hold ints, whatever the inputs held.
 
 Both classes also share one Maclaurin recurrence, ``series``, which reads
@@ -28,8 +31,9 @@ numerators over powers of den(0) in the coefficient ring, Z or Z[n]
 coefficient is reduced once over its known denominator factors by the
 class's ``_x_free``, which for RatFunc2 divides with ``int_div_exact``.
 
-The module carries the text/LaTeX renderers and the JSON wire format used by
-the CLI ("p/q" strings, never floats).
+The module carries the text/LaTeX renderers and the writers of the JSON
+wire format used by the CLI ("p/q" strings, never floats), and one reader,
+``poly2_from_json``, with which perfbench's output checks read it back.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from .scalars import parse_rational
 
 class _Quotient:
     """Canonical quotient num/den over a polynomial ring, the core of RatFunc
-    and RatFunc2.
+    and RatFunc2: a value to build, compare, expand and render, with no
+    arithmetic of its own.
 
     A subclass supplies ``_ring`` (its polynomial class), ``_gcd`` (a gcd in
     that ring), ``_anchor`` (the coefficient of the denominator whose sign is
@@ -113,18 +118,13 @@ class _Quotient:
             return num, den
         return poly2_div_exact(num, g), poly2_div_exact(den, g)
 
-    def _lift(self, other):
-        """`other` as a quotient of this class, or None if it is not one."""
-        if isinstance(other, (int, Fraction)):
-            return self.from_fraction(other)
-        return other if isinstance(other, type(self)) else None
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        other = self._lift(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = self.from_fraction(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -133,51 +133,6 @@ class _Quotient:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.num!r}, {self.den!r})"
-
-    def __neg__(self):
-        return self.from_coprime(-self.num, self.den)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.from_coprime(self.num * other, self.den)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return type(self)(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return type(self)(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self.from_fraction(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a rational function")
-        return self.from_coprime(self.num**k, self.den**k)
 
 
 def _series_numerators(num: dict, den: dict, kmax: int, content=None) -> list:
@@ -238,23 +193,6 @@ class RatFunc(_Quotient):
     def _x_free(num: int, den: dict[int, int]) -> Fraction:
         return Fraction(num, prod(f**m for f, m in den.items()))
 
-    @classmethod
-    def x(cls) -> "RatFunc":
-        return cls(Poly.var())
-
-    def eval(self, x0: Fraction) -> Fraction:
-        """Exact value at x0; raises ZeroDivisionError at a pole."""
-        x0 = Fraction(x0)
-        d = self.den.eval(x0)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at x = {x0}")
-        return self.num.eval(x0) / d
-
-    def derivative(self) -> "RatFunc":
-        """Quotient-rule derivative, reduced."""
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
-
     series = _series
 
 
@@ -294,14 +232,6 @@ class RatFunc2(_Quotient):
             Poly2.from_poly_in_n(num) * scale.numerator, Poly2.from_poly_in_n(out) * scale.denominator
         )
 
-    @classmethod
-    def n(cls) -> "RatFunc2":
-        return cls(Poly2.var_n())
-
-    @classmethod
-    def x(cls) -> "RatFunc2":
-        return cls(Poly2.var_x())
-
     def subs_n(self, n0: Fraction) -> RatFunc:
         """Substitute a rational for n; the result is a reduced function of x."""
         n0 = Fraction(n0)
@@ -309,12 +239,6 @@ class RatFunc2(_Quotient):
         if den.is_zero():
             raise ZeroDivisionError(f"denominator vanishes identically at n = {n0}")
         return RatFunc(self.num.subs_n(n0), den)
-
-    def eval(self, n0: Fraction, x0: Fraction) -> Fraction:
-        d = self.den.eval(n0, x0)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at (n, x) = ({n0}, {x0})")
-        return Fraction(self.num.eval(n0, x0), d)
 
     series = _series
 
@@ -420,10 +344,6 @@ def poly_to_json(p: Poly) -> list:
     return [[e, str(v)] for e, v in sorted(p.items())]
 
 
-def poly_from_json(data) -> Poly:
-    return Poly.from_pairs((int(e), parse_rational(v)) for e, v in data)
-
-
 def poly2_to_json(p: Poly2) -> list:
     return [[[dn, dx], str(v)] for (dn, dx), v in sorted(p.items())]
 
@@ -439,11 +359,3 @@ def ratfunc_to_json(f: RatFunc | RatFunc2) -> dict:
     if isinstance(f, RatFunc2):
         return {"num": poly2_to_json(f.num), "den": poly2_to_json(f.den)}
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
-
-
-def ratfunc_from_json(data) -> RatFunc:
-    return RatFunc(poly_from_json(data["num"]), poly_from_json(data["den"]))
-
-
-def ratfunc2_from_json(data) -> RatFunc2:
-    return RatFunc2(poly2_from_json(data["num"]), poly2_from_json(data["den"]))

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .game import brute_force_row, transition_row
-from .law import duration_distribution, duration_variance, expected_duration
+from .law import duration_distribution, duration_variance, expected_duration, gof_compare
 from .pgf import moments_symbolic, pgf_numeric, pgf_symbolic
 from .ratfuncs import ratfunc_text
 from .scalars import chi_square_quantile
@@ -112,7 +112,7 @@ def _suite_limits(budget: str) -> list[dict]:
 
 
 def _suite_stats(budget: str) -> list[dict]:
-    from .montecarlo import DurationLaw, gof_compare, simulate_batch
+    from .montecarlo import DurationLaw, simulate_batch
 
     checks: list[dict] = []
     states = [(3, 3)] if budget == "small" else [(3, 3), (5, 5), (10, 10)]

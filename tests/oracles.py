@@ -1,10 +1,19 @@
 """Reference arithmetic shared by the tests, independent of the integer cores
 of ``ballcell.polys`` and ``ballcell.pgf``.
 
-``div_exact_over_q`` divides by long division over Q, with Fraction
-coefficients throughout, so it checks ``int_div_exact`` and
+``long_division_over_q`` divides two univariate coefficient maps over Q,
+with Fraction coefficients throughout, and ``div_exact_over_q`` builds exact
+division of Polys and Poly2s on it, so they check ``int_div_exact`` and
 ``poly2_div_exact`` (which divide primitive integer parts) without running
-through either of them.
+through ``polys._long_division``, the sweep both of those share.
+
+``quotient_add``, ``quotient_mul`` and ``quotient_div`` are the field
+operations on canonical quotients, which carry none of their own: each
+multiplies the fields crosswise and hands the pair to the gcd-reducing
+constructor, a scalar taken as a quotient by ``from_fraction``.
+``quotient_value`` is a quotient's value at a point, its fields evaluated
+and divided.  They build the step-by-step references that the PGF table,
+the moment chain and the series recurrence are checked against.
 
 ``duration_law_over_q`` walks the ball-count chain with Fraction masses and
 the Fraction rows of ``transition_row``, and differences the absorbed mass
@@ -36,7 +45,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from ballcell.game import transition_row
-from ballcell.montecarlo import MIN_COVERAGE, GofBin, GofReport
+from ballcell.law import MIN_COVERAGE, GofBin, GofReport
 from ballcell.polys import Poly, Poly2
 
 
@@ -122,15 +131,34 @@ def row_by_inclusion_exclusion(n, r):
     return row
 
 
+def long_division_over_q(p: dict, d: dict) -> tuple[dict, dict]:
+    """Quotient and remainder of two maps {power: coefficient} over Q, with
+    Fraction coefficients: p = q·d + r, deg r < deg d."""
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    top = max(d)
+    q, rest = {}, {e: Fraction(v) for e, v in p.items() if v}
+    while rest and max(rest) >= top:
+        e = max(rest)
+        c = q[e - top] = rest[e] / d[top]
+        for j, v in d.items():
+            s = rest.get(e - top + j, 0) - c * v
+            if s:
+                rest[e - top + j] = s
+            else:
+                rest.pop(e - top + j, None)
+    return q, rest
+
+
 def div_exact_over_q(p, d):
     """p/d for two Polys or two Poly2s with Fraction coefficients, by long
     division over Q (for Poly2, in x over Q[n], each step a univariate
     division over Q); ValueError when d does not divide p."""
     if isinstance(p, Poly):
-        q, rem = divmod(p, d)
-        if not rem.is_zero():
+        q, rem = long_division_over_q(dict(p.items()), dict(d.items()))
+        if rem:
             raise ValueError("inexact polynomial division")
-        return q
+        return Poly(q)
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     pc = p.as_x_coeffs()
@@ -205,3 +233,29 @@ def harmonic_sum_from_scratch(n, r, p):
         total = total * y + (lcm_r // j) ** p * power
         power *= x
     return total, lcm_r * (n - 1) ** max(r - 1, 0)
+
+
+def _quotients(f, g):
+    """f and g as quotients of one class, a scalar lifted by from_fraction."""
+    cls = type(g) if isinstance(f, (int, Fraction)) else type(f)
+    return [v if isinstance(v, cls) else cls.from_fraction(v) for v in (f, g)]
+
+
+def quotient_add(f, g):
+    f, g = _quotients(f, g)
+    return type(f)(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def quotient_mul(f, g):
+    f, g = _quotients(f, g)
+    return type(f)(f.num * g.num, f.den * g.den)
+
+
+def quotient_div(f, g):
+    f, g = _quotients(f, g)
+    return type(f)(f.num * g.den, f.den * g.num)
+
+
+def quotient_value(f, *point):
+    """f at x (RatFunc) or at (n, x) (RatFunc2); ZeroDivisionError at a pole."""
+    return Fraction(f.num.eval(*point)) / f.den.eval(*point)

@@ -19,9 +19,9 @@ from ballcell.geometric import (
     chain_mean,
     chain_variance,
 )
-from ballcell.montecarlo import DurationLaw, gof_compare, simulate_batch
+from ballcell.law import diagonal_sequence, gof_compare
+from ballcell.montecarlo import DurationLaw, simulate_batch
 from ballcell.pgf import (
-    diagonal_sequence,
     duration_distribution,
     duration_variance,
     expected_duration,

@@ -13,8 +13,9 @@ import pytest
 
 from ballcell import __version__, cli
 from ballcell.errors import DivergentDurationError
+from ballcell.law import exact_distribution
 from ballcell.montecarlo import DurationLaw, simulate_batch, simulate_game, simulate_game_verbose, trial_seed
-from ballcell.pgf import duration_variance, exact_distribution, expected_duration, moments
+from ballcell.pgf import duration_variance, expected_duration, moments
 
 
 def run_cli(capsys, *argv):

@@ -16,7 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ballcell.montecarlo import MIN_COVERAGE, DurationLaw, SimBatch, gof_compare  # noqa: E402
+from ballcell.law import MIN_COVERAGE, gof_compare  # noqa: E402
+from ballcell.montecarlo import DurationLaw, SimBatch  # noqa: E402
 from oracles import gof_over_q  # noqa: E402
 
 

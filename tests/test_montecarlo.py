@@ -23,13 +23,13 @@ from fractions import Fraction
 import pytest
 
 from ballcell.errors import BudgetExceededError, DivergentDurationError
+from ballcell.law import MIN_COVERAGE, exact_distribution, gof_compare
 from ballcell.montecarlo import (
     _GAMMA,
     _LANES,
     _MIX1,
     _MIX2,
     MASK64,
-    MIN_COVERAGE,
     DurationLaw,
     _check_play_budget,
     _log_words,
@@ -37,13 +37,12 @@ from ballcell.montecarlo import (
     RoundTrace,
     SimBatch,
     SplitMix64,
-    gof_compare,
     simulate_batch,
     simulate_game,
     simulate_game_verbose,
     trial_seed,
 )
-from ballcell.pgf import exact_distribution, expected_duration
+from ballcell.pgf import expected_duration
 from ballcell.scalars import BUDGET_ENV, to_decimal
 
 # First outputs of the reference stream for two seeds.

@@ -16,17 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from ballcell import pgf, reference
+from ballcell import law, pgf, reference
 from ballcell.errors import BudgetExceededError, DivergentDurationError
 from ballcell.game import transition_prob_symbolic, transition_row
+from ballcell.law import diagonal_sequence, exact_distribution
 from ballcell.pgf import (
     _cancel_factors,
     _expand,
     _merge_terms,
-    diagonal_sequence,
     duration_distribution,
     duration_variance,
-    exact_distribution,
     expected_duration,
     moments,
     moments_of,
@@ -38,7 +37,15 @@ from ballcell.pgf import (
 from ballcell.polys import Poly, Poly2, int_div_exact
 from ballcell.ratfuncs import RatFunc, RatFunc2, ratfunc_text
 from ballcell.scalars import BUDGET_ENV, PRECISION_ENV, to_decimal
-from oracles import cancel_by_trial_division, div_exact_over_q, duration_law_over_q
+from oracles import (
+    cancel_by_trial_division,
+    div_exact_over_q,
+    duration_law_over_q,
+    quotient_add,
+    quotient_div,
+    quotient_mul,
+    quotient_value,
+)
 
 X = Poly.var()
 
@@ -62,17 +69,17 @@ def test_trivial_states():
 
 
 def _reference_numeric_funcs(n, rmax):
-    """The PGF recurrence in plain RatFunc arithmetic, gcd-reduced at every
-    step; the oracle for the factored numeric table."""
+    """The PGF recurrence in plain field arithmetic on quotients (see
+    ``oracles``), gcd-reduced at every step; the oracle for the factored
+    numeric table."""
     table = [RatFunc.from_fraction(Fraction(1))]
-    x = RatFunc.x()
     for r in range(1, rmax + 1):
         probs = transition_row(n, r).probs
         acc = RatFunc.from_fraction(Fraction(0))
         for t in range(1, r + 1):
             if probs[t]:
-                acc = acc + probs[t] * table[r - t]
-        table.append(x * acc / (1 - probs[0] * x))
+                acc = quotient_add(acc, quotient_mul(probs[t], table[r - t]))
+        table.append(quotient_div(quotient_mul(RatFunc(X), acc), RatFunc(1 - probs[0] * X)))
     return table
 
 
@@ -116,7 +123,7 @@ def test_pgf_is_a_probability_generating_function():
     for n in range(2, 7):
         for r in range(0, 7):
             f = pgf_numeric(r, n).func
-            assert f.eval(Fraction(1)) == 1
+            assert quotient_value(f, 1) == 1
             coeffs = f.series(50)
             assert all(c >= 0 for c in coeffs)
             assert sum(coeffs) <= 1
@@ -137,7 +144,7 @@ def test_symbolic_specializes_to_numeric():
         for n in range(2, 7):
             f = pgf_numeric(r, n).func
             assert sym.subs_n(Fraction(n)) == f
-            assert [c.eval(n, 0) for c in coeffs] == f.series(6)
+            assert [quotient_value(c, n, 0) for c in coeffs] == f.series(6)
 
 
 def test_symbolic_levels_are_cached():
@@ -149,11 +156,11 @@ def test_symbolic_denominator_factors_multiply_back():
         f = pgf_symbolic(r).func
         product = RatFunc2.from_fraction(Fraction(1))
         for fac in symbolic_den_factors(r):
-            product = product * RatFunc2(fac)
+            product = quotient_mul(product, RatFunc2(fac))
         # factor product and reduced denominator agree up to a positive constant
-        ratio = product / RatFunc2(f.den)
+        ratio = quotient_div(product, RatFunc2(f.den))
         assert ratio.num.is_constant() and ratio.den.is_constant()
-        assert ratio.num.constant_value() > 0
+        assert quotient_value(ratio, 0, 0) > 0
 
 
 def test_symbolic_ceiling(monkeypatch):
@@ -337,10 +344,10 @@ LAW_STATES = [(0, 1), (0, 4), (1, 1), (1, 5), (5, 3), (9, 4), (6, 2), (12, 23)]
 
 
 def _law_over_q(r, n):
-    law = duration_law_over_q(r, n)
-    probs = list(islice(law, 33))
-    while sum(probs) < pgf.MIN_COVERAGE:
-        probs += islice(law, len(probs) - 1)
+    chain = duration_law_over_q(r, n)
+    probs = list(islice(chain, 33))
+    while sum(probs) < law.MIN_COVERAGE:
+        probs += islice(chain, len(probs) - 1)
     return probs
 
 
@@ -535,7 +542,7 @@ def test_fresh_diagonal_mean_table_budget(monkeypatch):
     # nested recurrence, and 18-25 s when each weight D_{k-1} ... D_{k-t+1}
     # is built and multiplied into a table entry.  Digits recorded from the
     # latter.
-    pgf._MEAN_TABLES.pop(150, None)
+    law._MEAN_TABLES.pop(150, None)
     started = time.perf_counter()
     mean, variance = expected_duration(150, 150), duration_variance(150, 150)
     elapsed = time.perf_counter() - started
@@ -613,19 +620,19 @@ def _list_digest(values):
 def test_mean_table_lists_are_unchanged():
     for n, want in MEAN_TABLE_DIGESTS.items():
         r = max(n, MEAN_TABLE_TOPS.get(n, 0))
-        got = tuple(_list_digest(values[: r + 1]) for values in pgf._mean_tables(n, r))
+        got = tuple(_list_digest(values[: r + 1]) for values in law._mean_tables(n, r))
         assert got == want, n
 
 
 def test_over_budget_mean_table_is_refused_before_it_is_built():
     # (2000, 3) ran for minutes; its Q_r has about 6.08e5 digits.
-    before = pgf._MEAN_TABLES.get(3)
+    before = law._MEAN_TABLES.get(3)
     started = time.perf_counter()
     for query in (expected_duration, duration_variance):
         with pytest.raises(BudgetExceededError, match=r"about 6\.08e\+05 digits over rows of 3 entries"):
             query(2000, 3)
     assert time.perf_counter() - started < 1
-    assert pgf._MEAN_TABLES.get(3) is before
+    assert law._MEAN_TABLES.get(3) is before
 
 
 def test_tested_and_benchmarked_states_are_under_the_mean_budget():
@@ -635,7 +642,7 @@ def test_tested_and_benchmarked_states_are_under_the_mean_budget():
     states = [(r, r) for r in range(1, 101)] + [(150, 150), (60, 60), (80, 80), (3, 200)]
     states += list(MEAN_TABLE_TOPS.items())
     for n, r in states:
-        pgf._check_mean_budget(n, r)
+        law._check_mean_budget(n, r)
 
 
 def test_tested_and_benchmarked_numeric_tables_are_under_their_budget():
@@ -647,11 +654,11 @@ def test_tested_and_benchmarked_numeric_tables_are_under_their_budget():
 
 
 def test_mean_budget_scales_with_the_enumeration_budget(monkeypatch):
-    pgf._MEAN_TABLES.pop(21, None)
+    law._MEAN_TABLES.pop(21, None)
     monkeypatch.setenv(BUDGET_ENV, "100")
     with pytest.raises(BudgetExceededError, match=BUDGET_ENV):
         expected_duration(21, 21)
-    assert 21 not in pgf._MEAN_TABLES
+    assert 21 not in law._MEAN_TABLES
     monkeypatch.delenv(BUDGET_ENV)
     mean = expected_duration(21, 21)
     # a table already built answers without a new estimate
@@ -669,11 +676,12 @@ def test_symbolic_moments_specialize():
 
 
 def _reference_symbolic_moments(r: int, order: int):
-    """Raw, central and scaled-squared moments by RatFunc2 field arithmetic,
-    gcd-reduced at every step: the derivative chain N_k = N_{k-1}' D -
-    k N_{k-1} D' gives E[(X)_k] = N_k(1) / D(1)^(k+1), Stirling numbers give
-    the raw moments, the binomial expansion around the mean the central
-    ones, and m_i^2 / m_2^i the scaled squares."""
+    """Raw, central and scaled-squared moments by field arithmetic on
+    quotients (see ``oracles``), gcd-reduced at every step: the derivative
+    chain N_k = N_{k-1}' D - k N_{k-1} D' gives E[(X)_k] = N_k(1) /
+    D(1)^(k+1), Stirling numbers give the raw moments, the binomial
+    expansion around the mean the central ones, and m_i^2 / m_2^i the
+    scaled squares."""
     def d_dx(p):
         return Poly2({(dn, dx - 1): v * dx for (dn, dx), v in p.items() if dx})
 
@@ -690,16 +698,24 @@ def _reference_symbolic_moments(r: int, order: int):
     def stirling2(i, k):
         return sum((-1) ** j * comb(k, j) * (k - j) ** i for j in range(k + 1)) // factorial(k)
 
-    raw = [sum((stirling2(i, k) * fact[k - 1] for k in range(1, i + 1)), RatFunc2(0)) for i in range(1, order + 1)]
-    mean = raw[0]
+    def power(f, k):
+        return RatFunc2(f.num**k, f.den**k)
+
+    raw = []
+    for i in range(1, order + 1):
+        acc = RatFunc2(0)
+        for k in range(1, i + 1):
+            acc = quotient_add(acc, quotient_mul(stirling2(i, k), fact[k - 1]))
+        raw.append(acc)
+    minus_mean = quotient_mul(-1, raw[0])
     central = []
     for i in range(2, order + 1):
-        acc = (-mean) ** i
+        acc = power(minus_mean, i)
         for j in range(1, i + 1):
-            acc = acc + comb(i, j) * raw[j - 1] * (-mean) ** (i - j)
+            acc = quotient_add(acc, quotient_mul(comb(i, j), quotient_mul(raw[j - 1], power(minus_mean, i - j))))
         central.append(acc)
     scaled = None if order >= 3 and central[0].is_zero() else tuple(
-        central[i - 2] ** 2 / central[0] ** i for i in range(3, order + 1)
+        quotient_div(power(central[i - 2], 2), power(central[0], i)) for i in range(3, order + 1)
     )
     return tuple(raw), tuple(central), scaled
 
@@ -737,7 +753,7 @@ def test_symbolic_moments_specialize_to_numeric_moments():
             want = moments(r, n, 4)
 
             def at(f):
-                return f.eval(Fraction(n), Fraction(0))
+                return quotient_value(f, n, 0)
 
             assert [at(f) for f in rep.raw] == list(want.raw), (r, n)
             assert [at(f) for f in rep.central] == list(want.central), (r, n)

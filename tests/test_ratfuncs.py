@@ -21,15 +21,14 @@ from ballcell.ratfuncs import (
     _series_numerators,
     poly2_from_json,
     poly2_to_json,
-    poly_from_json,
     poly_to_json,
     polynomial_text,
-    ratfunc2_from_json,
-    ratfunc_from_json,
     ratfunc_latex,
     ratfunc_text,
     ratfunc_to_json,
 )
+from ballcell.scalars import parse_rational
+from oracles import quotient_add, quotient_div, quotient_mul, quotient_value
 
 X = Poly.var()
 N2 = Poly2.var_n()
@@ -77,53 +76,44 @@ def test_zero_and_constants():
         RatFunc(X, Poly.zero())
 
 
+def _minus(f):
+    return quotient_mul(-1, f)
+
+
 def test_field_identities_random():
+    # A quotient has no operators of its own; field arithmetic through the
+    # reducing constructor (see ``oracles``) lands on equal, equally hashed
+    # values only if every route gives the one canonical pair.
     rng = random.Random(2201)
     for _ in range(50):
         f = rand_ratfunc(rng)
         g = rand_ratfunc(rng)
-        assert f + g - g == f
-        assert f - f == 0
+        back = quotient_add(quotient_add(f, g), _minus(g))
+        assert back == f and hash(back) == hash(f)
+        assert quotient_add(f, _minus(f)) == 0
         if not g.is_zero():
-            assert f * g / g == f
-        assert f * g == g * f
-        assert (f + g) * 2 == 2 * f + g + g
+            assert quotient_div(quotient_mul(f, g), g) == f
+        assert quotient_mul(f, g) == quotient_mul(g, f)
+        assert quotient_mul(quotient_add(f, g), 2) == quotient_add(quotient_add(quotient_mul(2, f), g), g)
 
 
 def test_scalar_mixing():
+    # a scalar enters as the quotient from_fraction gives
     f = RatFunc(X, 2 - X)
-    assert 1 - f == RatFunc(2 - 2 * X, 2 - X)
-    assert (f + 1) - 1 == f
-    assert f / 2 == RatFunc(X, 4 - 2 * X)
-    assert 2 / (1 / f + 1) == RatFunc(2 * X, 2)  # 2f/(1+f) with f = x/(2-x)
+    assert quotient_add(1, _minus(f)) == RatFunc(2 - 2 * X, 2 - X)
+    assert quotient_add(quotient_add(f, 1), -1) == f
+    assert quotient_div(f, 2) == RatFunc(X, 4 - 2 * X)
+    assert quotient_div(2, quotient_add(quotient_div(1, f), 1)) == RatFunc(2 * X, 2)  # 2f/(1+f), f = x/(2-x)
     with pytest.raises(ZeroDivisionError):
-        f / RatFunc(0)
-
-
-def test_pow():
-    f = RatFunc(X, 2 - X)
-    assert f**0 == 1
-    assert f**3 == f * f * f
-    with pytest.raises(ValueError):
-        f ** (-2)
+        quotient_div(f, RatFunc(0))
 
 
 def test_eval_and_poles():
     f = RatFunc(X, 2 - X)
-    assert f.eval(Fraction(1)) == 1
-    assert f.eval(Fraction(1, 2)) == Fraction(1, 3)
+    assert quotient_value(f, Fraction(1)) == 1
+    assert quotient_value(f, Fraction(1, 2)) == Fraction(1, 3)
     with pytest.raises(ZeroDivisionError):
-        f.eval(Fraction(2))
-
-
-def test_derivative_quotient_rule():
-    f = RatFunc(X, 2 - X)
-    assert f.derivative() == RatFunc(Poly.const(2), (2 - X) ** 2)
-    rng = random.Random(2202)
-    for _ in range(25):
-        f = rand_ratfunc(rng)
-        g = rand_ratfunc(rng)
-        assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+        quotient_value(f, Fraction(2))
 
 
 def test_series_geometric():
@@ -172,13 +162,14 @@ def test_from_coprime_matches_checking_constructor():
             assert g.num == f.num and g.den == f.den
             h = cls.from_coprime(-f.num, -f.den)
             assert h == f
-        # negation, powers and scalar multiples skip the gcd; they must land
-        # on the fields the gcd-reducing constructor gives for the same pair
-        pairs = [(-f, (-f.num, f.den))]
-        pairs += [(f**k, (f.num**k, f.den**k)) for k in range(top + 1)]
-        pairs += [(f * s, (f.num * s, f.den)) for s in (0, Fraction(-3, 7), 5)]
-        for got, (num, den) in pairs:
-            want = cls(num, den)
+        # negation, powers and scalar multiples keep a pair coprime; built
+        # without the gcd they must land on the fields the gcd-reducing
+        # constructor gives for the same pair
+        pairs = [(-f.num, f.den)]
+        pairs += [(f.num**k, f.den**k) for k in range(top + 1)]
+        pairs += [(f.num * s, f.den) for s in (0, Fraction(-3, 7), 5)]
+        for num, den in pairs:
+            got, want = cls.from_coprime(num, den), cls(num, den)
             assert type(got) is cls
             assert got.num == want.num and got.den == want.den
     assert RatFunc.from_coprime(Poly.zero(), 1 - X) == 0
@@ -194,7 +185,7 @@ def test_large_coprime_symbolic_pair_within_budget():
     g = RatFunc2(f.num**3, f.den**3)
     elapsed = time.perf_counter() - started
     assert elapsed < 10, f"RatFunc2(f.num**3, f.den**3) at r = 4 took {elapsed:.1f}s, budget 10s"
-    cube = f**3
+    cube = RatFunc2.from_coprime(f.num**3, f.den**3)
     assert g.num == cube.num and g.den == cube.den
 
 
@@ -217,10 +208,10 @@ def test_ratfunc2_sign_anchor_on_head_term():
 def test_ratfunc2_arithmetic():
     f = RatFunc2(X2 * (N2 - 1), N2 - X2)
     one = RatFunc2.from_fraction(Fraction(1))
-    assert f / f == one
-    assert f - f == 0
-    assert (f + 1) - 1 == f
-    assert f**2 == f * f
+    assert quotient_div(f, f) == one
+    assert quotient_add(f, _minus(f)) == 0
+    assert quotient_add(quotient_add(f, 1), -1) == f
+    assert RatFunc2.from_coprime(f.num**2, f.den**2) == quotient_mul(f, f)
 
 
 def test_ratfunc2_subs_n():
@@ -233,9 +224,10 @@ def test_ratfunc2_subs_n():
 
 def test_ratfunc2_eval():
     f = RatFunc2(X2 * (N2 - 1), N2 - X2)
-    assert f.eval(Fraction(2), Fraction(1)) == 1
+    assert quotient_value(f, Fraction(2), Fraction(1)) == 1
+    assert quotient_value(f, Fraction(3), Fraction(1, 2)) == Fraction(2, 5)
     with pytest.raises(ZeroDivisionError):
-        f.eval(Fraction(2), Fraction(2))
+        quotient_value(f, Fraction(2), Fraction(2))
 
 
 def test_ratfunc2_series_in_x():
@@ -259,23 +251,24 @@ def test_ratfunc2_series_consistent_with_substitution():
         n0 = Fraction(rng.randint(2, 9))
         uni = f.subs_n(n0).series(6)
         for k in range(7):
-            assert out[k].eval(n0, Fraction(0)) == uni[k]
+            assert out[k].subs_n(n0) == RatFunc.from_fraction(uni[k])
 
 
 def _lifted_series(f: RatFunc2, kmax: int) -> list[RatFunc2]:
-    """Maclaurin coefficients by RatFunc2 field arithmetic, each x-coefficient
-    lifted to a quotient and every step gcd-reduced; the reference for the
-    series recurrence over powers of den(0)."""
-    lift = {dx: RatFunc2(Poly2.from_poly_in_n(c)) for dx, c in f.den.as_x_coeffs().items()}
+    """Maclaurin coefficients by field arithmetic on quotients (see
+    ``oracles``), each x-coefficient lifted to a quotient and every step
+    gcd-reduced; the reference for the series recurrence over powers of
+    den(0)."""
+    d0 = RatFunc2(Poly2.from_poly_in_n(f.den.as_x_coeffs()[0]))
+    minus = {dx: RatFunc2(Poly2.from_poly_in_n(-c)) for dx, c in f.den.as_x_coeffs().items() if dx}
     num = {dx: RatFunc2(Poly2.from_poly_in_n(c)) for dx, c in f.num.as_x_coeffs().items()}
-    d0 = lift.pop(0)
     out = []
     for k in range(kmax + 1):
         acc = num.get(k, RatFunc2(0))
-        for j, dj in lift.items():
+        for j, dj in minus.items():
             if j <= k:
-                acc = acc - dj * out[k - j]
-        out.append(acc / d0)
+                acc = quotient_add(acc, quotient_mul(dj, out[k - j]))
+        out.append(quotient_div(acc, d0))
     return out
 
 
@@ -333,7 +326,8 @@ def test_fraction_inputs_settle_into_the_table_form():
         golden = reference.symbolic_pgf(r)
         _assert_same_key(table, golden)
         _assert_same_key(table, RatFunc2(_over_q(golden.num, scale), _over_q(golden.den, scale)))
-        _assert_same_key(table, ratfunc2_from_json(json.loads(json.dumps(ratfunc_to_json(table)))))
+        wire = json.loads(json.dumps(ratfunc_to_json(table)))
+        _assert_same_key(table, RatFunc2(poly2_from_json(wire["num"]), poly2_from_json(wire["den"])))
     # the descent PGF for alpha = 2/3, built from the Fraction steps
     # a_i = (2/3)^i, against the same product over ints:
     # 2^i x / (3^i - (3^i - 2^i) x) per step
@@ -344,10 +338,10 @@ def test_fraction_inputs_settle_into_the_table_form():
             num, den = num * (2**i * x), den * (3**i - (3**i - 2**i) * x)
         _assert_same_key(chain_pgf(r, StepSequence.power(Fraction(2, 3))), RatFunc(num, den))
     for f in (pgf_numeric(4, 3).func, pgf_symbolic(4).func):
-        third = f * Fraction(1, 3)
+        third = type(f).from_coprime(f.num * Fraction(1, 3), f.den)
         _assert_same_key(third, type(f)(f.num, f.den * 3))
         _assert_same_key(third, type(f)(_over_q(f.num, Fraction(1, 3)), _over_q(f.den, Fraction(1))))
-        _assert_same_key(third * 3, f)
+        _assert_same_key(type(f).from_coprime(third.num * 3, third.den), f)
 
 
 def test_polynomial_text_ordering():
@@ -384,21 +378,26 @@ def test_ratfunc_latex():
     assert factored == r"\frac{x}{\left(2 - x\right)\left(3 - x\right)}"
 
 
+def _poly_from_wire(terms) -> Poly:
+    return Poly({int(e): parse_rational(v) for e, v in terms})
+
+
 def test_json_round_trip_univariate():
+    # The wire is lossless: its "p/q" strings read back to the same fields.
     rng = random.Random(2206)
     for _ in range(30):
         f = rand_ratfunc(rng)
         wire = json.loads(json.dumps(ratfunc_to_json(f)))
-        assert ratfunc_from_json(wire) == f
+        assert RatFunc(_poly_from_wire(wire["num"]), _poly_from_wire(wire["den"])) == f
     p = Poly({0: Fraction(1, 3), 2: -2})
     assert poly_to_json(p) == [[0, "1/3"], [2, "-2"]]
-    assert poly_from_json(poly_to_json(p)) == p
+    assert _poly_from_wire(poly_to_json(p)) == p
 
 
 def test_json_round_trip_bivariate():
     f = RatFunc2(X2 * (N2 - 1), N2 - X2)
     wire = json.loads(json.dumps(ratfunc_to_json(f)))
-    assert ratfunc2_from_json(wire) == f
+    assert RatFunc2(poly2_from_json(wire["num"]), poly2_from_json(wire["den"])) == f
     p = N2**2 - 3 * X2
     assert poly2_to_json(p) == [[[0, 1], "-3"], [[2, 0], "1"]]
     assert poly2_from_json(poly2_to_json(p)) == p

@@ -1,7 +1,8 @@
 """The README's Quick start block runs, and its annotations are its output.
 
 Each statement with a trailing `# ...` comment is checked against it: a
-`print` call by what it prints, a bare expression by its `repr`.
+`print` call by what it prints, a bare expression by its `repr`.  Its
+Library list names every entry of `ballcell.__all__` under its module.
 """
 
 import ast
@@ -10,6 +11,8 @@ import io
 import re
 import tokenize
 from pathlib import Path
+
+import ballcell
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -56,3 +59,16 @@ def test_quick_start_annotations_match_what_it_prints():
         assert got == want, f"line {stmt.lineno}: {ast.unparse(stmt)}"
         checked += 1
     assert checked == 6
+
+
+def test_library_list_is_ballcell_all():
+    section = re.search(r"^## Library\n(.*?)^## ", README.read_text(), re.S | re.M)
+    assert section, "README.md has no Library section"
+    listed = {}
+    for module, names in re.findall(r"^- `(\w+)`: (.*)$", section.group(1), re.M):
+        for name in re.findall(r"`(\w+)`", names):
+            listed[name] = module
+    assert sorted(listed) == sorted(ballcell.__all__)
+    for name, module in listed.items():
+        owner = getattr(getattr(ballcell, name), "__module__", None) or "ballcell"
+        assert owner.removeprefix("ballcell.") == module, name

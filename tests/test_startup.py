@@ -17,6 +17,7 @@ pytest itself imports much of this, so each import is checked in a fresh
 interpreter.
 """
 
+import importlib.util
 import json
 import os
 import re
@@ -26,12 +27,13 @@ from pathlib import Path
 
 import pytest
 
-from ballcell import verify
+from ballcell import cli, verify
 from ballcell.approx import ApproxReport, LimitEstimate
 from ballcell.cli import _SUITES
 from ballcell.game import TransitionRow
 from ballcell.geometric import LimitingMoments
-from ballcell.montecarlo import DurationLaw, GofBin, GofReport, RoundTrace, SimBatch
+from ballcell.law import GofBin, GofReport
+from ballcell.montecarlo import DurationLaw, RoundTrace, SimBatch
 from ballcell.pgf import DurationPGF, MomentReport, ScaledMoment, SymbolicMomentReport
 
 RECORDS = [
@@ -47,7 +49,8 @@ POLYNOMIAL = ["ballcell.pgf", "ballcell.polys", "ballcell.ratfuncs"]
 LEAVES = ["ballcell.approx", "ballcell.batchhelper", "ballcell.geometric", "ballcell.law", "ballcell.montecarlo",
           "ballcell.pgf", "ballcell.polys", "ballcell.ratfuncs", "ballcell.reference", "ballcell.verify"]
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 # Prints, as its last line, the ballcell modules loaded so far.
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ballcell'))))\n"
@@ -232,3 +235,39 @@ def test_records_are_immutable(record):
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+# One request for each output check of perfbench/workloads.py.  The checks
+# read the library too (Poly.eval and Poly2.eval, Poly2.subs_n, the ring
+# operations and head_coeff, poly2_from_json, RatFunc2.from_coprime and
+# ratfunc_latex), so a name they need that goes turns the benchmark's
+# `correct` false.  The LaTeX rendering is held against the JSON envelope
+# of the symbolic request.
+CHECKED = [
+    "pgf --cells 4 --balls 4 --expand 6",
+    "pgf --symbolic-n --balls 4 --expand 4",
+    "pgf --symbolic-n --balls 4 --format latex",
+    "moments --symbolic-n --balls 4 --order 2",
+    "moments --cells 4 --balls 4 --order 2",
+    "approx --cells 3 --balls 10",
+    "simulate --balls 4 --cells 5 --trials 50 --seed 1 --gof --verbose",
+]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("command", CHECKED)
+def test_the_benchmark_checks_pass_on_one_request_each(command, workloads, capsys):
+    context = {}
+    if "latex" in command:
+        assert cli.run(CHECKED[1].split()) == 0
+        context = {4: capsys.readouterr().out}
+    code = cli.run(command.split())
+    out = capsys.readouterr().out
+    assert workloads.check(command.split(), code, out, context) is None
