@@ -3,9 +3,9 @@
 `montecarlo._simulate_batch` sends an unrecorded batch here when
 `montecarlo._splits` allows it.  This process plays trials 0..h-1 and its
 helper plays trials h..trials-1, h = trials // 2, with the same chunk loop,
-`montecarlo._play_trials`.  Trial i always runs on the stream
-trial_seed(seed, i), so the durations do not depend on which process plays
-which trials.
+`montecarlo._play_trials`.  Trial i always runs on the stream at word
+i + 1 of the batch stream, so the durations do not depend on which process
+plays which trials.
 
 The helper is forked on the first such batch and kept for the life of the
 process that forked it.  It puts /dev/null on fds 0-2 and closes every

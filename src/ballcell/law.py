@@ -10,9 +10,8 @@ of the PGF table, which the tests hold it against.  The mean and variance
 come from integer recurrences over a known product of denominators
 (`expected_duration`, `duration_variance`), and `gof_compare` fits a
 batch of `montecarlo` against the exact law over one common denominator.
-Every name still resolves where it used to live: `pgf` serves the chain
-walk and the mean tables, caches included, by loading this module when one
-is first read, and `montecarlo` re-exports the fit.
+`pgf` still serves the chain walk and the mean tables, caches included,
+by loading this module when one is first read; the fit is read from here.
 """
 
 from __future__ import annotations

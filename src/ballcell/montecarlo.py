@@ -1,10 +1,11 @@
 """Seeded simulation of the capture game, used as a statistical oracle.
 
-Every random word comes from SplitMix64 (Steele, Lea, Flood 2014), coded
-right here in a dozen lines.  The host platform's generator is never touched,
-so a run reproduces bit-for-bit on any machine given the same seed.  Batches
-derive one stream seed per trial in closed form, which makes the aggregate
-independent of how trials are scheduled.
+Every random word comes from SplitMix64 (Steele, Lea, Flood 2014).  The
+host platform's generator is never touched, so a run reproduces bit-for-bit
+on any machine given the same seed.  Trial i of a batch plays the stream at
+word i + 1 of the batch stream, which makes the aggregate independent of how
+trials are scheduled.  The tests hold every draw against a scalar
+SplitMix64 (tests/oracles.py).
 
 SplitMix64 is counter-based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC 2011): word m of the stream at state s is mix(s + m·γ), so a
@@ -18,13 +19,14 @@ round's cells come straight from the mixed int: each word folds to below
 2^39 and is reduced mod n by a precomputed reciprocal, exactly and in every
 lane at once (Lemire, Kaser and Kurz 2019, after Barrett 1986 and Granlund
 and Montgomery 1994), so no word becomes a Python int; adding 2^64 mod n to
-every lane flags a word that ``below`` would reject.  The words are unpacked
-through ``array`` only where they are needed: rounds holding such a word,
-n >= 128, rounds longer than one draw, and the trial seeds.  A batch plays
-its trials in chunks of _LANES // r games, one draw per round of a chunk; a
-rejected word sends only the games that drew it back to the scalar generator
-for that round.  The draw equals the scalar stream word for word, so every
-duration, trace and batch is the one the per-ball loop gives.
+every lane flags a word at or past the rejection limit 2^64 - (2^64 mod n),
+whose cell would be biased.  The words are unpacked through ``array`` only
+where they are needed: rounds holding such a word, n >= 128, rounds longer
+than one draw, and the trial seeds.  A batch plays its trials in chunks of
+_LANES // r games, one draw per round of a chunk.  In a round holding a
+rejected word, each game refills its rejected words from the next words of
+its stream, by packed draws (_replay_rejected), so every duration, trace
+and batch is the one that per-ball rejection sampling gives.
 
 Captures are counted SIMD-within-a-register (Lamport, "Multiple byte
 processing with full-word instructions", CACM 18(8), 1975), for all games of
@@ -55,8 +57,8 @@ process plays trials 0..h-1, h = trials // 2, and its batch helper
 (`batchhelper`), forked on the first such batch and kept for the life of
 this process, plays trials h..trials-1 with the same chunk loop,
 _play_trials.  Trial i runs on
-trial_seed(seed, i) whoever plays it, so every SimBatch, histogram, fit and
-output byte is the one a single process gives.  A helper that fails (EOF, a
+word i + 1 of the batch stream whoever plays it, so every SimBatch,
+histogram, fit and output byte is the one a single process gives.  A helper that fails (EOF, a
 short reply, an OSError, a mismatched sequence number or an exception
 between request and reply) retires: this process reaps it, plays the share
 itself and forks no other.  Budget refusals come before any play; recorded
@@ -149,60 +151,11 @@ _drawn = [0.0]
 _AFTER = [bytes(range(126 + b, 126, -1)) for b in range(129)]
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """64-bit generator: the state walks by a fixed odd constant and each
-    output is a bijective xor-shift-multiply mix of the new state.
-
-    Reference sequence, usable to check any reimplementation word-for-word:
-    seed 0 starts e220a8397b1dcdaf, 6e789e6aa1b965f4, 06c45d188009454f; seed
-    42 starts bdd732262feb6e95, 28efe333b266f103, 47526757130f9f52.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
-        return _mix64(self._state)
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection, so no modulo bias; past
-        n = 2^64 no word would pass."""
-        if not 0 < n <= 1 << 64:
-            raise ValueError(f"modulus must lie in [1, 2^64], got {n}")
-        # Largest multiple of n that fits in 64 bits.
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
-
-
-def trial_seed(seed: int, index: int) -> int:
-    """Stream seed for trial `index` of a batch started at `seed`.
-
-    Equals the (index+1)-th output of ``SplitMix64(seed)`` but is computed in
-    closed form, so a worker can seed its own trials without sharing state.
-    """
-    if index < 0:
-        raise ValueError(f"trial index must be >= 0, got {index}")
-    return _mix64((seed + (index + 1) * _GAMMA) & MASK64)
-
-
 class RoundTrace(NamedTuple):
-    """One recorded round: who landed where and how many were captured."""
+    """One recorded round: the balls that entered it and how many it captured."""
 
     round_index: int
     balls_before: int
-    assignment: tuple[int, ...]
     captured: int
 
 
@@ -251,7 +204,9 @@ def _check_play_budget(r: int, n: int, trials: int) -> float:
 
 
 def _mix_lanes(z: int) -> int:
-    """``_mix64`` on every 128-bit lane of `z` at once.
+    """SplitMix64's output mix, z ^ (z >> 30) times _MIX1, z ^ (z >> 27)
+    times _MIX2, then z ^ (z >> 31), each product mod 2^64, on every 128-bit
+    lane of `z` at once.
 
     Each lane holds a word below 2^64.  The result's word is in the low half
     of its lane; the high half holds bits shifted down from the next lane.
@@ -318,8 +273,8 @@ def _mixed(states: Sequence[int], counts: Sequence[int], uniform: bool = False) 
 
 def _lane_cells(z: int, total: int, n: int) -> bytes | None:
     """word % n for each of the `total` words of the packed mix z, for
-    n <= 127, or None when some word is at least the limit 2^64 - spare
-    that ``below`` rejects, spare = 2^64 mod n.
+    n <= 127, or None when some word is at least the rejection limit
+    2^64 - spare, spare = 2^64 mod n.
 
     Adding spare to every lane carries into bit 64 exactly in the lanes
     holding a word >= limit.  Else each word w folds to x = hi·(2^32 mod n)
@@ -355,21 +310,22 @@ def _draw(states: Sequence[int], counts: Sequence[int]) -> array:
 def _replay_rejected(states: Sequence[int], balls: Sequence[int], n: int, words: array, limit: int):
     """Cells and next states of a round in which some word is >= limit.
 
-    Games without such a word keep their packed cells.  Each game with one
-    replays the round with the scalar ``below`` from its round-start state,
-    which skips rejected words exactly as a single stream does.
+    Each game keeps its words below the limit, then draws its shortfall as
+    the next words of its stream, and again, until it holds one accepted
+    word a ball.  A refill reaches b accepted words only when its last word
+    is the b-th, so the game ends on the words and the state that per-ball
+    rejection sampling gives.
     """
-    cells = list(map(mod, words, repeat(n)))
-    moved = []
-    start = 0
-    for s, b in zip(states, balls):
-        if max(words[start:start + b]) >= limit:
-            rng = SplitMix64(s)
-            cells[start:start + b] = [rng.below(n) for _ in range(b)]
-            moved.append(rng._state)
-        else:
-            moved.append((s + b * _GAMMA) & MASK64)
-        start += b
+    cells, moved = [], []
+    for s, b, start in zip(states, balls, accumulate(balls, initial=0)):
+        kept = list(filter(limit.__gt__, words[start:start + b]))
+        s = (s + b * _GAMMA) & MASK64
+        while len(kept) < b:
+            short = b - len(kept)
+            kept += filter(limit.__gt__, _draw([s], [short]))
+            s = (s + short * _GAMMA) & MASK64
+        cells += map(mod, kept, repeat(n))
+        moved.append(s)
     return cells, moved
 
 
@@ -445,16 +401,17 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
 
     Every round of all live games is one packed draw: each game's balls take
     the next words of its stream in order, ball j of a game with b balls the
-    word mix(s + (j+1)·γ), and its cell is word % n, exactly as b calls of
-    ``SplitMix64.below`` would give unless a word is rejected; with n <= 127
-    _lane_cells reads the cells off the mixed int.  A round
-    with n <= 127 whose largest game holds top <= _PAIR_BALLS balls, and at
-    most twice as many balls as the round has games, counts its captures
+    word mix(s + (j+1)·γ), and its cell is word % n; with n <= 127
+    _lane_cells reads the cells off the mixed int.  A round holding a word
+    at or past the rejection limit takes the packed refill of
+    _replay_rejected instead, the cells of per-ball rejection sampling.  A
+    round with n <= 127 whose largest game holds top <= _PAIR_BALLS balls,
+    and at most twice as many balls as the round has games, counts its captures
     pairwise on one int of its cell bytes: the top - 1 steps cost about as
     much for a few games as for many, and few games do not repay them.
     Other rounds count in lanes per game while n·w is at most _LANE_BITS,
-    else by a Counter.  A recorded round's traces read the cells its count
-    read.
+    else by a Counter.  A recorded round appends its balls and captures to
+    the trace of each game.
     """
     durations = [0] * len(states)
     traces = [[] for _ in states] if record else []
@@ -484,18 +441,13 @@ def _play(r: int, n: int, states: Sequence[int], record: bool = False):
         states = moved or list(map(and_, map(add, states, map(mul, balls, repeat(_GAMMA))), repeat(MASK64)))
         top = max(balls)
         pairs = n < 128 and top <= min(_PAIR_BALLS, 2 * len(balls))
-        if pairs or record:
-            cells = bytes(cells) if n < 128 else list(cells)
         if pairs:
-            left = _left_by_pairs(balls, top, cells)
+            left = _left_by_pairs(balls, top, bytes(cells))
         else:
             left = _left_by_lanes(lanes, balls, cells) if lanes else _left_by_counter(n, balls, cells)
         if record:
-            start = 0
             for i, b, rest in zip(live, balls, left):
-                hits = tuple(sorted(map(add, cells[start:start + b], repeat(1))))  # cells are labeled 1..n
-                traces[i].append(RoundTrace(rounds, b, hits, b - rest))
-                start += b
+                traces[i].append(RoundTrace(rounds, b, b - rest))
         for i in compress(live, map(not_, left)):
             durations[i] = rounds
         live = list(compress(live, left))
@@ -548,7 +500,8 @@ def simulate_batch(r: int, n: int, trials: int, seed: int) -> SimBatch:
     """Aggregate `trials` games, each on its own derived stream seed.
 
     The duration multiset is a pure function of (r, n, trials, seed): trial i
-    always runs on trial_seed(seed, i), and results are kept in trial order.
+    always runs on the stream at word i + 1 of the batch stream at `seed`,
+    and results are kept in trial order.
     """
     return _simulate_batch(r, n, trials, seed)[0]
 
@@ -588,8 +541,8 @@ def _splits(r: int, trials: int) -> bool:
 
 def _simulate_batch(r: int, n: int, trials: int, seed: int, record: bool = False):
     """simulate_batch, and with `record` the rounds of every trial from the
-    same pass, each as simulate_game_verbose(r, n, trial_seed(seed, i))
-    records them."""
+    same pass, each as simulate_game_verbose records the game on word i + 1
+    of the batch stream."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     # Capped past _FORK_WORDS: only whether the total reaches it matters.
@@ -627,6 +580,3 @@ class DurationLaw(NamedTuple):
     def compute(cls, r: int, n: int) -> "DurationLaw":
         _check_sim_state(r, n)
         return cls(r, n, tuple(exact_distribution(r, n)))
-
-    def coverage(self) -> Fraction:
-        return sum(self.probs, Fraction(0))

@@ -53,6 +53,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import _lazy
+from .errors import BudgetExceededError
 # transition_row and poly2_div_exact are no longer called here, but
 # perfbench/tracer.py wraps pgf.transition_row and pgf.poly2_div_exact by
 # name, so the attributes stay.
@@ -66,7 +67,7 @@ from .game import (  # noqa: F401
 )
 from .polys import Poly, Poly2, int_div_exact, poly2_div_exact  # noqa: F401
 from .ratfuncs import RatFunc, RatFunc2, _series_numerators
-from .scalars import _check_budget, decimal_sqrt
+from .scalars import _about, _check_budget, decimal_sqrt
 
 SYMBOLIC_CEILING = 40
 
@@ -165,8 +166,9 @@ class SymbolicMomentReport(NamedTuple):
 def _check_symbolic(r: int) -> None:
     if r < 0:
         raise ValueError(f"balls must be >= 0, got {r}")
-    reason = f"the symbolic tables stop at r <= {SYMBOLIC_CEILING}; the request asks for"
-    _check_budget(reason, r, "balls", budget=SYMBOLIC_CEILING)
+    if r > SYMBOLIC_CEILING:
+        raise BudgetExceededError(f"the symbolic tables stop at r <= {SYMBOLIC_CEILING}; the request asks for "
+                                  f"about {_about(log(r))} balls; the budget is {SYMBOLIC_CEILING}")
 
 
 # ---------------------------------------------------------------------------

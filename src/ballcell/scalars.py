@@ -63,19 +63,17 @@ def enum_budget() -> int:
 
 
 def _check_budget(reason: str, estimate: float, units: str, scale: int | Fraction = 1,
-                  budget: int | None = None, is_log: bool = False) -> None:
+                  is_log: bool = False) -> None:
     """Refuse an estimate past its budget with BudgetExceededError "<reason>
-    about X <units>; the budget is Y (BALLCELL_BUDGET * scale)".  The budget
-    is enum_budget() * scale rounded down, or the fixed `budget` of the
-    symbolic ceiling, without the parenthesis.  With is_log, `estimate` is
+    about X <units>; the budget is Y (BALLCELL_BUDGET * scale)", the budget
+    Y being enum_budget() * scale rounded down.  With is_log, `estimate` is
     a natural log, for an estimate past the float range."""
-    source = ""
-    if budget is None:
-        budget, source = enum_budget() * scale // 1, f" ({BUDGET_ENV} * {float(scale):g})"
+    budget = enum_budget() * scale // 1
     if estimate <= (log(budget) if is_log else budget):
         return
     about = _about(estimate if is_log else log(estimate))
-    raise BudgetExceededError(f"{reason} about {about} {units}; the budget is {budget:g}{source}")
+    raise BudgetExceededError(
+        f"{reason} about {about} {units}; the budget is {budget:g} ({BUDGET_ENV} * {float(scale):g})")
 
 
 def _about(log_value: float) -> str:

@@ -39,6 +39,15 @@ of the contents.
 ``harmonic_sum_from_scratch`` runs the harmonic partial sum's Horner pass
 from j = 1 on every call, so it checks ``approx._harmonic_sum``, which
 resumes from the state it held for the same n and power.
+
+``SplitMix64`` is the simulator's generator as its authors publish it
+(Steele, Lea and Flood, "Fast splittable pseudorandom number generators",
+OOPSLA 2014), one word at a time, its constants typed here rather than read
+from ``ballcell.montecarlo``.  ``below`` draws a cell by rejection, word after
+word, and ``trial_seed`` is word i + 1 of a batch stream in closed form.
+They are the spec of the packed draw: the lane-wise mix, the lane-wise cells
+with their rejection flag, the packed refill of rejected words, and the
+seeds of a batch's trials.
 """
 
 from fractions import Fraction
@@ -47,6 +56,56 @@ from math import comb, factorial, lcm
 from ballcell.game import transition_row
 from ballcell.law import MIN_COVERAGE, GofBin, GofReport
 from ballcell.polys import Poly, Poly2
+
+MASK64 = (1 << 64) - 1
+# SplitMix64's stream increment (the odd integer nearest 2^64 over the golden
+# ratio) and its output-mix multipliers.
+GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+
+
+def _mix64(z):
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """64-bit generator: the state walks by GAMMA and each output is a
+    bijective xor-shift-multiply mix of the new state.
+
+    Reference sequence: seed 0 starts e220a8397b1dcdaf, 6e789e6aa1b965f4,
+    06c45d188009454f; seed 42 starts bdd732262feb6e95, 28efe333b266f103,
+    47526757130f9f52.
+    """
+
+    def __init__(self, seed):
+        self._state = seed & MASK64
+
+    def next_u64(self):
+        self._state = (self._state + GAMMA) & MASK64
+        return _mix64(self._state)
+
+    def below(self, n):
+        """Uniform integer in [0, n) by rejection, so no modulo bias; past
+        n = 2^64 no word would pass."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"modulus must lie in [1, 2^64], got {n}")
+        # The largest multiple of n that fits in 64 bits.
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+
+def trial_seed(seed, index):
+    """The stream seed of trial `index` of a batch at `seed`: the
+    (index + 1)-th output of ``SplitMix64(seed)``, in closed form."""
+    if index < 0:
+        raise ValueError(f"trial index must be >= 0, got {index}")
+    return _mix64((seed + (index + 1) * GAMMA) & MASK64)
 
 
 def duration_law_over_q(r, n):

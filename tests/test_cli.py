@@ -14,8 +14,9 @@ import pytest
 from ballcell import __version__, cli
 from ballcell.errors import DivergentDurationError
 from ballcell.law import exact_distribution
-from ballcell.montecarlo import DurationLaw, simulate_batch, simulate_game, simulate_game_verbose, trial_seed
+from ballcell.montecarlo import DurationLaw, simulate_batch, simulate_game, simulate_game_verbose
 from ballcell.pgf import duration_variance, expected_duration, moments
+from oracles import trial_seed
 
 
 def run_cli(capsys, *argv):

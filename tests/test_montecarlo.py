@@ -32,18 +32,19 @@ from ballcell.montecarlo import (
     MASK64,
     DurationLaw,
     _check_play_budget,
+    _draw,
     _log_words,
+    _replay_rejected,
     _simulate_batch,
     RoundTrace,
     SimBatch,
-    SplitMix64,
     simulate_batch,
     simulate_game,
     simulate_game_verbose,
-    trial_seed,
 )
 from ballcell.pgf import expected_duration
 from ballcell.scalars import BUDGET_ENV, to_decimal
+from oracles import SplitMix64, trial_seed
 
 # First outputs of the reference stream for two seeds.
 STREAM_SEED_0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -142,15 +143,10 @@ def test_verbose_trace_accounts_for_every_ball():
         assert duration == simulate_game(r, n, seed)
         assert duration == len(rounds)
         assert [t.round_index for t in rounds] == list(range(1, duration + 1))
+        assert rounds == _reference_verbose(r, n, seed)[1]
         balls = r
         for t in rounds:
             assert t.balls_before == balls
-            assert len(t.assignment) == balls
-            assert all(1 <= c <= n for c in t.assignment)
-            assert tuple(sorted(t.assignment)) == t.assignment
-            # captured balls are exactly the sole occupants of their cells
-            occupancy = Counter(t.assignment)
-            assert t.captured == sum(1 for c in t.assignment if occupancy[c] == 1)
             balls -= t.captured
         assert balls == 0
 
@@ -178,7 +174,7 @@ def test_duration_law_wraps_exact_distribution():
     law = DurationLaw.compute(2, 2)
     assert law.balls == 2 and law.cells == 2
     assert list(law.probs) == exact_distribution(2, 2)
-    assert law.coverage() >= MIN_COVERAGE
+    assert sum(law.probs) >= MIN_COVERAGE
     with pytest.raises(DivergentDurationError):
         DurationLaw.compute(2, 1)
 
@@ -294,18 +290,12 @@ def _reference_play(r: int, n: int, rng: SplitMix64, record: bool):
     while balls:
         rounds += 1
         counts: dict[int, int] = {}
-        if record:
-            # Cells are labeled 1..n in traces.
-            hits = sorted(rng.below(n) + 1 for _ in range(balls))
-            for c in hits:
-                counts[c] = counts.get(c, 0) + 1
-        else:
-            for _ in range(balls):
-                c = rng.below(n)
-                counts[c] = counts.get(c, 0) + 1
+        for _ in range(balls):
+            c = rng.below(n)
+            counts[c] = counts.get(c, 0) + 1
         captured = sum(1 for v in counts.values() if v == 1)
         if record:
-            traces.append(RoundTrace(rounds, balls, tuple(hits), captured))
+            traces.append(RoundTrace(rounds, balls, captured))
         balls -= captured
     return rounds, tuple(traces)
 
@@ -440,6 +430,35 @@ def test_rejected_word_in_a_split_round_matches_reference():
     r, n = _LANES + 3, 2 * _LANES + 1
     # The rejected word falls in the second draw of the first round.
     _assert_matches_reference(r, n, (REJECT_STREAM - (_LANES + 1) * _GAMMA) & MASK64)
+
+
+def test_chained_rejections_match_reference(monkeypatch):
+    # At n = 2^63 + 1 the rejection limit is 2^63 + 1 itself, so about half
+    # of all words are rejected, and the words that refill a round are
+    # rejected again in turn.
+    monkeypatch.setenv(BUDGET_ENV, str(10**20))
+    n = 2**63 + 1
+    limit = (1 << 64) - (1 << 64) % n
+    assert limit == n
+    # The first round of 40 balls at seed 0 refills twice at least.
+    g = SplitMix64(0)
+    short = sum(g.next_u64() >= limit for _ in range(40))
+    assert sum(g.next_u64() >= limit for _ in range(short)) > 0
+    for r in (1, 2, 5, 9, 40):
+        for seed in range(30):
+            # Balls on this many cells all but never share one, so every game
+            # ends in its first round whatever its cells: the refill's cells
+            # and end states are held against the oracle's directly.
+            states = [trial_seed(seed, i) for i in range(3)]
+            rngs = [SplitMix64(s) for s in states]
+            cells = [rng.below(n) for rng in rngs for _ in range(r)]
+            assert _replay_rejected(states, [r] * 3, n, _draw(states, [r] * 3), limit) == (
+                cells, [rng._state for rng in rngs])
+            assert simulate_game_verbose(r, n, seed) == _reference_verbose(r, n, seed)
+            want = [_reference_verbose(r, n, trial_seed(seed, i)) for i in range(3)]
+            assert simulate_batch(r, n, 3, seed).durations == tuple(d for d, _ in want)
+            batch, traces = _simulate_batch(r, n, 3, seed, record=True)
+            assert list(zip(batch.durations, traces)) == want
 
 
 # ---------------------------------------------------------------------------

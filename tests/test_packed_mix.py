@@ -8,7 +8,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ballcell.montecarlo import _LANES, MASK64, _draw, _lane_cells, _mix64, _mix_lanes, _mixed  # noqa: E402
+from ballcell.montecarlo import _LANES, MASK64, _draw, _lane_cells, _mix_lanes, _mixed  # noqa: E402
+from oracles import _mix64  # noqa: E402
 
 WORDS = st.lists(st.integers(min_value=0, max_value=MASK64), min_size=1, max_size=_LANES)
 CELLS = st.integers(min_value=2, max_value=127)

@@ -81,6 +81,7 @@ def test_imports_load_only_the_core_chain(statement):
     ("simulate --balls 3 --cells 3 --trials 20 --seed 1 --gof", ["ballcell.law", "ballcell.montecarlo"]),
     ("verify --suite oracle --budget small", ["ballcell.law", *POLYNOMIAL, "ballcell.verify"]),
     ("verify --suite paper --budget small", ["ballcell.law", *POLYNOMIAL, "ballcell.reference", "ballcell.verify"]),
+    ("verify --suite stats --budget small", ["ballcell.law", "ballcell.montecarlo", "ballcell.verify"]),
 ])
 def test_each_command_loads_only_its_own_leaves(command, leaves):
     loaded = _fresh(f"from ballcell import cli\nassert cli.run({command.split()!r}) == 0\n" + LOADED)
